@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import capstruct_lp, estimator, privunit, privunitg, tuner
+from . import capstruct_lp, estimator, privunit, tuner
 from .errors import DegenerateParameterError, NumericsError, SupportError
 from .sphere import RngStream
 
@@ -52,16 +52,12 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _gamma_of(params) -> float:
-    return params.gamma
-
-
 def cmd_tune(args) -> list[str]:
     res = tuner.tune(args.eps, args.d, args.alg)
     s = res.split
     return [
         "eps0,eps1,p,q,gamma,m,err,c_const",
-        _row(s.eps0, s.eps1, s.p, s.q, _gamma_of(res.params), res.params.m, res.err_star, res.c_const),
+        _row(s.eps0, s.eps1, s.p, s.q, res.params.gamma, res.params.m, res.err_star, res.c_const),
     ]
 
 
@@ -70,7 +66,7 @@ def cmd_ratio(args) -> list[str]:
     for d in args.d:
         tuned = tuner.tune(args.eps, d, "privunitg")
         err_pug = tuned.err_star
-        pu_params = tuner._params_at(tuned.split, d, "privunit", None)
+        pu_params = tuner._params_at(tuned.split, d, "privunit")
         err_pu = privunit.analytic_err(pu_params).err
         lines.append(_row(float(d), err_pu, err_pug, err_pug / err_pu))
     return lines
@@ -121,16 +117,9 @@ def cmd_randomize(args) -> list[str]:
     if not vectors:
         raise SupportError("no input vectors given")
     tuned = tuner.tune(args.eps, args.d, args.alg)
+    randomizer = estimator._make_randomizer(tuned.params)
     root = RngStream(args.seed, 0)
-    lines = []
-    for i, vec in enumerate(vectors):
-        rng = root.substream(i)
-        if args.alg == "privunit":
-            out = privunit.randomize(vec, tuned.params, rng)
-        else:
-            out = privunitg.randomize_g(vec, tuned.params, rng)
-        lines.append(" ".join(_fmt(x) for x in out))
-    return lines
+    return [" ".join(_fmt(x) for x in randomizer(vec, root.substream(i))) for i, vec in enumerate(vectors)]
 
 
 def cmd_lp_verify(args) -> list[str]:

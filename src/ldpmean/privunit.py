@@ -3,6 +3,13 @@ spherical cap {u : <u, v> >= gamma} around the input v, otherwise a uniform
 point of the complement, then scale by 1/m so the output is an unbiased
 estimate of v.
 
+This is the threshold construction shared with ``privunitg``: parameters
+extend :class:`ThresholdParams` and draws go through
+``sphere._threshold_rows``, with the coordinate along v following the first
+coordinate W_1 of a uniform point of S^{d-1} and the orthogonal part
+uniform with norm sqrt(1 - alpha^2), so every report lies on the
+radius-1/m sphere.
+
 The normalizer combines the two reciprocal cap masses with a minus sign on
 the complement term: unbiasedness forces it, since E[W_1] = 0 splits the
 mixture mean into E[W_1 1{W_1 >= gamma}] * (p/(1-q) - (1-p)/q) with
@@ -21,7 +28,6 @@ import numpy as np
 from . import sphere, specfun
 from .errors import DegenerateParameterError, SupportError
 from .sphere import RngStream, as_unit_vector
-from .specfun import Tolerances
 
 __all__ = [
     "CapParams",
@@ -53,26 +59,33 @@ class ErrorBreakdown:
 
 
 @dataclass(frozen=True)
-class CapParams:
-    """Validated PrivUnit parameters with cached derived quantities.
-
-    Build through :func:`cap_params`; q/q_comp are the marginal cdf and cap
-    mass at gamma, m the normalizer, log_level_hi/lo the two log densities
-    relative to the uniform measure on the output sphere.
-    """
+class ThresholdParams:
+    """The parameters both randomizers share. A report's coordinate along
+    its input follows a 1-D law T conditioned on the closed side
+    T >= gamma with probability p, else on T < gamma. q = P(T < gamma) and
+    q_comp = P(T >= gamma); p_comp and q_comp are carried as exact
+    complements. m is the normalizer, log_level_hi/lo the two log density
+    levels, and budget = log_level_hi - log_level_lo."""
 
     d: int
     p: float
-    gamma: float
+    p_comp: float
     q: float
     q_comp: float
-    p_comp: float
+    gamma: float
     m: float
-    shape_alpha: float
-    tau: float
     log_level_hi: float
     log_level_lo: float
     budget: float
+
+
+@dataclass(frozen=True)
+class CapParams(ThresholdParams):
+    """Validated PrivUnit parameters; build through :func:`cap_params`.
+    T is the first coordinate of a uniform point of S^{d-1}, whose law is
+    2B - 1 with B ~ Beta(shape_alpha, shape_alpha)."""
+
+    shape_alpha: float
 
 
 def _ln(x: float) -> float:
@@ -105,38 +118,39 @@ def privacy_eps(p: float, q: float, p_comp: float | None = None, q_comp: float |
     return log_hi - log_lo
 
 
-def _normalizer(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float) -> float:
-    a = 0.5 * (d - 1)
-    # E[W_1 1{W_1 >= gamma}] = (1-gamma^2)^a / ((d-1) 2^{d-2} B(a,a))
-    ln_c = a * math.log1p(-gamma * gamma) - (d - 2) * _LN2 - math.log(d - 1) - specfun.log_beta(a, a)
+def _threshold_fields(
+    d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, tail_mean: float
+) -> dict:
+    """The ThresholdParams fields, given tail_mean = E[T 1{T >= gamma}]:
+    m = tail_mean * (p + q - 1) / (q q_comp), rejected unless positive."""
     num = 1.0 - (p_comp + q_comp)  # = p + q - 1, the sign-corrected bracket
     if num <= 0.0:
         raise DegenerateParameterError(
             f"normalizer m <= 0 at p={p}, q={q} (symmetric mixture has zero mean)"
         )
-    return math.exp(ln_c) * num / (q * q_comp)
-
-
-def _build(d: int, p: float, p_comp: float, gamma: float, q: float, q_comp: float) -> CapParams:
-    m = _normalizer(d, p, p_comp, q, q_comp, gamma)
     log_hi, log_lo = _two_log_levels(p, q, p_comp, q_comp)
-    return CapParams(
+    return dict(
         d=d,
         p=p,
-        gamma=gamma,
+        p_comp=p_comp,
         q=q,
         q_comp=q_comp,
-        p_comp=p_comp,
-        m=m,
-        shape_alpha=0.5 * (d - 1),
-        tau=0.5 * (1.0 + gamma),
+        gamma=gamma,
+        m=tail_mean * num / (q * q_comp),
         log_level_hi=log_hi,
         log_level_lo=log_lo,
         budget=log_hi - log_lo,
     )
 
 
-def cap_params(d: int, p: float, gamma: float, tol: Tolerances | None = None) -> CapParams:
+def _build(d: int, p: float, p_comp: float, gamma: float, q: float, q_comp: float) -> CapParams:
+    a = 0.5 * (d - 1)
+    # E[W_1 1{W_1 >= gamma}] = (1-gamma^2)^a / ((d-1) 2^{d-2} B(a,a))
+    ln_c = a * math.log1p(-gamma * gamma) - (d - 2) * _LN2 - math.log(d - 1) - specfun.log_beta(a, a)
+    return CapParams(**_threshold_fields(d, p, p_comp, q, q_comp, gamma, math.exp(ln_c)), shape_alpha=a)
+
+
+def cap_params(d: int, p: float, gamma: float) -> CapParams:
     """Validate (d, p, gamma) and cache q, the normalizer m, and the two
     density levels. Degenerate parameters (m <= 0) are rejected here."""
     if int(d) != d or d < 2:
@@ -147,14 +161,14 @@ def cap_params(d: int, p: float, gamma: float, tol: Tolerances | None = None) ->
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
     a = 0.5 * (d - 1)
-    q = specfun.reg_inc_beta(0.5 * (1.0 + gamma), a, a, tol)
-    q_comp = specfun.reg_inc_beta(0.5 * (1.0 - gamma), a, a, tol)  # cap mass above
+    q = specfun.reg_inc_beta(0.5 * (1.0 + gamma), a, a)
+    q_comp = specfun.reg_inc_beta(0.5 * (1.0 - gamma), a, a)  # cap mass above
     return _build(d, p, 1.0 - p, gamma, q, q_comp)
 
 
-def normalizer_m(d: int, p: float, gamma: float, tol: Tolerances | None = None) -> float:
+def normalizer_m(d: int, p: float, gamma: float) -> float:
     """The exact normalizer m = E[<unscaled output, e_1>] > 0."""
-    return cap_params(d, p, gamma, tol).m
+    return cap_params(d, p, gamma).m
 
 
 def analytic_err(params: CapParams) -> ErrorBreakdown:
@@ -166,58 +180,27 @@ def analytic_err(params: CapParams) -> ErrorBreakdown:
     return ErrorBreakdown(m=m, alpha_sq=alpha_sq, err=1.0 / (m * m) - 1.0, d=params.d)
 
 
-def randomize(v, params: CapParams, rng: RngStream, tol: Tolerances | None = None) -> np.ndarray:
-    """One PrivUnit draw: cap sample around v with probability p, complement
-    sample otherwise, scaled to the radius-1/m sphere. E[output] = v."""
+def _checked_input(v, params: ThresholdParams, size: int) -> np.ndarray:
     v = as_unit_vector(v)
     if v.size != params.d:
         raise ValueError(f"input dimension {v.size} != params dimension {params.d}")
-    above = bool(rng.uniform() < params.p)
-    w = sphere.sample_cap(params.d, params.gamma, above, rng, tol)
-    return sphere.rotate_from_e1(v, w) / params.m
-
-
-def randomize_batch(
-    v, params: CapParams, size: int, rng: RngStream, tol: Tolerances | None = None
-) -> np.ndarray:
-    """Vectorized draws: (size, d) array of independent PrivUnit outputs.
-
-    Same construction as :func:`randomize` (inverse-cdf first coordinate,
-    uniform tangent direction, Householder rotation), with the inner loops
-    vectorized; the draw order differs from repeated scalar calls.
-    """
-    v = as_unit_vector(v)
-    d = params.d
-    if v.size != d:
-        raise ValueError(f"input dimension {v.size} != params dimension {d}")
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
-    a = params.shape_alpha
-    gamma = params.gamma
-    above = rng.uniform(size) < params.p
-    grid = rng.uniform(size)
-    u1 = np.empty(size)
-    if above.any():
-        y = (1.0 - grid[above]) * params.q_comp  # survival side, full precision
-        x = specfun._inv_reg_inc_beta_vec(y, a, a, tol)
-        u1[above] = np.maximum(1.0 - 2.0 * x, gamma)
-    n_below = int(size - above.sum())
-    if n_below:
-        y = grid[~above] * params.q
-        x = specfun._inv_reg_inc_beta_vec(y, a, a, tol)
-        u1b = 2.0 * x - 1.0
-        open_top = np.nextafter(gamma, -2.0)
-        u1[~above] = np.minimum(u1b, open_top)
-    g = rng.normal((size, d - 1))
-    nrm = np.linalg.norm(g, axis=1)
-    while np.any(nrm == 0.0):
-        redo = nrm == 0.0
-        g[redo] = rng.normal((int(redo.sum()), d - 1))
-        nrm = np.linalg.norm(g, axis=1)
-    out = np.empty((size, d))
-    out[:, 0] = u1
-    out[:, 1:] = g * (np.sqrt(np.maximum(0.0, 1.0 - u1 * u1)) / nrm)[:, None]
-    return sphere.rotate_from_e1(v, out) / params.m
+    return v
+
+
+def randomize(v, params: CapParams, rng: RngStream) -> np.ndarray:
+    """One PrivUnit draw: cap sample around v with probability p, complement
+    sample otherwise, scaled to the radius-1/m sphere. E[output] = v.
+    Bit-identical to the one-row :func:`randomize_batch`."""
+    return randomize_batch(v, params, 1, rng)[0]
+
+
+def randomize_batch(v, params: CapParams, size: int, rng: RngStream) -> np.ndarray:
+    """Vectorized draws: (size, d) array of independent PrivUnit outputs;
+    size draws differ from size calls of :func:`randomize` on one stream."""
+    v = _checked_input(v, params, size)
+    return sphere._threshold_rows(v, size, rng, params.p, params.q, params.q_comp, params.gamma, params.m)
 
 
 def log_density(u, v, params: CapParams) -> float:

@@ -3,6 +3,10 @@ N(0, sigma^2) draw (sigma = 1/sqrt(d)) truncated above the threshold gamma
 with probability p and below it otherwise; the orthogonal component keeps
 independent N(0, sigma^2) coordinates, and the sum is scaled by 1/m.
 
+This is the threshold construction shared with ``privunit``: parameters
+extend ``privunit.ThresholdParams`` and draws go through
+``sphere._threshold_rows``, with T ~ N(0, sigma^2) as the law of alpha.
+
 Same two-level density structure as the cap randomizer, so privacy is the
 same product condition on (p, q); here q = Phi(gamma/sigma) and the
 normalizer has the closed form m = sigma phi(gamma/sigma) (p/(1-q) - (1-p)/q).
@@ -16,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
-from .errors import DegenerateParameterError
-from .privunit import ErrorBreakdown, _two_log_levels
+from . import sphere, specfun
+from .privunit import ErrorBreakdown, ThresholdParams, _checked_input, _threshold_fields
 from .sphere import RngStream, as_unit_vector
-from .specfun import Tolerances
 
 __all__ = [
     "GaussParams",
@@ -37,58 +39,27 @@ _LN2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class GaussParams:
+class GaussParams(ThresholdParams):
     """Validated parameters with cached derived quantities; build through
-    :func:`gauss_params`. g_std = gamma/sigma is the threshold in standard
-    units, alpha_sq the closed-form second moment sigma^2 + gamma*m."""
+    :func:`gauss_params`. T ~ N(0, sigma^2), g_std = gamma/sigma is the
+    threshold in standard units, alpha_sq the closed-form second moment
+    sigma^2 + gamma*m."""
 
-    d: int
-    p: float
-    q: float
     sigma: float
-    gamma: float
-    m: float
-    p_comp: float
-    q_comp: float
     g_std: float
     alpha_sq: float
-    log_level_hi: float
-    log_level_lo: float
-    budget: float
 
 
-def _build_gauss(
-    d: int, p: float, p_comp: float, q: float, q_comp: float, tol: Tolerances | None = None
-) -> GaussParams:
+def _build_gauss(d: int, p: float, p_comp: float, q: float, q_comp: float) -> GaussParams:
     sigma = 1.0 / math.sqrt(d)
     # quantile of the complement keeps precision when q is close to 1
     g_std = 0.0 - specfun.inv_std_normal_cdf(q_comp)
     gamma = sigma * g_std
-    num = 1.0 - (p_comp + q_comp)  # = p + q - 1
-    if num <= 0.0:
-        raise DegenerateParameterError(
-            f"normalizer m <= 0 at p={p}, q={q} (symmetric mixture has zero mean)"
-        )
-    m = sigma * specfun.std_normal_pdf(g_std) * num / (q * q_comp)
-    log_hi, log_lo = _two_log_levels(p, q, p_comp, q_comp)
-    return GaussParams(
-        d=d,
-        p=p,
-        q=q,
-        sigma=sigma,
-        gamma=gamma,
-        m=m,
-        p_comp=p_comp,
-        q_comp=q_comp,
-        g_std=g_std,
-        alpha_sq=sigma * sigma + gamma * m,
-        log_level_hi=log_hi,
-        log_level_lo=log_lo,
-        budget=log_hi - log_lo,
-    )
+    base = _threshold_fields(d, p, p_comp, q, q_comp, gamma, sigma * specfun.std_normal_pdf(g_std))
+    return GaussParams(**base, sigma=sigma, g_std=g_std, alpha_sq=sigma * sigma + gamma * base["m"])
 
 
-def gauss_params(d: int, p: float, q: float, tol: Tolerances | None = None) -> GaussParams:
+def gauss_params(d: int, p: float, q: float) -> GaussParams:
     """Validate (d, p, q) and cache sigma, gamma, m, and the density levels."""
     if int(d) != d or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
@@ -97,20 +68,20 @@ def gauss_params(d: int, p: float, q: float, tol: Tolerances | None = None) -> G
         raise ValueError(f"p must lie in [1/2, 1], got {p!r}")
     if not (0.5 <= q < 1.0):
         raise ValueError(f"q must lie in [1/2, 1), got {q!r}")
-    return _build_gauss(d, p, 1.0 - p, q, 1.0 - q, tol)
+    return _build_gauss(d, p, 1.0 - p, q, 1.0 - q)
 
 
-def normalizer_m_g(d: int, p: float, q: float, tol: Tolerances | None = None) -> float:
+def normalizer_m_g(d: int, p: float, q: float) -> float:
     """The exact normalizer m = E[alpha] > 0."""
-    return gauss_params(d, p, q, tol).m
+    return gauss_params(d, p, q).m
 
 
-def alpha_second_moment(d: int, p: float, q: float, tol: Tolerances | None = None) -> float:
+def alpha_second_moment(d: int, p: float, q: float) -> float:
     """E[alpha^2] assembled from the one-sided truncated moments,
     p*E[U^2 | U >= gamma] + (1-p)*E[U^2 | U < gamma]; agrees with the
     closed form sigma^2 + gamma*m to ~1e-12."""
-    params = gauss_params(d, p, q, tol)
-    _, s_above, _, s_below = specfun.trunc_gauss_moments(params.gamma, params.sigma, tol)
+    params = gauss_params(d, p, q)
+    _, s_above, _, s_below = specfun.trunc_gauss_moments(params.gamma, params.sigma)
     return params.p * s_above + params.p_comp * s_below
 
 
@@ -122,57 +93,20 @@ def analytic_err_g(params: GaussParams) -> ErrorBreakdown:
     return ErrorBreakdown(m=m, alpha_sq=params.alpha_sq, err=err, d=params.d)
 
 
-def _trunc_alpha(params: GaussParams, above: bool, u: float) -> float:
-    # inverse-cdf draw from N(0, sigma^2) conditioned on the chosen side;
-    # the survival/cdf target stays strictly positive for u in [0, 1)
-    if above:
-        target = params.q_comp * (1.0 - u)  # P(U >= alpha), in (0, q_comp]
-        alpha = -params.sigma * specfun.inv_std_normal_cdf(target)
-        return max(alpha, params.gamma)  # closed side includes gamma
-    target = params.q * (1.0 - u)  # P(U <= alpha), in (0, q]
-    alpha = params.sigma * specfun.inv_std_normal_cdf(target)
-    if alpha >= params.gamma:  # open side excludes gamma
-        alpha = np.nextafter(params.gamma, -math.inf)
-    return alpha
-
-
 def randomize_g(v, params: GaussParams, rng: RngStream) -> np.ndarray:
     """One draw: V = alpha*v + sigma*(g - <g,v>v) with g standard normal,
-    scaled by 1/m. E[output] = v."""
-    v = as_unit_vector(v)
-    if v.size != params.d:
-        raise ValueError(f"input dimension {v.size} != params dimension {params.d}")
-    above = bool(rng.uniform() < params.p)
-    alpha = _trunc_alpha(params, above, float(rng.uniform()))
-    g = rng.normal(params.d)
-    perp = params.sigma * (g - float(np.dot(g, v)) * v)
-    return (alpha * v + perp) / params.m
+    scaled by 1/m. E[output] = v. Bit-identical to the one-row
+    :func:`randomize_g_batch`."""
+    return randomize_g_batch(v, params, 1, rng)[0]
 
 
 def randomize_g_batch(v, params: GaussParams, size: int, rng: RngStream) -> np.ndarray:
-    """Vectorized draws: (size, d) array of independent outputs, built the
-    same way as :func:`randomize_g` but with batched quantile evaluation."""
-    v = as_unit_vector(v)
-    d = params.d
-    if v.size != d:
-        raise ValueError(f"input dimension {v.size} != params dimension {d}")
-    if size < 1:
-        raise ValueError(f"size must be positive, got {size}")
-    above = rng.uniform(size) < params.p
-    grid = rng.uniform(size)
-    alpha = np.empty(size)
-    if above.any():
-        target = params.q_comp * (1.0 - grid[above])
-        a = -params.sigma * specfun._inv_std_normal_cdf_vec(target)
-        alpha[above] = np.maximum(a, params.gamma)
-    if (~above).any():
-        target = params.q * (1.0 - grid[~above])
-        a = params.sigma * specfun._inv_std_normal_cdf_vec(target)
-        open_top = np.nextafter(params.gamma, -math.inf)
-        alpha[~above] = np.minimum(a, open_top)
-    g = rng.normal((size, d))
-    perp = params.sigma * (g - np.outer(g @ v, v))
-    return (alpha[:, None] * v[None, :] + perp) / params.m
+    """Vectorized draws: (size, d) array of independent outputs; size draws
+    differ from size calls of :func:`randomize_g` on one stream."""
+    v = _checked_input(v, params, size)
+    return sphere._threshold_rows(
+        v, size, rng, params.p, params.q, params.q_comp, params.gamma, params.m, params.sigma
+    )
 
 
 def log_density_g(u, v, params: GaussParams) -> float:

@@ -12,15 +12,12 @@ vectorize the same kernels for the batch samplers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "log_gamma",
     "log_beta",
     "reg_inc_beta",
@@ -31,30 +28,14 @@ __all__ = [
     "trunc_gauss_moments",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Convergence knobs for the iterative kernels."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-DEFAULT_TOL = Tolerances()
-
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-# continued-fraction convergence threshold; tighter than every public
-# tolerance so the CF never limits the advertised accuracy
+# continued-fraction convergence threshold; tighter than every accuracy a
+# public function promises, so the CF never limits it
 _CF_EPS = 1e-15
 _FPMIN = 1e-300
+# iteration cap of the continued fraction and of the inverse's Newton loop
+_MAX_ITER = 200
 
 
 def log_gamma(x: float) -> float:
@@ -69,7 +50,7 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def _beta_cf(x: float, a: float, b: float, max_iter: int) -> float:
+def _beta_cf(x: float, a: float, b: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz).
 
     Valid for x below the symmetry switch point; callers flip otherwise.
@@ -83,7 +64,7 @@ def _beta_cf(x: float, a: float, b: float, max_iter: int) -> float:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -109,15 +90,13 @@ def _beta_cf(x: float, a: float, b: float, max_iter: int) -> float:
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise NumericsError(
-        f"incomplete beta continued fraction did not converge in {max_iter} "
+        f"incomplete beta continued fraction did not converge in {_MAX_ITER} "
         f"iterations (x={x}, a={a}, b={b})"
     )
 
 
-def reg_inc_beta(x: float, a: float, b: float, tol: Tolerances | None = None) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) for x in [0, 1], a, b > 0."""
-    if tol is None:
-        tol = DEFAULT_TOL
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
@@ -130,23 +109,21 @@ def reg_inc_beta(x: float, a: float, b: float, tol: Tolerances | None = None) ->
         return 0.5  # exact by symmetry
     ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_cf(x, a, b, tol.max_iter) / a
-    return 1.0 - math.exp(ln_front) * _beta_cf(1.0 - x, b, a, tol.max_iter) / b
+        return math.exp(ln_front) * _beta_cf(x, a, b) / a
+    return 1.0 - math.exp(ln_front) * _beta_cf(1.0 - x, b, a) / b
 
 
 def _log_beta_pdf(x: float, a: float, b: float, ln_beta: float) -> float:
     return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_beta
 
 
-def inv_reg_inc_beta(y: float, a: float, b: float, tol: Tolerances | None = None) -> float:
+def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     """Inverse of ``reg_inc_beta`` in x: returns x with I_x(a, b) = y.
 
     Rational/normal-approximation initial guess refined by safeguarded
     Newton; falls back to bisection whenever a step leaves the current
     bracket, so convergence is guaranteed for monotone I_x.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if not (0.0 <= y <= 1.0):
@@ -161,7 +138,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float, tol: Tolerances | None = None
         # invert the complementary tail with swapped shapes: the target mass
         # and the kernel evaluations then carry full relative precision
         # instead of cancelling against 1
-        return 1.0 - inv_reg_inc_beta(1.0 - y, b, a, tol)
+        return 1.0 - inv_reg_inc_beta(1.0 - y, b, a)
     ln_b = log_beta(a, b)
     if a >= 1.0 and b >= 1.0:
         # normal approximation to the beta quantile (Abramowitz & Stegun
@@ -184,8 +161,8 @@ def inv_reg_inc_beta(y: float, a: float, b: float, tol: Tolerances | None = None
             x = 1.0 - (b * s * (1.0 - y)) ** (1.0 / b)
     x = min(max(x, _FPMIN), 1.0 - 1e-16)
     lo, hi = 0.0, 1.0
-    for _ in range(tol.max_iter):
-        cur = reg_inc_beta(x, a, b, tol)
+    for _ in range(_MAX_ITER):
+        cur = reg_inc_beta(x, a, b)
         f = cur - y
         if f > 0.0:
             hi = x
@@ -272,9 +249,7 @@ def inv_std_normal_cdf(p: float) -> float:
     return x
 
 
-def trunc_gauss_moments(
-    gamma: float, sigma: float, tol: Tolerances | None = None
-) -> tuple[float, float, float, float]:
+def trunc_gauss_moments(gamma: float, sigma: float) -> tuple[float, float, float, float]:
     """First and second moments of U ~ N(0, sigma^2) conditioned on each
     side of gamma.
 
@@ -352,7 +327,7 @@ def _inv_std_normal_cdf_vec(p: np.ndarray) -> np.ndarray:
     return x
 
 
-def _beta_cf_vec(x: np.ndarray, a: float, b: float, max_iter: int) -> np.ndarray:
+def _beta_cf_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
     """Vectorized modified-Lentz continued fraction; scalar shapes only."""
     qab = a + b
     qap = a + 1.0
@@ -362,7 +337,7 @@ def _beta_cf_vec(x: np.ndarray, a: float, b: float, max_iter: int) -> np.ndarray
     np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
     d = 1.0 / d
     h = d.copy()
-    for m in range(1, max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -383,15 +358,11 @@ def _beta_cf_vec(x: np.ndarray, a: float, b: float, max_iter: int) -> np.ndarray
             return h
     raise NumericsError(
         f"vectorized incomplete beta continued fraction did not converge "
-        f"in {max_iter} iterations (a={a}, b={b})"
+        f"in {_MAX_ITER} iterations (a={a}, b={b})"
     )
 
 
-def _reg_inc_beta_vec(
-    x: np.ndarray, a: float, b: float, tol: Tolerances | None = None
-) -> np.ndarray:
-    if tol is None:
-        tol = DEFAULT_TOL
+def _reg_inc_beta_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     zero = x <= 0.0
@@ -403,11 +374,11 @@ def _reg_inc_beta_vec(
     if direct.any():
         xd = x[direct]
         front = np.exp(a * np.log(xd) + b * np.log1p(-xd) - ln_b)
-        out[direct] = front * _beta_cf_vec(xd, a, b, tol.max_iter) / a
+        out[direct] = front * _beta_cf_vec(xd, a, b) / a
     if flip.any():
         xf = 1.0 - x[flip]
         front = np.exp(b * np.log(xf) + a * np.log1p(-xf) - ln_b)
-        out[flip] = 1.0 - front * _beta_cf_vec(xf, b, a, tol.max_iter) / b
+        out[flip] = 1.0 - front * _beta_cf_vec(xf, b, a) / b
     out[zero] = 0.0
     out[one] = 1.0
     if a == b:
@@ -415,7 +386,7 @@ def _reg_inc_beta_vec(
     return out
 
 
-def _inv_beta_core(yy: np.ndarray, a: float, b: float, tol: Tolerances) -> np.ndarray:
+def _inv_beta_core(yy: np.ndarray, a: float, b: float) -> np.ndarray:
     """Safeguarded Newton for I_x(a, b) = yy with yy in (0, 1/2] and a, b >= 1."""
     ln_b = log_beta(a, b)
     z = -_inv_std_normal_cdf_vec(yy)  # upper-tail quantile, as in the scalar path
@@ -429,10 +400,10 @@ def _inv_beta_core(yy: np.ndarray, a: float, b: float, tol: Tolerances) -> np.nd
     lo = np.zeros_like(yy)
     hi = np.ones_like(yy)
     active = np.arange(yy.size)
-    for _ in range(tol.max_iter):
+    for _ in range(_MAX_ITER):
         xa = x[active]
         ya = yy[active]
-        cur = _reg_inc_beta_vec(xa, a, b, tol)
+        cur = _reg_inc_beta_vec(xa, a, b)
         f = cur - ya
         lo_a = lo[active]
         hi_a = hi[active]
@@ -476,16 +447,12 @@ def _inv_beta_core(yy: np.ndarray, a: float, b: float, tol: Tolerances) -> np.nd
     return x
 
 
-def _inv_reg_inc_beta_vec(
-    y: np.ndarray, a: float, b: float, tol: Tolerances | None = None
-) -> np.ndarray:
+def _inv_reg_inc_beta_vec(y: np.ndarray, a: float, b: float) -> np.ndarray:
     """Vectorized inverse regularized incomplete beta."""
-    if tol is None:
-        tol = DEFAULT_TOL
     y = np.asarray(y, dtype=float)
     if a < 1.0 or b < 1.0:
         # small-shape initialization is branchy; the scalar path handles it
-        return np.array([inv_reg_inc_beta(float(v), a, b, tol) for v in y.ravel()]).reshape(y.shape)
+        return np.array([inv_reg_inc_beta(float(v), a, b) for v in y.ravel()]).reshape(y.shape)
     out = np.empty_like(y)
     zero = y <= 0.0
     one = y >= 1.0
@@ -501,7 +468,7 @@ def _inv_reg_inc_beta_vec(
     low = inner & (y <= 0.5)
     high = inner & (y > 0.5)
     if low.any():
-        out[low] = _inv_beta_core(y[low], a, b, tol)
+        out[low] = _inv_beta_core(y[low], a, b)
     if high.any():
-        out[high] = 1.0 - _inv_beta_core(1.0 - y[high], b, a, tol)
+        out[high] = 1.0 - _inv_beta_core(1.0 - y[high], b, a)
     return out

@@ -6,17 +6,20 @@ point on S^{d-1} is the stretched symmetric beta 2B - 1 with
 B ~ Beta((d-1)/2, (d-1)/2), which turns cap sampling into one incomplete-beta
 inversion per draw (deterministic cost even for caps of mass e^{-40}, where
 rejection would stall).
+
+Both randomizers and ``sample_cap`` draw through one sampler,
+``_threshold_rows``: a two-level threshold on the coordinate alpha along the
+input v, drawn by inverting the tail of its 1-D law, plus an isotropic part
+orthogonal to v made by projecting v out of a Gaussian row, so no rotation
+is needed. ``rotate_from_e1`` is a standalone utility that no sampler uses.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import specfun
 from .errors import NumericsError
-from .specfun import Tolerances
 
 __all__ = [
     "RngStream",
@@ -71,14 +74,14 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def as_unit_vector(v, tol: float = 1e-9) -> np.ndarray:
-    """Validate and return v as a 1-D unit-norm float array."""
+def as_unit_vector(v) -> np.ndarray:
+    """Validate and return v as a 1-D float array with norm within 1e-9 of 1."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError(f"unit vectors must be 1-D with d >= 2, got shape {v.shape}")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"vector norm {nrm!r} is off unit by more than {tol}")
+    if abs(nrm - 1.0) > 1e-9:
+        raise ValueError(f"vector norm {nrm!r} is off unit by more than 1e-9")
     return v
 
 
@@ -99,73 +102,104 @@ def sample_uniform_sphere(d: int, rng: RngStream) -> np.ndarray:
     return g / nrm
 
 
-def marginal_cdf(t: float, d: int, tol: Tolerances | None = None) -> float:
+def marginal_cdf(t: float, d: int) -> float:
     """P(W_1 <= t) for W uniform on S^{d-1}: I_{(1+t)/2}((d-1)/2, (d-1)/2)."""
     d = _check_dim(d)
     if not (-1.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t!r}")
     a = 0.5 * (d - 1)
-    return specfun.reg_inc_beta(0.5 * (1.0 + t), a, a, tol)
+    return specfun.reg_inc_beta(0.5 * (1.0 + t), a, a)
 
 
-def inv_marginal_cdf(q: float, d: int, tol: Tolerances | None = None) -> float:
+def inv_marginal_cdf(q: float, d: int) -> float:
     """The t with marginal_cdf(t, d) = q, for q in (0, 1)."""
     d = _check_dim(d)
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie strictly in (0, 1), got {q!r}")
     a = 0.5 * (d - 1)
-    return 2.0 * specfun.inv_reg_inc_beta(q, a, a, tol) - 1.0
+    return 2.0 * specfun.inv_reg_inc_beta(q, a, a) - 1.0
 
 
-def _cap_mass_above(gamma: float, d: int, tol: Tolerances | None) -> float:
-    # P(W_1 >= gamma) = I_{(1-gamma)/2}(a, a) by the a = b symmetry
-    a = 0.5 * (d - 1)
-    return specfun.reg_inc_beta(0.5 * (1.0 - gamma), a, a, tol)
+def _upper_quantile(y: np.ndarray, d: int, sigma: float | None):
+    """The t with P(T >= t) = y, for T the first coordinate of a uniform
+    point of S^{d-1} (sigma None) or T ~ N(0, sigma^2).
+
+    A single value goes through the scalar kernels: at size 1 the vectorized
+    ones cost about twenty times more.
+    """
+    one = y.size == 1
+    if sigma is None:
+        a = 0.5 * (d - 1)
+        x = specfun.inv_reg_inc_beta(y.item(), a, a) if one else specfun._inv_reg_inc_beta_vec(y, a, a)
+        return 1.0 - 2.0 * x
+    z = specfun.inv_std_normal_cdf(y.item()) if one else specfun._inv_std_normal_cdf_vec(y)
+    return -sigma * z
 
 
-def _tangent_direction(d: int, rng: RngStream) -> np.ndarray:
-    g = rng.normal(d - 1)
-    nrm = float(np.linalg.norm(g))
-    while nrm == 0.0:
-        g = rng.normal(d - 1)
-        nrm = float(np.linalg.norm(g))
-    return g / nrm
+def _threshold_rows(v, size, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:
+    """``size`` independent draws of the two-level threshold construction
+    around the unit vector v, as a (size, d) array.
+
+    T is the first coordinate of a uniform point of S^{d-1} when sigma is
+    None, else N(0, sigma^2); q = P(T < gamma) and q_comp = P(T >= gamma).
+    Each row takes the closed side T >= gamma with probability p, draws
+    alpha from T conditioned on that side by inverting its tail, adds a
+    standard Gaussian row with its component along v projected out, scaled
+    to norm sqrt(1 - alpha^2) (sphere) or by sigma, adds alpha v and divides
+    by m. Only the mass of a side that is drawn is read.
+    """
+    d = v.size
+    above = rng.uniform(size) < p
+    u = 1.0 - rng.uniform(size)  # in (0, 1], so every tail target is positive
+    alpha = np.empty(size)
+    n_above = np.count_nonzero(above)
+    # one quantile call per side: the vectorized continued fraction iterates
+    # until its slowest lane converges, and the two sides converge unevenly
+    if n_above:
+        alpha[above] = np.maximum(_upper_quantile(q_comp * u[above], d, sigma), gamma)
+    if n_above < size:
+        # the law is symmetric; the open side excludes gamma itself
+        below = ~above
+        alpha[below] = np.minimum(-_upper_quantile(q * u[below], d, sigma), np.nextafter(gamma, -2.0))
+    g = rng.normal((size, d))
+    g -= (g @ v)[:, None] * v
+    if sigma is None:
+        nrm = np.linalg.norm(g, axis=1)
+        while not nrm.all():  # probability zero; keeps the norm contract airtight
+            redo = nrm == 0.0
+            h = rng.normal((np.count_nonzero(redo), d))
+            g[redo] = h - (h @ v)[:, None] * v
+            nrm = np.linalg.norm(g, axis=1)
+        g *= (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (nrm * m))[:, None]
+    else:
+        g *= sigma / m
+    g += (alpha / m)[:, None] * v
+    return g
 
 
-def sample_cap(
-    d: int, gamma: float, above: bool, rng: RngStream, tol: Tolerances | None = None
-) -> np.ndarray:
+def sample_cap(d: int, gamma: float, above: bool, rng: RngStream) -> np.ndarray:
     """Uniform draw on the spherical cap {u : u_1 >= gamma} (or its
     complement), in the e_1 frame.
 
-    The first coordinate is drawn by inverting the conditioned marginal cdf;
-    the remaining block is uniform on a (d-2)-sphere scaled to keep unit
-    norm. The boundary u_1 = gamma belongs to the "above" cap.
+    The threshold construction with v = e_1, p in {0, 1} and m = 1: the
+    first coordinate inverts the conditioned marginal cdf, the rest is
+    uniform on a (d-2)-sphere scaled to keep unit norm. The boundary
+    u_1 = gamma belongs to the "above" cap.
     """
     d = _check_dim(d)
     if not (-1.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie strictly in (-1, 1), got {gamma!r}")
     a = 0.5 * (d - 1)
-    if above:
-        mass = _cap_mass_above(gamma, d, tol)
-        if mass < 1e-300:
-            raise NumericsError(f"cap mass below 1e-300 at gamma={gamma}, d={d}")
-        y = (1.0 - rng.uniform()) * mass  # in (0, mass]
-        u1 = 1.0 - 2.0 * specfun.inv_reg_inc_beta(y, a, a, tol)
-        if u1 < gamma:  # inverse round-off guard; the closed cap keeps gamma
-            u1 = gamma
-    else:
-        mass = specfun.reg_inc_beta(0.5 * (1.0 + gamma), a, a, tol)
-        if mass < 1e-300:
-            raise NumericsError(f"complement mass below 1e-300 at gamma={gamma}, d={d}")
-        y = rng.uniform() * mass  # in [0, mass)
-        u1 = 2.0 * specfun.inv_reg_inc_beta(y, a, a, tol) - 1.0
-        if u1 >= gamma:
-            u1 = float(np.nextafter(gamma, -2.0))  # open complement excludes gamma
-    out = np.empty(d)
-    out[0] = u1
-    out[1:] = math.sqrt(max(0.0, 1.0 - u1 * u1)) * _tangent_direction(d, rng)
-    return out
+    # the drawn side's mass: P(W_1 >= gamma) = I_{(1-gamma)/2}(a, a) by the
+    # a = b symmetry, P(W_1 < gamma) = I_{(1+gamma)/2}(a, a)
+    mass = specfun.reg_inc_beta(0.5 * (1.0 - gamma) if above else 0.5 * (1.0 + gamma), a, a)
+    if mass < 1e-300:
+        side = "cap" if above else "complement"
+        raise NumericsError(f"{side} mass below 1e-300 at gamma={gamma}, d={d}")
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    # p in {0, 1} draws only the chosen side, so only its mass is read
+    return _threshold_rows(e1, 1, rng, float(above), mass, mass, gamma, 1.0)[0]
 
 
 def rotate_from_e1(v, u):

@@ -19,7 +19,7 @@ from . import privunit, privunitg
 from .errors import DegenerateParameterError
 from .privunit import CapParams
 from .privunitg import GaussParams
-from .specfun import Tolerances, inv_reg_inc_beta
+from .specfun import inv_reg_inc_beta
 
 __all__ = [
     "BudgetSplit",
@@ -89,25 +89,25 @@ class TunedResult:
     alg: str
 
 
-def _params_at(split: BudgetSplit, d: int, alg: str, tol: Tolerances | None):
+def _params_at(split: BudgetSplit, d: int, alg: str):
     p, p_comp = split.p, split.p_comp
     q, q_comp = split.q, split.q_comp
     if alg == "privunit":
         a = 0.5 * (d - 1)
         # threshold whose cap mass equals the budgeted q_comp
-        gamma = 1.0 - 2.0 * inv_reg_inc_beta(q_comp, a, a, tol)
+        gamma = 1.0 - 2.0 * inv_reg_inc_beta(q_comp, a, a)
         return privunit._build(d, p, p_comp, gamma, q, q_comp)
-    return privunitg._build_gauss(d, p, p_comp, q, q_comp, tol)
+    return privunitg._build_gauss(d, p, p_comp, q, q_comp)
 
 
-def _err_at(split: BudgetSplit, d: int, alg: str, tol: Tolerances | None):
-    params = _params_at(split, d, alg, tol)
+def _err_at(split: BudgetSplit, d: int, alg: str):
+    params = _params_at(split, d, alg)
     if alg == "privunit":
         return privunit.analytic_err(params).err, params
     return privunitg.analytic_err_g(params).err, params
 
 
-def tune(eps: float, d: int, alg: str = "privunitg", tol: Tolerances | None = None) -> TunedResult:
+def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
     65-point uniform grid on eps1 in [0, eps], then golden-section
@@ -127,7 +127,7 @@ def tune(eps: float, d: int, alg: str = "privunitg", tol: Tolerances | None = No
     def ev(eps1: float) -> float:
         split = budget_split(eps, min(max(eps1, 0.0), eps))
         try:
-            err, params = _err_at(split, d, alg, tol)
+            err, params = _err_at(split, d, alg)
         except DegenerateParameterError:
             return math.inf
         if err < best[0]:

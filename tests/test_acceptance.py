@@ -54,7 +54,7 @@ def test_gaussian_error_overhead_decays_with_dimension():
 
     def ratio(eps, d):
         tuned = tuner.tune(eps, d, "privunitg")
-        pu_params = tuner._params_at(tuned.split, d, "privunit", None)
+        pu_params = tuner._params_at(tuned.split, d, "privunit")
         return tuned.err_star / privunit.analytic_err(pu_params).err
 
     for eps in (4.0, 8.0, 16.0):

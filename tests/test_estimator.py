@@ -25,12 +25,19 @@ def test_estimate_mean_single_user_matches_direct_draw():
 
 
 def test_estimate_mean_is_user_order_stable():
-    # user j always draws from substream(j): averaging is list-order invariant
+    # user j always draws from substream(j), so the reports do not depend on
+    # the order they are drawn in: drawn last to first and summed in list
+    # order they reproduce estimate_mean exactly
     params = privunitg.gauss_params(4, 0.9, 0.8)
-    vs = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0])]
-    a = estimator.estimate_mean(vs, _gauss_randomizer(params), RngStream(5))
-    b = estimator.estimate_mean(vs, _gauss_randomizer(params), RngStream(5))
-    np.testing.assert_array_equal(a, b)
+    randomizer = _gauss_randomizer(params)
+    vs = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.0, -0.8])]
+    rng = RngStream(5)
+    reports = {j: randomizer(vs[j], rng.substream(j)) for j in reversed(range(len(vs)))}
+    total = np.zeros(4)
+    for j in range(len(vs)):
+        total += reports[j]
+    got = estimator.estimate_mean(vs, randomizer, RngStream(5))
+    np.testing.assert_array_equal(got, total / len(vs))
 
 
 def test_estimate_mean_rejects_bad_input():

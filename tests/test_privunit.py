@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import privunit
+from ldpmean import privunit, privunitg
 from ldpmean.errors import DegenerateParameterError, SupportError
 from ldpmean.sphere import RngStream
 
@@ -128,14 +128,35 @@ def test_error_breakdown_invariants(d, p, gamma):
 
 # --- sampling ---------------------------------------------------------------
 
+def _poles_and_circle(d):
+    # the poles e_1 and -e_1 in dimension d, and a generic input on the
+    # circle (d = 2)
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    return [(d, e1), (d, -e1), (2, np.array([0.6, -0.8]))]
+
+
 def test_randomize_norm_and_determinism():
-    params = privunit.cap_params(6, 0.9, 0.4)
-    v = np.zeros(6)
-    v[0] = 1.0
-    out1 = privunit.randomize(v, params, RngStream(11, 3))
-    out2 = privunit.randomize(v, params, RngStream(11, 3))
-    np.testing.assert_array_equal(out1, out2)
-    assert abs(float(np.linalg.norm(out1)) * params.m - 1.0) <= 1e-12
+    for d, v in _poles_and_circle(6) + [(2, np.array([1.0, 0.0]))]:
+        params = privunit.cap_params(d, 0.9, 0.4)
+        for seed in range(20):
+            out1 = privunit.randomize(v, params, RngStream(11, seed))
+            out2 = privunit.randomize(v, params, RngStream(11, seed))
+            np.testing.assert_array_equal(out1, out2)
+            assert abs(float(np.linalg.norm(out1)) * params.m - 1.0) <= 1e-12
+
+
+def test_scalar_draw_is_one_batch_row():
+    # a scalar draw is the one-row batch draw, bit for bit, for both randomizers
+    v = np.array([0.6, 0.0, -0.8, 0.0, 0.0])
+    for params, one, batch in (
+        (privunit.cap_params(5, 0.9, 0.3), privunit.randomize, privunit.randomize_batch),
+        (privunitg.gauss_params(5, 0.9, 0.8), privunitg.randomize_g, privunitg.randomize_g_batch),
+    ):
+        for seed in range(10):
+            np.testing.assert_array_equal(
+                one(v, params, RngStream(4, seed)), batch(v, params, 1, RngStream(4, seed))[0]
+            )
 
 
 def test_randomize_rejects_dimension_mismatch():
@@ -157,20 +178,20 @@ def test_randomize_scalar_unbiased():
 
 
 def test_randomize_batch_shape_norms_and_moments():
-    d, size = 8, 40000
-    params = privunit.cap_params(d, 0.92, 0.45)
-    v = np.ones(d) / math.sqrt(d)
-    out = privunit.randomize_batch(v, params, size, RngStream(5, 2))
-    assert out.shape == (size, d)
-    radii = np.linalg.norm(out, axis=1) * params.m
-    assert float(np.max(np.abs(radii - 1.0))) <= 1e-9
-    bd = privunit.analytic_err(params)
-    alpha = out @ v * params.m
-    se = math.sqrt(max(bd.alpha_sq - bd.m**2, 0.0) / size)
-    assert abs(float(alpha.mean()) - bd.m) <= 4.0 * se
-    # the cap side (closed at gamma) is chosen with probability exactly p
-    frac_above = float(np.mean(alpha >= params.gamma))
-    assert abs(frac_above - params.p) <= 4.0 * math.sqrt(params.p * params.p_comp / size)
+    size = 40000
+    for d, v in [(8, np.ones(8) / math.sqrt(8.0))] + _poles_and_circle(8):
+        params = privunit.cap_params(d, 0.92, 0.45)
+        out = privunit.randomize_batch(v, params, size, RngStream(5, 2))
+        assert out.shape == (size, d)
+        radii = np.linalg.norm(out, axis=1) * params.m
+        assert float(np.max(np.abs(radii - 1.0))) <= 1e-9
+        bd = privunit.analytic_err(params)
+        alpha = out @ v * params.m
+        se = math.sqrt(max(bd.alpha_sq - bd.m**2, 0.0) / size)
+        assert abs(float(alpha.mean()) - bd.m) <= 4.0 * se
+        # the cap side (closed at gamma) is chosen with probability exactly p
+        frac_above = float(np.mean(alpha >= params.gamma))
+        assert abs(frac_above - params.p) <= 4.0 * math.sqrt(params.p * params.p_comp / size)
 
 
 def test_randomize_batch_validation():

@@ -101,16 +101,19 @@ def test_gauss_params_validation():
 # --- sampling ---------------------------------------------------------------
 
 def test_randomize_g_determinism_and_decomposition():
-    params = privunitg.gauss_params(8, 0.9, 0.8)
-    v = np.ones(8) / math.sqrt(8.0)
-    out1 = privunitg.randomize_g(v, params, RngStream(21, 4))
-    out2 = privunitg.randomize_g(v, params, RngStream(21, 4))
-    np.testing.assert_array_equal(out1, out2)
-    # out*m = alpha v + perp with perp exactly orthogonal to v
-    w = out1 * params.m
-    alpha = float(np.dot(w, v))
-    perp = w - alpha * v
-    assert abs(float(np.dot(perp, v))) <= 1e-12
+    e1 = np.zeros(8)
+    e1[0] = 1.0
+    # the generic input, the poles e_1 and -e_1, and the circle (d = 2)
+    for v in (np.ones(8) / math.sqrt(8.0), e1, -e1, np.array([0.6, -0.8]), np.array([-1.0, 0.0])):
+        params = privunitg.gauss_params(v.size, 0.9, 0.8)
+        out1 = privunitg.randomize_g(v, params, RngStream(21, 4))
+        out2 = privunitg.randomize_g(v, params, RngStream(21, 4))
+        np.testing.assert_array_equal(out1, out2)
+        # out*m = alpha v + perp with perp exactly orthogonal to v
+        w = out1 * params.m
+        alpha = float(np.dot(w, v))
+        perp = w - alpha * v
+        assert abs(float(np.dot(perp, v))) <= 1e-12
 
 
 def test_randomize_g_rejects_dimension_mismatch():

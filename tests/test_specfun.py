@@ -206,17 +206,6 @@ def test_trunc_gauss_moments_errors():
         sf.trunc_gauss_moments(40.0, 1.0)  # tail mass below 1e-300
 
 
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        sf.Tolerances(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        sf.Tolerances(rel_tol=-1e-9)
-    with pytest.raises(ValueError):
-        sf.Tolerances(max_iter=0)
-    t = sf.Tolerances(max_iter=500)
-    assert t.max_iter == 500
-
-
 def test_vectorized_kernels_match_scalar():
     rng = np.random.default_rng(5)
     xs = rng.uniform(0.001, 0.999, size=200)

@@ -47,7 +47,7 @@ def test_as_unit_vector_accepts_and_rejects():
         as_unit_vector([1.0, 1.0])
     with pytest.raises(ValueError):
         as_unit_vector(np.ones((2, 2)))
-    # a 1e-8 norm defect exceeds the 1e-9 default tolerance
+    # a 1e-8 norm defect exceeds the 1e-9 tolerance
     with pytest.raises(ValueError):
         as_unit_vector([1.0 + 2e-8, 0.0])
 

@@ -66,7 +66,7 @@ def test_tune_beats_naive_splits(alg):
     eps, d = 8.0, 256
     res = tuner.tune(eps, d, alg)
     for eps1 in (0.0, eps / 4.0, eps / 2.0):
-        err, _ = tuner._err_at(tuner.budget_split(eps, eps1), d, alg, None)
+        err, _ = tuner._err_at(tuner.budget_split(eps, eps1), d, alg)
         assert res.err_star <= err + 1e-15
 
 
@@ -76,7 +76,7 @@ def test_tune_matches_dense_grid(alg, grid_n, rel):
     best = math.inf
     for i in range(grid_n):
         try:
-            err, _ = tuner._err_at(tuner.budget_split(eps, eps * i / (grid_n - 1)), d, alg, None)
+            err, _ = tuner._err_at(tuner.budget_split(eps, eps * i / (grid_n - 1)), d, alg)
         except Exception:
             continue
         best = min(best, err)
@@ -93,7 +93,7 @@ def test_interior_budgets_never_win():
         frac_total = 0.45 + 0.5 * (i / 19.0)  # total spend in [0.45, 0.95] eps
         frac_split = (7 * i % 20) / 19.0
         total = frac_total * eps
-        err, _ = tuner._err_at(tuner.budget_split(total, frac_split * total), d, "privunitg", None)
+        err, _ = tuner._err_at(tuner.budget_split(total, frac_split * total), d, "privunitg")
         assert err >= res.err_star - 1e-9 * res.err_star
 
 
