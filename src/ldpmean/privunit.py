@@ -143,10 +143,15 @@ def _threshold_fields(
     )
 
 
-def _build(d: int, p: float, p_comp: float, gamma: float, q: float, q_comp: float) -> CapParams:
+def _build(d: int, p: float, p_comp: float, x: float, q: float, q_comp: float) -> CapParams:
+    """PrivUnit parameters at the threshold gamma = 1 - 2x: x = (1 - gamma)/2
+    is carried because gamma rounds to 1 on tiny caps, where x does not."""
     a = 0.5 * (d - 1)
-    # E[W_1 1{W_1 >= gamma}] = (1-gamma^2)^a / ((d-1) 2^{d-2} B(a,a))
-    ln_c = a * math.log1p(-gamma * gamma) - (d - 2) * _LN2 - math.log(d - 1) - specfun.log_beta(a, a)
+    gamma = 1.0 - 2.0 * x
+    # E[W_1 1{W_1 >= gamma}] = (1-gamma^2)^a / ((d-1) 2^{d-2} B(a,a)); gamma
+    # is exact for x >= 1/4, below it 1 - gamma^2 = 4x(1-x) keeps precision
+    ln_1mg2 = math.log1p(-gamma * gamma) if x >= 0.25 else math.log(4.0 * x * (1.0 - x))
+    ln_c = a * ln_1mg2 - (d - 2) * _LN2 - math.log(d - 1) - specfun.log_beta(a, a)
     return CapParams(**_threshold_fields(d, p, p_comp, q, q_comp, gamma, math.exp(ln_c)), shape_alpha=a)
 
 
@@ -163,7 +168,7 @@ def cap_params(d: int, p: float, gamma: float) -> CapParams:
     a = 0.5 * (d - 1)
     q = specfun.reg_inc_beta(0.5 * (1.0 + gamma), a, a)
     q_comp = specfun.reg_inc_beta(0.5 * (1.0 - gamma), a, a)  # cap mass above
-    return _build(d, p, 1.0 - p, gamma, q, q_comp)
+    return _build(d, p, 1.0 - p, 0.5 * (1.0 - gamma), q, q_comp)
 
 
 def normalizer_m(d: int, p: float, gamma: float) -> float:

@@ -5,8 +5,18 @@ moments.
 All public functions are scalar and pure. The continued-fraction incomplete
 beta is evaluated in log space so that shape parameters of order 10^5 (half
 of a large sphere dimension) neither overflow nor lose the tiny cap masses
-that show up at large privacy budgets. A few private ``*_vec`` variants
-vectorize the same kernels for the batch samplers.
+that show up at large privacy budgets. Near its switch point the fraction
+needs on the order of sqrt(a + b) terms, so its iteration budget,
+200 + 4 sqrt(a + b), comes from the shapes.
+
+Each algorithm is written once. The normal quantile is Wichura's AS241
+(1988), accurate to double precision without refinement: one set of tables
+and one rational helper serve the one-value and the array kernel, which
+agree bit for bit. The inverse incomplete beta starts from one function for
+every shape (A&S 26.5.22 for shapes >= 1, power-law tails otherwise) and
+refines by safeguarded Newton. The private ``*_vec`` kernels take arrays
+for the batch samplers; the one-value kernels stay separate, because one
+value costs some thirty times more through the array kernels.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 # public function promises, so the CF never limits it
 _CF_EPS = 1e-15
 _FPMIN = 1e-300
-# iteration cap of the continued fraction and of the inverse's Newton loop
+# iteration cap of the inverse's Newton loop
 _MAX_ITER = 200
 
 
@@ -48,6 +58,10 @@ def log_gamma(x: float) -> float:
 def log_beta(a: float, b: float) -> float:
     """ln B(a, b) for a, b > 0."""
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+
+
+def _cf_budget(a: float, b: float) -> int:
+    return 200 + int(4.0 * math.sqrt(a + b))
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:
@@ -64,7 +78,8 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
+    budget = _cf_budget(a, b)
+    for m in range(1, budget + 1):
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -90,7 +105,7 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         if abs(delta - 1.0) < _CF_EPS:
             return h
     raise NumericsError(
-        f"incomplete beta continued fraction did not converge in {_MAX_ITER} "
+        f"incomplete beta continued fraction did not converge in {budget} "
         f"iterations (x={x}, a={a}, b={b})"
     )
 
@@ -113,16 +128,39 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - math.exp(ln_front) * _beta_cf(1.0 - x, b, a) / b
 
 
-def _log_beta_pdf(x: float, a: float, b: float, ln_beta: float) -> float:
-    return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_beta
+def _beta_start(y, a: float, b: float):
+    """Starting point of the inverse incomplete beta at targets y in
+    (0, 1/2], a float or an array; callers clip it into (0, 1)."""
+    vec = isinstance(y, np.ndarray)
+    if a >= 1.0 and b >= 1.0:
+        # normal approximation to the beta quantile (Abramowitz & Stegun
+        # 26.5.22, stated in terms of the upper-tail normal quantile)
+        z = -(_inv_std_normal_cdf_vec(y) if vec else inv_std_normal_cdf(y))
+        al = (z * z - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = z * (al + h) ** 0.5 / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
+            al + 5.0 / 6.0 - 2.0 / (3.0 * h)
+        )
+        # x = a / (a + b e^{2w}); w > -0.1 for y <= 1/2, so e^{-2w} stays finite
+        e = math.e ** (-2.0 * w)
+        return a * e / (a * e + b)
+    # power-law tails for small shapes: I_x ~ x^a / (a s) near 0 and
+    # 1 - (1 - x)^b / (b s) near 1, meeting at y = t / s
+    t = (a / (a + b)) ** a / a
+    u = (b / (a + b)) ** b / b
+    s = t + u
+    if not vec:
+        return (a * s * y) ** (1.0 / a) if y < t / s else 1.0 - (b * s * (1.0 - y)) ** (1.0 / b)
+    with np.errstate(over="ignore"):  # only the branch np.where keeps is bounded
+        return np.where(y < t / s, (a * s * y) ** (1.0 / a), 1.0 - (b * s * (1.0 - y)) ** (1.0 / b))
 
 
 def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     """Inverse of ``reg_inc_beta`` in x: returns x with I_x(a, b) = y.
 
-    Rational/normal-approximation initial guess refined by safeguarded
-    Newton; falls back to bisection whenever a step leaves the current
-    bracket, so convergence is guaranteed for monotone I_x.
+    Starts from ``_beta_start`` and refines by safeguarded Newton; falls
+    back to bisection whenever a step leaves the current bracket, so
+    convergence is guaranteed for monotone I_x.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
@@ -140,26 +178,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
         # instead of cancelling against 1
         return 1.0 - inv_reg_inc_beta(1.0 - y, b, a)
     ln_b = log_beta(a, b)
-    if a >= 1.0 and b >= 1.0:
-        # normal approximation to the beta quantile (Abramowitz & Stegun
-        # 26.5.22, stated in terms of the upper-tail normal quantile)
-        z = -inv_std_normal_cdf(y)
-        al = (z * z - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        w = z * math.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
-            al + 5.0 / 6.0 - 2.0 / (3.0 * h)
-        )
-        x = a / (a + b * math.exp(2.0 * w))
-    else:
-        # power-law tails for small shapes
-        t = math.exp(a * math.log(a / (a + b))) / a
-        u = math.exp(b * math.log(b / (a + b))) / b
-        s = t + u
-        if y < t / s:
-            x = (a * s * y) ** (1.0 / a)
-        else:
-            x = 1.0 - (b * s * (1.0 - y)) ** (1.0 / b)
-    x = min(max(x, _FPMIN), 1.0 - 1e-16)
+    x = min(max(_beta_start(y, a, b), _FPMIN), 1.0 - 1e-16)
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_ITER):
         cur = reg_inc_beta(x, a, b)
@@ -176,7 +195,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
         # edge-singular pdf of sub-1 shapes makes the residual unreachable
         if abs(f) <= 1e-12 * y or hi - lo <= 1e-15 * min(x, 1.0 - x):
             return x
-        ln_pdf = _log_beta_pdf(x, a, b, ln_b)
+        ln_pdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_b
         x_new = 0.5 * (lo + hi)
         if ln_pdf > -700.0:
             if cur > 0.0:
@@ -202,51 +221,48 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-# Acklam's rational approximation to the normal quantile (relative error
-# ~1.15e-9), refined below with Halley steps against the erfc-based cdf.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_PLOW = 0.02425
+# Wichura's AS241 (PPND16): numerator coefficients n0..n7 and denominator
+# coefficients d1..d7 (d0 = 1) of the central branch |p - 1/2| <= 0.425 and
+# of the tail branches r = sqrt(-ln min(p, 1 - p)) <= 5 and r > 5
+_AS241_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3, 1.3731693765509461125e4,
+     4.5921953931549871457e4, 6.7265770927008700853e4, 3.3430575583588128105e4, 2.5090809287301226727e3),
+    (4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3, 2.1213794301586595867e4,
+     3.9307895800092710610e4, 2.8729085735721942674e4, 5.2264952788528545610e3),
+)
+_AS241_NEAR = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0, 3.64784832476320460504e0,
+     1.27045825245236838258e0, 2.41780725177450611770e-1, 2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1, 1.48103976427480074590e-1,
+     1.51986665636164571966e-2, 5.47593808499534494600e-4, 1.05075007164441684324e-9),
+)
+_AS241_FAR = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0, 2.96560571828504891230e-1,
+     2.65321895265761230930e-2, 1.24266094738807843860e-3, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2, 7.86869131145613259100e-4,
+     1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15),
+)
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    if p < _ACK_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - _ACK_PLOW:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
+def _rational7(r, n, d):
+    """(n0 + n1 r + ... + n7 r^7) / (1 + d1 r + ... + d7 r^7) by Horner's
+    rule; r is a float or an array, evaluated in the same order either way."""
+    top = ((((((n[7] * r + n[6]) * r + n[5]) * r + n[4]) * r + n[3]) * r + n[2]) * r + n[1]) * r + n[0]
+    bot = ((((((d[6] * r + d[5]) * r + d[4]) * r + d[3]) * r + d[2]) * r + d[1]) * r + d[0]) * r + 1.0
+    return top / bot
 
 
 def inv_std_normal_cdf(p: float) -> float:
-    """Standard normal quantile, |cdf(result) - p| <= 1e-12 on [1e-15, 1-1e-15]."""
+    """Standard normal quantile (AS241), relative error below 1e-15."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    x = _acklam(p)
-    for _ in range(2):
-        e = std_normal_cdf(x) - p
-        arg = 0.5 * x * x
-        if arg > 700.0:  # Halley factor would overflow far in the tails
-            break
-        u = e * _SQRT2PI * math.exp(arg)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return q * _rational7(0.180625 - q * q, *_AS241_CENTRAL)
+    # numpy's log, as in the array kernel: libm's may differ by an ulp
+    r = math.sqrt(-float(np.log(p if q < 0.0 else 1.0 - p)))
+    x = _rational7(r - 1.6, *_AS241_NEAR) if r <= 5.0 else _rational7(r - 5.0, *_AS241_FAR)
+    return -x if q < 0.0 else x
 
 
 def trunc_gauss_moments(gamma: float, sigma: float) -> tuple[float, float, float, float]:
@@ -283,47 +299,24 @@ def trunc_gauss_moments(gamma: float, sigma: float) -> tuple[float, float, float
 # ---------------------------------------------------------------------------
 # private vectorized variants (batch sampling paths)
 
-_ERFC_UFUNC = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _std_normal_cdf_vec(x: np.ndarray) -> np.ndarray:
-    return 0.5 * _ERFC_UFUNC(-np.asarray(x, dtype=float) / _SQRT2).astype(float)
-
 
 def _inv_std_normal_cdf_vec(p: np.ndarray) -> np.ndarray:
-    """Vectorized normal quantile: Acklam initialization plus one Halley
-    refinement (residual ~1e-15, limited by the erfc-based cdf)."""
+    """Vectorized normal quantile; bit-identical to ``inv_std_normal_cdf``."""
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("quantile arguments must lie strictly in (0, 1)")
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
+    q = p - 0.5
     x = np.empty_like(p)
-
-    low = p < _ACK_PLOW
-    high = p > 1.0 - _ACK_PLOW
-    mid = ~(low | high)
-    if low.any():
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        x[low] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if high.any():
-        q = np.sqrt(-2.0 * np.log1p(-p[high]))
-        x[high] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if mid.any():
-        q = p[mid] - 0.5
-        r = q * q
-        x[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-
-    e = _std_normal_cdf_vec(x) - p
-    arg = 0.5 * x * x
-    safe = arg < 700.0
-    u = np.where(safe, e * _SQRT2PI * np.exp(np.where(safe, arg, 0.0)), 0.0)
-    x -= u / (1.0 + 0.5 * x * u)
+    mid = np.abs(q) <= 0.425
+    qm = q[mid]
+    x[mid] = qm * _rational7(0.180625 - qm * qm, *_AS241_CENTRAL)
+    tail = ~mid
+    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
+    near = r <= 5.0
+    xt = np.empty_like(r)
+    xt[near] = _rational7(r[near] - 1.6, *_AS241_NEAR)
+    xt[~near] = _rational7(r[~near] - 5.0, *_AS241_FAR)
+    x[tail] = np.where(q[tail] < 0.0, -xt, xt)
     return x
 
 
@@ -337,7 +330,9 @@ def _beta_cf_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
     np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
     d = 1.0 / d
     h = d.copy()
-    for m in range(1, _MAX_ITER + 1):
+    live = np.ones(x.shape, dtype=bool)
+    budget = _cf_budget(a, b)
+    for m in range(1, budget + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -354,11 +349,15 @@ def _beta_cf_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if np.all(np.abs(delta - 1.0) < _CF_EPS):
+        # each lane stops counting once it has converged: settled lanes keep
+        # multiplying by deltas within a few ulps of 1, and among thousands
+        # of lanes a test of all of them at once can fail every time
+        live &= ~(np.abs(delta - 1.0) < _CF_EPS)
+        if not live.any():
             return h
     raise NumericsError(
         f"vectorized incomplete beta continued fraction did not converge "
-        f"in {_MAX_ITER} iterations (a={a}, b={b})"
+        f"in {budget} iterations (a={a}, b={b})"
     )
 
 
@@ -387,44 +386,24 @@ def _reg_inc_beta_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def _inv_beta_core(yy: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Safeguarded Newton for I_x(a, b) = yy with yy in (0, 1/2] and a, b >= 1."""
+    """Safeguarded Newton for I_x(a, b) = yy with yy in (0, 1/2]: the loop of
+    ``inv_reg_inc_beta`` run on the points not yet done, with their brackets."""
     ln_b = log_beta(a, b)
-    z = -_inv_std_normal_cdf_vec(yy)  # upper-tail quantile, as in the scalar path
-    al = (z * z - 3.0) / 6.0
-    h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-    w = z * np.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
-        al + 5.0 / 6.0 - 2.0 / (3.0 * h)
-    )
-    x = a / (a + b * np.exp(2.0 * w))
-    x = np.clip(x, _FPMIN, 1.0 - 1e-16)
+    x = np.clip(_beta_start(yy, a, b), _FPMIN, 1.0 - 1e-16)
+    active = np.arange(yy.size)
     lo = np.zeros_like(yy)
     hi = np.ones_like(yy)
-    active = np.arange(yy.size)
     for _ in range(_MAX_ITER):
         xa = x[active]
         ya = yy[active]
         cur = _reg_inc_beta_vec(xa, a, b)
         f = cur - ya
-        lo_a = lo[active]
-        hi_a = hi[active]
-        hi_a = np.where(f > 0.0, np.minimum(hi_a, xa), hi_a)
-        lo_a = np.where(f < 0.0, np.maximum(lo_a, xa), lo_a)
-        hi[active] = hi_a
-        lo[active] = lo_a
+        hi = np.where(f > 0.0, xa, hi)
+        lo = np.where(f < 0.0, xa, lo)
         # same stopping rule as the scalar kernel: relative residual or
         # exhausted bracket
-        done = (np.abs(f) <= 1e-12 * ya) | (hi_a - lo_a <= 1e-15 * np.minimum(xa, 1.0 - xa))
-        if done.all():
-            active = active[:0]
-            break
-        keep = ~done
-        active = active[keep]
-        xa = xa[keep]
-        ya = ya[keep]
-        cur = cur[keep]
-        f = f[keep]
-        lo_a = lo_a[keep]
-        hi_a = hi_a[keep]
+        keep = ~((np.abs(f) <= 1e-12 * ya) | (hi - lo <= 1e-15 * np.minimum(xa, 1.0 - xa)))
+        active, xa, ya, cur, f, lo, hi = (v[keep] for v in (active, xa, ya, cur, f, lo, hi))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             inv_pdf = np.exp(ln_b - (a - 1.0) * np.log(xa) - (b - 1.0) * np.log1p(-xa))
             step = np.where(
@@ -433,26 +412,22 @@ def _inv_beta_core(yy: np.ndarray, a: float, b: float) -> np.ndarray:
                 -f * inv_pdf,
             )
             x_new = xa + step
-        bad = ~np.isfinite(x_new) | (x_new <= lo_a) | (x_new >= hi_a)
-        x_new = np.where(bad, 0.5 * (lo_a + hi_a), x_new)
-        stalled = x_new == xa  # at float resolution; keep the current point
+        bad = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
+        x_new = np.where(bad, 0.5 * (lo + hi), x_new)
         x[active] = x_new
-        if stalled.any():
-            active = active[~stalled]
-    if active.size:
-        raise NumericsError(
-            f"vectorized inverse incomplete beta left {active.size} points "
-            f"unconverged (a={a}, b={b})"
-        )
-    return x
+        moving = x_new != xa  # a stalled point is at float resolution; keep it
+        active, lo, hi = active[moving], lo[moving], hi[moving]
+        if not active.size:
+            return x
+    raise NumericsError(
+        f"vectorized inverse incomplete beta left {active.size} points "
+        f"unconverged (a={a}, b={b})"
+    )
 
 
 def _inv_reg_inc_beta_vec(y: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Vectorized inverse regularized incomplete beta."""
+    """Vectorized inverse regularized incomplete beta, for every shape."""
     y = np.asarray(y, dtype=float)
-    if a < 1.0 or b < 1.0:
-        # small-shape initialization is branchy; the scalar path handles it
-        return np.array([inv_reg_inc_beta(float(v), a, b) for v in y.ravel()]).reshape(y.shape)
     out = np.empty_like(y)
     zero = y <= 0.0
     one = y >= 1.0

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import privunit, privunitg
-from .errors import DegenerateParameterError
+from .errors import DegenerateParameterError, NumericsError
 from .privunit import CapParams
 from .privunitg import GaussParams
 from .specfun import inv_reg_inc_beta
@@ -94,9 +94,8 @@ def _params_at(split: BudgetSplit, d: int, alg: str):
     q, q_comp = split.q, split.q_comp
     if alg == "privunit":
         a = 0.5 * (d - 1)
-        # threshold whose cap mass equals the budgeted q_comp
-        gamma = 1.0 - 2.0 * inv_reg_inc_beta(q_comp, a, a)
-        return privunit._build(d, p, p_comp, gamma, q, q_comp)
+        # x = (1 - gamma)/2 of the threshold whose cap mass is the budgeted q_comp
+        return privunit._build(d, p, p_comp, inv_reg_inc_beta(q_comp, a, a), q, q_comp)
     return privunitg._build_gauss(d, p, p_comp, q, q_comp)
 
 
@@ -112,7 +111,8 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
 
     65-point uniform grid on eps1 in [0, eps], then golden-section
     refinement of the bracketing interval down to width 1e-8; returns the
-    best split seen anywhere in the search.
+    best split seen anywhere in the search. Raises NumericsError when that
+    split's error is not positive.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -156,6 +156,10 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     err_star, split, params = best
     if split is None:
         raise DegenerateParameterError(f"no valid split found for eps={eps}, d={d}")
+    if not err_star > 0.0:
+        # the true error is positive; 1/m^2 - 1 cancelled where m is within
+        # rounding of 1
+        raise NumericsError(f"best error {err_star!r} is not positive at eps={eps}, d={d}")
     return TunedResult(
         split=split,
         params=params,

@@ -152,6 +152,15 @@ def test_data_error_exit_code(capsys, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("eps,d,code", [("1", "100000", 0), ("64", "2", 3)])
+def test_tune_envelope_exit_codes(capsys, eps, d, code):
+    # d = 10^5 tunes; at d = 2, eps = 64 the error 1/m^2 - 1 cancels to a
+    # non-positive value and tune reports a numeric failure
+    rc, out, _ = run_cli(capsys, "tune", "--eps", eps, "--d", d, "--alg", "privunit")
+    assert rc == code
+    assert (out == "") == (code != 0)
+
+
 def test_lp_verify_usage_error(capsys):
     rc, _, err = run_cli(capsys, "lp_verify", "--eps", "4", "--k", "7")
     assert rc == 2

@@ -91,8 +91,9 @@ def test_inv_reg_inc_beta_round_trip_moderate():
 
 
 def test_inv_reg_inc_beta_deep_tails():
-    # tail targets must be hit with small relative residual
-    for y, a in ((1e-12, 31.5), (6.3e-16, 24999.5), (1e-20, 15.5), (1e-8, 0.5)):
+    # tail targets must be hit with small relative residual; y = 0.3455 at
+    # d = 10^6 is the cap mass tune(1, 10**6, "privunit") inverts
+    for y, a in ((1e-12, 31.5), (6.3e-16, 24999.5), (1e-20, 15.5), (1e-8, 0.5), (0.3455, 499999.5)):
         x = sf.inv_reg_inc_beta(y, a, a)
         back = sf.reg_inc_beta(x, a, a)
         assert abs(back - y) <= 1e-10 * y
@@ -142,7 +143,7 @@ def test_inv_std_normal_cdf_forward_residual():
 def test_inv_std_normal_cdf_round_trip():
     # left half-line: cdf values carry full relative precision, so the
     # round trip through the quantile is tight
-    for x in np.linspace(-6.0, 0.0, 61):
+    for x in np.linspace(-37.0, 0.0, 371):
         p = sf.std_normal_cdf(float(x))
         assert abs(sf.inv_std_normal_cdf(p) - x) <= 1e-9
     # right tail: cdf values sit next to 1.0, where the float grid spacing
@@ -216,18 +217,15 @@ def test_vectorized_kernels_match_scalar():
         scal = np.array([sf.reg_inc_beta(float(x), a, b) for x in xs])
         np.testing.assert_allclose(vec, scal, rtol=1e-11, atol=1e-300)
     ys = np.concatenate([rng.uniform(1e-6, 1.0 - 1e-6, size=100), [1e-12, 0.5, 1.0 - 1e-10]])
-    for a in (31.5, 1023.5):
+    for a in (31.5, 1023.5, 24999.5, 499999.5):
         vec = sf._inv_reg_inc_beta_vec(ys, a, a)
         scal = np.array([sf.inv_reg_inc_beta(float(y), a, a) for y in ys])
         np.testing.assert_allclose(vec, scal, rtol=0, atol=2e-13)
-    # small shapes fall back to the scalar path inside the vec kernel
+    # small shapes: the vec kernel starts from the same power-law tails
     vec = sf._inv_reg_inc_beta_vec(ys[:20], 0.5, 0.5)
     scal = np.array([sf.inv_reg_inc_beta(float(y), 0.5, 0.5) for y in ys[:20]])
-    np.testing.assert_array_equal(vec, scal)
+    np.testing.assert_allclose(vec, scal, rtol=0, atol=1e-15)
     ps = rng.uniform(1e-12, 1.0 - 1e-12, size=300)
     vq = sf._inv_std_normal_cdf_vec(ps)
     sq = np.array([sf.inv_std_normal_cdf(float(p)) for p in ps])
-    np.testing.assert_allclose(vq, sq, rtol=0, atol=1e-13)
-    vc = sf._std_normal_cdf_vec(vq)
-    sc = np.array([sf.std_normal_cdf(float(x)) for x in vq])
-    np.testing.assert_array_equal(vc, sc)
+    np.testing.assert_array_equal(vq, sq)

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from ldpmean import privunit, privunitg, tuner
+from ldpmean.errors import DegenerateParameterError, NumericsError
 from ldpmean.privunit import CapParams
 from ldpmean.privunitg import GaussParams
 
@@ -83,6 +84,22 @@ def test_tune_matches_dense_grid(alg, grid_n, rel):
     res = tuner.tune(eps, d, alg)
     assert res.err_star <= best * (1.0 + 1e-9)
     assert abs(res.err_star - best) <= rel * best
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+@pytest.mark.parametrize("d", [2, 3, 16, 1024, 50_000, 100_000, 1_000_000])
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0])
+def test_tune_envelope_contract(eps, d, alg):
+    # every point of the advertised envelope either tunes to a finite,
+    # positive error within its budget or raises a typed numeric error; the
+    # 1e-12 slack is the log-space budget's sub-ulp overshoot
+    try:
+        res = tuner.tune(eps, d, alg)
+    except (NumericsError, DegenerateParameterError):
+        return
+    assert math.isfinite(res.err_star) and res.err_star > 0.0
+    assert res.params.budget <= eps * (1.0 + 1e-12)
+    assert res.params.d == d
 
 
 def test_interior_budgets_never_win():
