@@ -9,14 +9,13 @@ point, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import capstruct_lp, estimator, privunit, tuner
-from .errors import DegenerateParameterError, NumericsError, SupportError
+from .errors import DegenerateParameterError, SupportError
 from .sphere import RngStream
 
 __all__ = ["main"]
@@ -75,7 +74,7 @@ def cmd_ratio(args) -> list[str]:
 def cmd_c_curve(args) -> list[str]:
     lines = ["eps,c_const"]
     for eps in args.eps:
-        lines.append(_row(eps, tuner.tune(eps, args.d, "privunitg").c_const))
+        lines.append(_row(eps, tuner.c_eps(eps, args.d)))
     return lines
 
 
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         lines = args.func(args)
-    except (DegenerateParameterError, NumericsError, SupportError) as exc:
+    except (DegenerateParameterError, ArithmeticError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -83,9 +83,7 @@ class ThresholdParams:
 class CapParams(ThresholdParams):
     """Validated PrivUnit parameters; build through :func:`cap_params`.
     T is the first coordinate of a uniform point of S^{d-1}, whose law is
-    2B - 1 with B ~ Beta(shape_alpha, shape_alpha)."""
-
-    shape_alpha: float
+    2B - 1 with B ~ Beta((d-1)/2, (d-1)/2)."""
 
 
 def _ln(x: float) -> float:
@@ -122,12 +120,11 @@ def _threshold_fields(
     d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, tail_mean: float
 ) -> dict:
     """The ThresholdParams fields, given tail_mean = E[T 1{T >= gamma}]:
-    m = tail_mean * (p + q - 1) / (q q_comp), rejected unless positive."""
-    num = 1.0 - (p_comp + q_comp)  # = p + q - 1, the sign-corrected bracket
-    if num <= 0.0:
-        raise DegenerateParameterError(
-            f"normalizer m <= 0 at p={p}, q={q} (symmetric mixture has zero mean)"
-        )
+    m = tail_mean * (p + q - 1) / (q q_comp), rejected unless positive
+    (p + q <= 1, or a tail mean that underflowed to 0)."""
+    m = tail_mean * (1.0 - (p_comp + q_comp)) / (q * q_comp)  # sign-corrected p + q - 1
+    if not m > 0.0:
+        raise DegenerateParameterError(f"normalizer m = {m!r} is not positive at p={p}, q={q}")
     log_hi, log_lo = _two_log_levels(p, q, p_comp, q_comp)
     return dict(
         d=d,
@@ -136,7 +133,7 @@ def _threshold_fields(
         q=q,
         q_comp=q_comp,
         gamma=gamma,
-        m=tail_mean * num / (q * q_comp),
+        m=m,
         log_level_hi=log_hi,
         log_level_lo=log_lo,
         budget=log_hi - log_lo,
@@ -149,25 +146,23 @@ def _build(d: int, p: float, p_comp: float, x: float, q: float, q_comp: float) -
     a = 0.5 * (d - 1)
     gamma = 1.0 - 2.0 * x
     # E[W_1 1{W_1 >= gamma}] = (1-gamma^2)^a / ((d-1) 2^{d-2} B(a,a)); gamma
-    # is exact for x >= 1/4, below it 1 - gamma^2 = 4x(1-x) keeps precision
-    ln_1mg2 = math.log1p(-gamma * gamma) if x >= 0.25 else math.log(4.0 * x * (1.0 - x))
+    # is exact for x >= 1/4, below it 1 - gamma^2 = 4x(1-x) keeps precision,
+    # and an x that underflowed to 0 gives m = 0
+    ln_1mg2 = math.log1p(-gamma * gamma) if x >= 0.25 else _ln(4.0 * x * (1.0 - x))
     ln_c = a * ln_1mg2 - (d - 2) * _LN2 - math.log(d - 1) - specfun.log_beta(a, a)
-    return CapParams(**_threshold_fields(d, p, p_comp, q, q_comp, gamma, math.exp(ln_c)), shape_alpha=a)
+    return CapParams(**_threshold_fields(d, p, p_comp, q, q_comp, gamma, math.exp(ln_c)))
 
 
 def cap_params(d: int, p: float, gamma: float) -> CapParams:
     """Validate (d, p, gamma) and cache q, the normalizer m, and the two
     density levels. Degenerate parameters (m <= 0) are rejected here."""
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = sphere._check_dim(d)
     if not (0.5 <= p <= 1.0):
         raise ValueError(f"p must lie in [1/2, 1], got {p!r}")
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
-    a = 0.5 * (d - 1)
-    q = specfun.reg_inc_beta(0.5 * (1.0 + gamma), a, a)
-    q_comp = specfun.reg_inc_beta(0.5 * (1.0 - gamma), a, a)  # cap mass above
+    q = sphere.marginal_cdf(gamma, d)
+    q_comp = sphere.marginal_cdf(-gamma, d)  # cap mass above, by symmetry
     return _build(d, p, 1.0 - p, 0.5 * (1.0 - gamma), q, q_comp)
 
 

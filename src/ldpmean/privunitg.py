@@ -61,9 +61,7 @@ def _build_gauss(d: int, p: float, p_comp: float, q: float, q_comp: float) -> Ga
 
 def gauss_params(d: int, p: float, q: float) -> GaussParams:
     """Validate (d, p, q) and cache sigma, gamma, m, and the density levels."""
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = sphere._check_dim(d)
     if not (0.5 <= p <= 1.0):
         raise ValueError(f"p must lie in [1/2, 1], got {p!r}")
     if not (0.5 <= q < 1.0):

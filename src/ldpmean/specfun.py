@@ -205,8 +205,10 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
                 step = -f * math.exp(-ln_pdf)
             if lo < x + step < hi:
                 x_new = x + step
-        if x_new == x:
-            return x  # at float resolution; neither criterion can fire
+        if x_new == x or x_new == 0.0:
+            # at float resolution, or at a root below the smallest double;
+            # neither criterion can fire
+            return x_new
         x = x_new
     raise NumericsError(
         f"inverse incomplete beta did not converge (y={y}, a={a}, b={b})"

@@ -189,10 +189,8 @@ def sample_cap(d: int, gamma: float, above: bool, rng: RngStream) -> np.ndarray:
     d = _check_dim(d)
     if not (-1.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie strictly in (-1, 1), got {gamma!r}")
-    a = 0.5 * (d - 1)
-    # the drawn side's mass: P(W_1 >= gamma) = I_{(1-gamma)/2}(a, a) by the
-    # a = b symmetry, P(W_1 < gamma) = I_{(1+gamma)/2}(a, a)
-    mass = specfun.reg_inc_beta(0.5 * (1.0 - gamma) if above else 0.5 * (1.0 + gamma), a, a)
+    # the drawn side's mass: P(W_1 >= gamma) = P(W_1 <= -gamma) by symmetry
+    mass = marginal_cdf(-gamma if above else gamma, d)
     if mass < 1e-300:
         side = "cap" if above else "complement"
         raise NumericsError(f"{side} mass below 1e-300 at gamma={gamma}, d={d}")

@@ -5,9 +5,10 @@ minimize the analytic error over the split.
 
 Error is monotone improving toward the constraint boundary for both
 randomizers, so the 2-D constrained problem reduces to a 1-D search over
-eps1 in [0, eps]: a coarse 65-point grid brackets the optimum, golden
-section refines it. The scaled constant eps*err/d converges (in d, then in
-eps) to roughly 0.614, which is what c_eps exposes.
+eps1 in [0, eps]. Up to the precision of its evaluation the error has a
+single interior minimum in eps1, so one golden-section search over the
+whole interval finds it. The scaled constant eps*err/d converges (in d,
+then in eps) to roughly 0.614, which is what c_eps exposes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import privunit, privunitg
+from . import privunit, privunitg, sphere
 from .errors import DegenerateParameterError, NumericsError
 from .privunit import CapParams
 from .privunitg import GaussParams
@@ -70,8 +71,10 @@ class BudgetSplit:
 
 
 def budget_split(eps: float, eps1: float) -> BudgetSplit:
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    # past about 708 nats sigmoid(-eps) is subnormal, and the exact
+    # complements the privacy accounting rests on lose their precision
+    if not (0.0 < eps <= 700.0):
+        raise ValueError(f"eps must lie in (0, 700], got {eps!r}")
     if not (0.0 <= eps1 <= eps):
         raise ValueError(f"eps1 must lie in [0, eps], got {eps1!r}")
     return BudgetSplit(eps=eps, eps0=eps - eps1, eps1=eps1)
@@ -109,23 +112,22 @@ def _err_at(split: BudgetSplit, d: int, alg: str):
 def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
-    65-point uniform grid on eps1 in [0, eps], then golden-section
-    refinement of the bracketing interval down to width 1e-8; returns the
-    best split seen anywhere in the search. Raises NumericsError when that
-    split's error is not positive.
+    One golden-section search over eps1 in [0, eps] down to width 1e-8
+    (the error is unimodal in eps1, so nothing needs bracketing first);
+    degenerate splits count as +inf. Returns the best split seen anywhere,
+    with the rounding excess of its budget taken back from eps0 so that
+    budget <= eps exactly. Raises NumericsError when its error is not
+    positive or its budget stays above eps.
     """
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    d = int(d)
+    budget_split(eps, eps)  # validates eps
+    d = sphere._check_dim(d)
     if alg not in _ALGS:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
 
     best: list = [math.inf, None, None]  # err, split, params
 
     def ev(eps1: float) -> float:
-        split = budget_split(eps, min(max(eps1, 0.0), eps))
+        split = budget_split(eps, eps1)
         try:
             err, params = _err_at(split, d, alg)
         except DegenerateParameterError:
@@ -134,12 +136,7 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
             best[0], best[1], best[2] = err, split, params
         return err
 
-    grid = [eps * i / 64.0 for i in range(65)]
-    errs = [ev(x) for x in grid]
-    i_best = min(range(65), key=errs.__getitem__)
-
-    lo = grid[max(i_best - 1, 0)]
-    hi = grid[min(i_best + 1, 64)]
+    lo, hi = 0.0, eps
     c = hi - _INVPHI * (hi - lo)
     dd = lo + _INVPHI * (hi - lo)
     fc, fd = ev(c), ev(dd)
@@ -156,6 +153,16 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     err_star, split, params = best
     if split is None:
         raise DegenerateParameterError(f"no valid split found for eps={eps}, d={d}")
+    # the log-space budget may round a few ulps above eps; take the excess
+    # back from eps0, doubling the step until the rounded budget drops (about
+    # 2^9 times the excess at eps = 1e-3), and give up before eps0 turns negative
+    step = params.budget - eps
+    while params.budget > eps:
+        if step > split.eps0:
+            raise NumericsError(f"budget {params.budget!r} stays above eps={eps}, d={d}")
+        split = BudgetSplit(eps=eps, eps0=split.eps0 - step, eps1=split.eps1)
+        err_star, params = _err_at(split, d, alg)
+        step *= 2.0
     if not err_star > 0.0:
         # the true error is positive; 1/m^2 - 1 cancelled where m is within
         # rounding of 1

@@ -151,11 +151,15 @@ def test_data_error_exit_code(capsys, monkeypatch):
     rc, _, _ = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")
     assert rc == 3
 
+    # an overflow inside the solver is a numeric failure, not a traceback
+    rc, out, _ = run_cli(capsys, "lp_verify", "--eps", "1500")
+    assert rc == 3 and out == ""
 
-@pytest.mark.parametrize("eps,d,code", [("1", "100000", 0), ("64", "2", 3)])
+
+@pytest.mark.parametrize("eps,d,code", [("1", "100000", 0), ("64", "2", 3), ("512", "2", 3)])
 def test_tune_envelope_exit_codes(capsys, eps, d, code):
-    # d = 10^5 tunes; at d = 2, eps = 64 the error 1/m^2 - 1 cancels to a
-    # non-positive value and tune reports a numeric failure
+    # d = 10^5 tunes; at d = 2, eps = 64 and 512 the error 1/m^2 - 1 cancels
+    # to a non-positive value and tune reports a numeric failure
     rc, out, _ = run_cli(capsys, "tune", "--eps", eps, "--d", d, "--alg", "privunit")
     assert rc == code
     assert (out == "") == (code != 0)

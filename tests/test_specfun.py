@@ -225,6 +225,9 @@ def test_vectorized_kernels_match_scalar():
     vec = sf._inv_reg_inc_beta_vec(ys[:20], 0.5, 0.5)
     scal = np.array([sf.inv_reg_inc_beta(float(y), 0.5, 0.5) for y in ys[:20]])
     np.testing.assert_allclose(vec, scal, rtol=0, atol=1e-15)
+    # a root below the smallest double rounds to 0 in both kernels
+    assert sf.inv_reg_inc_beta(1.5e-190, 0.5, 0.5) == 0.0
+    assert sf._inv_reg_inc_beta_vec(np.array([1.5e-190]), 0.5, 0.5)[0] == 0.0
     ps = rng.uniform(1e-12, 1.0 - 1e-12, size=300)
     vq = sf._inv_std_normal_cdf_vec(ps)
     sq = np.array([sf.inv_std_normal_cdf(float(p)) for p in ps])

@@ -43,6 +43,8 @@ def test_tune_validation():
         tuner.tune(4.0, 1)
     with pytest.raises(ValueError):
         tuner.tune(4.0, 64, alg="gauss")
+    with pytest.raises(ValueError):
+        tuner.tune(701.0, 64)
 
 
 @pytest.mark.parametrize("alg,cls", [("privunit", CapParams), ("privunitg", GaussParams)])
@@ -71,9 +73,20 @@ def test_tune_beats_naive_splits(alg):
         assert res.err_star <= err + 1e-15
 
 
-@pytest.mark.parametrize("alg,grid_n,rel", [("privunitg", 100001, 1e-6), ("privunit", 10001, 1e-5)])
-def test_tune_matches_dense_grid(alg, grid_n, rel):
-    eps, d = 8.0, 1024
+@pytest.mark.parametrize(
+    "alg,eps,d,grid_n,rel",
+    [
+        # the original (8, 1024) cases keep their ids
+        pytest.param("privunitg", 8.0, 1024, 100001, 1e-6, id="privunitg-100001-1e-06"),
+        pytest.param("privunit", 8.0, 1024, 10001, 1e-5, id="privunit-10001-1e-05"),
+    ]
+    + [
+        (alg, eps, d, 2049, 1e-5)
+        for alg in ("privunit", "privunitg")
+        for eps, d in ((1e-3, 16), (1.0, 2), (32.0, 3), (256.0, 1024), (64.0, 100_000))
+    ],
+)
+def test_tune_matches_dense_grid(alg, eps, d, grid_n, rel):
     best = math.inf
     for i in range(grid_n):
         try:
@@ -88,17 +101,16 @@ def test_tune_matches_dense_grid(alg, grid_n, rel):
 
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
 @pytest.mark.parametrize("d", [2, 3, 16, 1024, 50_000, 100_000, 1_000_000])
-@pytest.mark.parametrize("eps", [1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0])
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0, 512.0, 700.0])
 def test_tune_envelope_contract(eps, d, alg):
     # every point of the advertised envelope either tunes to a finite,
-    # positive error within its budget or raises a typed numeric error; the
-    # 1e-12 slack is the log-space budget's sub-ulp overshoot
+    # positive error within its budget or raises a typed numeric error
     try:
         res = tuner.tune(eps, d, alg)
     except (NumericsError, DegenerateParameterError):
         return
     assert math.isfinite(res.err_star) and res.err_star > 0.0
-    assert res.params.budget <= eps * (1.0 + 1e-12)
+    assert res.params.budget <= eps
     assert res.params.d == d
 
 
