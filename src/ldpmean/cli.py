@@ -99,26 +99,32 @@ def cmd_randomize(args) -> list[str]:
             raw = fh.read()
     else:
         raw = sys.stdin.read()
-    vectors = []
+    rows, line_nos = [], []
     for ln, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            vec = np.array([float(t) for t in line.split()])
+            row = np.array(line.split(), dtype=float)
         except ValueError as exc:
             raise SupportError(f"line {ln}: not a vector of reals: {exc}") from None
-        if vec.size != args.d:
-            raise SupportError(f"line {ln}: expected {args.d} coordinates, got {vec.size}")
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > 1e-6:
-            raise SupportError(f"line {ln}: vector norm {nrm!r} is off unit by more than 1e-6")
-        vectors.append(vec / nrm)
-    if not vectors:
+        if row.size != args.d:
+            raise SupportError(f"line {ln}: expected {args.d} coordinates, got {row.size}")
+        rows.append(row)
+        line_nos.append(ln)
+    if not rows:
         raise SupportError("no input vectors given")
+    vectors = np.array(rows)
+    nrm = np.linalg.norm(vectors, axis=1)
+    off = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-6))  # NaN norms are off too
+    if off.size:
+        j = off[0]
+        raise SupportError(f"line {line_nos[j]}: vector norm {float(nrm[j])!r} is off unit by more than 1e-6")
+    vectors /= nrm[:, None]
     tuned = tuner.tune(args.eps, args.d, args.alg)
     randomizer = estimator._make_randomizer(tuned.params)
-    root = RngStream(args.seed, 0)
-    return [" ".join(_fmt(x) for x in randomizer(vec, root.substream(i))) for i, vec in enumerate(vectors)]
+    line_fmt = " ".join(["%.12g"] * args.d)  # _fmt's text for every coordinate at once
+    blocks = estimator._blocks(vectors, randomizer, RngStream(args.seed, 0))
+    return [line_fmt % tuple(row) for reports in blocks for row in reports.tolist()]
 
 
 def cmd_lp_verify(args) -> list[str]:

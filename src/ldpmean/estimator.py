@@ -1,10 +1,15 @@
 """Additive aggregation protocol and the Monte Carlo harness.
 
 The aggregate is the plain average of the randomized vectors, so its MSE is
-the single-user error divided by n. Streams are derived, never shared:
-trial t uses root.substream(t), user j inside a trial uses substream(j) of
-the trial stream, and the trial's input draw uses substream(n). Results are
-therefore reproducible bit-for-bit regardless of execution order.
+the single-user error divided by n. Users are randomized in fixed blocks of
+B = BLOCK_USERS: users [b*B, (b+1)*B) form block b, drawn as one multi-row
+call of the randomizer on substream(b) of the protocol's stream. Streams are
+derived, never shared: trial t uses root.substream(t), block b inside a
+trial uses substream(b) of the trial stream, and the trial's n inputs are
+one draw on substream(n), which no block uses. A block's reports depend
+only on the seed and its own inputs, so results are reproducible bit for
+bit whatever order the blocks are drawn in; only the order in which the
+block sums are added is fixed.
 """
 
 from __future__ import annotations
@@ -16,10 +21,16 @@ from typing import Callable
 import numpy as np
 
 from . import privunit, privunitg, tuner
-from .sphere import RngStream, sample_uniform_sphere
+from .sphere import RngStream
 
-__all__ = ["TrialReport", "estimate_mean", "run_trials"]
+__all__ = ["BLOCK_USERS", "TrialReport", "estimate_mean", "run_trials"]
 
+BLOCK_USERS = 256
+"""B, the users per block. A constant of the protocol, not a tuning knob:
+every per-seed result depends on it."""
+
+# Randomizer(rows, rng): one report per row of a (k, d) block of unit
+# inputs, all drawn from rng, as a (k, d) array
 Randomizer = Callable[[np.ndarray, RngStream], np.ndarray]
 
 
@@ -37,17 +48,29 @@ class TrialReport:
     seed: int
 
 
+def _blocks(mat: np.ndarray, randomizer: Randomizer, rng: RngStream):
+    """The reports of each block of BLOCK_USERS rows of mat, in block
+    order: block b is randomizer(its rows, rng.substream(b))."""
+    for b, start in enumerate(range(0, mat.shape[0], BLOCK_USERS)):
+        rows = mat[start:start + BLOCK_USERS]
+        reports = randomizer(rows, rng.substream(b))
+        if np.shape(reports) != rows.shape:
+            # a one-vector randomizer would otherwise be summed silently wrong
+            raise ValueError(f"randomizer returned shape {np.shape(reports)} for a block of shape {rows.shape}")
+        yield reports
+
+
 def estimate_mean(vectors, randomizer: Randomizer, rng: RngStream) -> np.ndarray:
-    """Average of randomizer(v_j, rng.substream(j)) over the input list;
-    unbiased for the true mean whenever the randomizer is."""
+    """Average of the reports of every block of users (see the module
+    docstring), block sums added in block order; unbiased for the true
+    mean whenever the randomizer is. Holds one block of reports at a time."""
     mat = np.atleast_2d(np.asarray(vectors, dtype=float))
     if mat.ndim != 2 or mat.size == 0:
         raise ValueError("vectors must be a nonempty list of equal-length vectors")
-    n = mat.shape[0]
     acc = np.zeros(mat.shape[1])
-    for j in range(n):
-        acc += randomizer(mat[j], rng.substream(j))
-    return acc / n
+    for reports in _blocks(mat, randomizer, rng):
+        acc += reports.sum(axis=0)
+    return acc / mat.shape[0]
 
 
 def _make_randomizer(params) -> Randomizer:
@@ -68,8 +91,10 @@ def run_trials(n: int, d: int, eps: float, alg: str, trials: int, seed: int) -> 
     sq_errors = np.empty(trials)
     for t in range(trials):
         trial_rng = root.substream(t)
-        input_rng = trial_rng.substream(n)
-        vecs = np.stack([sample_uniform_sphere(d, input_rng) for _ in range(n)])
+        # uniform inputs: normalized Gaussian rows, the same normal sequence
+        # as n one-vector draws
+        vecs = trial_rng.substream(n).normal((n, d))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         true_mean = vecs.mean(axis=0)
         est = estimate_mean(vecs, randomizer, trial_rng)
         sq_errors[t] = float(np.sum((est - true_mean) ** 2))

@@ -21,13 +21,14 @@ carry exact complements (p_comp, q_comp) so that budgets near saturation
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sphere, specfun
 from .errors import DegenerateParameterError, SupportError
-from .sphere import RngStream, as_unit_vector
+from .sphere import RngStream, as_unit_rows, as_unit_vector
 
 __all__ = [
     "CapParams",
@@ -144,10 +145,13 @@ def _build(d: int, p: float, p_comp: float, x: float, q: float, q_comp: float) -
     """PrivUnit parameters at the threshold gamma = 1 - 2x: x = (1 - gamma)/2
     is carried because gamma rounds to 1 on tiny caps, where x does not."""
     a = 0.5 * (d - 1)
+    if x < sys.float_info.min:
+        # an x that underflowed, to 0 or to a subnormal whose few significant
+        # bits can give m > 1, is taken as 0: then m = 0
+        x = 0.0
     gamma = 1.0 - 2.0 * x
     # E[W_1 1{W_1 >= gamma}] = (1-gamma^2)^a / ((d-1) 2^{d-2} B(a,a)); gamma
-    # is exact for x >= 1/4, below it 1 - gamma^2 = 4x(1-x) keeps precision,
-    # and an x that underflowed to 0 gives m = 0
+    # is exact for x >= 1/4, below it 1 - gamma^2 = 4x(1-x) keeps precision
     ln_1mg2 = math.log1p(-gamma * gamma) if x >= 0.25 else _ln(4.0 * x * (1.0 - x))
     ln_c = a * ln_1mg2 - (d - 2) * _LN2 - math.log(d - 1) - specfun.log_beta(a, a)
     return CapParams(**_threshold_fields(d, p, p_comp, q, q_comp, gamma, math.exp(ln_c)))
@@ -189,16 +193,31 @@ def _checked_input(v, params: ThresholdParams, size: int) -> np.ndarray:
     return v
 
 
+def _report_rows(v, params: ThresholdParams, rng: RngStream, sigma: float | None = None) -> np.ndarray:
+    """One threshold report per unit row of v, an (n, d) matrix, drawn from
+    one stream; a 1-D v is the one-row matrix and gives one 1-D report."""
+    rows = as_unit_rows(v)
+    if rows.shape[1] != params.d:
+        raise ValueError(f"input dimension {rows.shape[1]} != params dimension {params.d}")
+    out = sphere._threshold_rows(
+        rows, rows.shape[0], rng, params.p, params.q, params.q_comp, params.gamma, params.m, sigma
+    )
+    return out if np.ndim(v) == 2 else out[0]
+
+
 def randomize(v, params: CapParams, rng: RngStream) -> np.ndarray:
-    """One PrivUnit draw: cap sample around v with probability p, complement
-    sample otherwise, scaled to the radius-1/m sphere. E[output] = v.
-    Bit-identical to the one-row :func:`randomize_batch`."""
-    return randomize_batch(v, params, 1, rng)[0]
+    """PrivUnit reports: a cap sample around the input with probability p,
+    a complement sample otherwise, scaled to the radius-1/m sphere, so
+    E[report] = input. v is an (n, d) matrix of unit rows (one report per
+    row, all from the one stream) or one unit vector, which is the one-row
+    matrix and is bit-identical to the one-row :func:`randomize_batch`."""
+    return _report_rows(v, params, rng)
 
 
 def randomize_batch(v, params: CapParams, size: int, rng: RngStream) -> np.ndarray:
-    """Vectorized draws: (size, d) array of independent PrivUnit outputs;
-    size draws differ from size calls of :func:`randomize` on one stream."""
+    """Vectorized draws: (size, d) array of independent PrivUnit outputs
+    for the one input v; size draws differ from size calls of
+    :func:`randomize` on one stream."""
     v = _checked_input(v, params, size)
     return sphere._threshold_rows(v, size, rng, params.p, params.q, params.q_comp, params.gamma, params.m)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere, specfun
-from .privunit import ErrorBreakdown, ThresholdParams, _checked_input, _threshold_fields
+from .privunit import ErrorBreakdown, ThresholdParams, _checked_input, _report_rows, _threshold_fields
 from .sphere import RngStream, as_unit_vector
 
 __all__ = [
@@ -92,15 +92,18 @@ def analytic_err_g(params: GaussParams) -> ErrorBreakdown:
 
 
 def randomize_g(v, params: GaussParams, rng: RngStream) -> np.ndarray:
-    """One draw: V = alpha*v + sigma*(g - <g,v>v) with g standard normal,
-    scaled by 1/m. E[output] = v. Bit-identical to the one-row
+    """Reports alpha*v + sigma*(g - <g,v>v) with g standard normal, scaled
+    by 1/m, so E[report] = input v. v is an (n, d) matrix of unit rows (one
+    report per row, all from the one stream) or one unit vector, which is
+    the one-row matrix and is bit-identical to the one-row
     :func:`randomize_g_batch`."""
-    return randomize_g_batch(v, params, 1, rng)[0]
+    return _report_rows(v, params, rng, params.sigma)
 
 
 def randomize_g_batch(v, params: GaussParams, size: int, rng: RngStream) -> np.ndarray:
-    """Vectorized draws: (size, d) array of independent outputs; size draws
-    differ from size calls of :func:`randomize_g` on one stream."""
+    """Vectorized draws: (size, d) array of independent outputs for the one
+    input v; size draws differ from size calls of :func:`randomize_g` on
+    one stream."""
     v = _checked_input(v, params, size)
     return sphere._threshold_rows(
         v, size, rng, params.p, params.q, params.q_comp, params.gamma, params.m, params.sigma

@@ -1,17 +1,18 @@
 """Geometry and sampling on the unit sphere S^{d-1}.
 
-Unit vectors are plain numpy float arrays; ``as_unit_vector`` validates the
-norm at API boundaries. The marginal law of a single coordinate of a uniform
-point on S^{d-1} is the stretched symmetric beta 2B - 1 with
-B ~ Beta((d-1)/2, (d-1)/2), which turns cap sampling into one incomplete-beta
-inversion per draw (deterministic cost even for caps of mass e^{-40}, where
-rejection would stall).
+Unit vectors are plain numpy float arrays; ``as_unit_vector`` and
+``as_unit_rows`` validate the norm at API boundaries. The marginal law of a
+single coordinate of a uniform point on S^{d-1} is the stretched symmetric
+beta 2B - 1 with B ~ Beta((d-1)/2, (d-1)/2), which turns cap sampling into
+one incomplete-beta inversion per draw (deterministic cost even for caps of
+mass e^{-40}, where rejection would stall).
 
 Both randomizers and ``sample_cap`` draw through one sampler,
 ``_threshold_rows``: a two-level threshold on the coordinate alpha along the
 input v, drawn by inverting the tail of its 1-D law, plus an isotropic part
 orthogonal to v made by projecting v out of a Gaussian row, so no rotation
-is needed. ``rotate_from_e1`` is a standalone utility that no sampler uses.
+is needed. v is one input shared by every row, or one input per row.
+``rotate_from_e1`` is a standalone utility that no sampler uses.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import NumericsError
 __all__ = [
     "RngStream",
     "as_unit_vector",
+    "as_unit_rows",
     "sample_uniform_sphere",
     "marginal_cdf",
     "inv_marginal_cdf",
@@ -44,8 +46,9 @@ class RngStream:
 
     Substream derivation rule: ``substream(i)`` is
     ``RngStream(seed, (stream_id * 2**32 + i + 1) mod 2**64)``. With ids
-    below 2**32 and derivation depth at most two (trial stream, then user
-    stream) this is collision free.
+    below 2**32 and derivation depth at most two (trial stream, then the
+    stream of one block of users, or of a trial's inputs) this is collision
+    free.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -77,12 +80,26 @@ class RngStream:
 def as_unit_vector(v) -> np.ndarray:
     """Validate and return v as a 1-D float array with norm within 1e-9 of 1."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError(f"unit vectors must be 1-D with d >= 2, got shape {v.shape}")
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"vector norm {nrm!r} is off unit by more than 1e-9")
-    return v
+    if v.ndim != 1:
+        raise ValueError(f"unit vectors must be 1-D, got shape {v.shape}")
+    return as_unit_rows(v)[0]
+
+
+def as_unit_rows(v) -> np.ndarray:
+    """Validate and return v as an (n, d) float array, n >= 1 and d >= 2,
+    whose rows have norms within 1e-9 of 1; a 1-D v is the one-row matrix.
+    A NaN or infinite entry fails the norm check."""
+    rows = np.asarray(v, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2:
+        raise ValueError(f"unit vectors must be rows with d >= 2, got shape {np.shape(v)}")
+    nrm = np.linalg.norm(rows, axis=1)
+    off = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-9))
+    if off.size:
+        j = off[0]
+        raise ValueError(f"row {j}: vector norm {float(nrm[j])!r} is off unit by more than 1e-9")
+    return rows
 
 
 def _check_dim(d: int) -> int:
@@ -136,9 +153,20 @@ def _upper_quantile(y: np.ndarray, d: int, sigma: float | None):
     return -sigma * z
 
 
+def _project_out(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Remove from each row of g, in place, its component along v: one
+    vector for every row, or row j's own v_j. Row j's dot product is the
+    same one-row ``g_j @ v_j`` either way, so a one-row v draws exactly what
+    the shared v does."""
+    along = g @ v if v.ndim == 1 else (g[:, None, :] @ v[:, :, None])[:, 0, 0]
+    g -= along[:, None] * v
+    return g
+
+
 def _threshold_rows(v, size, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:
     """``size`` independent draws of the two-level threshold construction
-    around the unit vector v, as a (size, d) array.
+    as a (size, d) array: all around the unit vector v, or row j around
+    row j of a (size, d) matrix v of unit rows.
 
     T is the first coordinate of a uniform point of S^{d-1} when sigma is
     None, else N(0, sigma^2); q = P(T < gamma) and q_comp = P(T >= gamma).
@@ -148,7 +176,7 @@ def _threshold_rows(v, size, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndar
     to norm sqrt(1 - alpha^2) (sphere) or by sigma, adds alpha v and divides
     by m. Only the mass of a side that is drawn is read.
     """
-    d = v.size
+    d = v.shape[-1]
     above = rng.uniform(size) < p
     u = 1.0 - rng.uniform(size)  # in (0, 1], so every tail target is positive
     alpha = np.empty(size)
@@ -161,14 +189,12 @@ def _threshold_rows(v, size, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndar
         # the law is symmetric; the open side excludes gamma itself
         below = ~above
         alpha[below] = np.minimum(-_upper_quantile(q * u[below], d, sigma), np.nextafter(gamma, -2.0))
-    g = rng.normal((size, d))
-    g -= (g @ v)[:, None] * v
+    g = _project_out(rng.normal((size, d)), v)
     if sigma is None:
         nrm = np.linalg.norm(g, axis=1)
         while not nrm.all():  # probability zero; keeps the norm contract airtight
             redo = nrm == 0.0
-            h = rng.normal((np.count_nonzero(redo), d))
-            g[redo] = h - (h @ v)[:, None] * v
+            g[redo] = _project_out(rng.normal((np.count_nonzero(redo), d)), v if v.ndim == 1 else v[redo])
             nrm = np.linalg.norm(g, axis=1)
         g *= (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (nrm * m))[:, None]
     else:

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import cli, tuner
+from ldpmean import cli, estimator, privunit, privunitg, tuner
+from ldpmean.sphere import RngStream
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +113,31 @@ def test_randomize_deterministic(capsys, monkeypatch):
     assert out == out_again
 
 
+@pytest.mark.parametrize(
+    "alg,randomize", [("privunit", privunit.randomize), ("privunitg", privunitg.randomize_g)]
+)
+def test_randomize_draws_blocks_of_users(capsys, tmp_path, alg, randomize):
+    # input line j belongs to block b = j // BLOCK_USERS, drawn in one call on
+    # substream(b) of the root stream; each coordinate prints as "%.12g"
+    B, d, seed = estimator.BLOCK_USERS, 3, 12
+    g = np.random.default_rng(4).standard_normal((B + 5, d))
+    g /= np.linalg.norm(g, axis=1)[:, None]
+    src = tmp_path / "vectors.txt"
+    src.write_text("".join(" ".join(repr(x) for x in row) + "\n" for row in g.tolist()))
+    rc, out, _ = run_cli(capsys, "randomize", "--eps", "4", "--d", str(d), "--alg", alg,
+                         "--in", str(src), "--seed", str(seed))
+    assert rc == 0
+    # the CLI renormalizes each parsed row by its norm
+    V = np.array([[float(t) for t in line.split()] for line in src.read_text().splitlines()])
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    params = tuner.tune(4.0, d, alg).params
+    expect = []
+    for b in range(2):
+        for row in randomize(V[b * B:(b + 1) * B], params, RngStream(seed).substream(b)):
+            expect.append(" ".join("%.12g" % x for x in row))
+    assert out.splitlines() == expect
+
+
 def test_lp_verify_command(capsys):
     rc, out, _ = run_cli(capsys, "lp_verify", "--eps", "4", "--k", "360")
     assert rc == 0
@@ -146,6 +172,17 @@ def test_data_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("not a number\n"))
     rc, _, _ = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")
     assert rc == 3
+
+    # non-finite coordinates fail the norm check
+    for line in ("nan nan\n", "nan 0\n", "inf 0\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line))
+        rc, out, err = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")
+        assert rc == 3 and out == "" and "line 1" in err
+
+    # rows are validated together, but the error names the first bad row's line
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 0\n0 1\n0.6 0.6\n-1 0\n2 0\n"))
+    rc, out, err = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")
+    assert rc == 3 and out == "" and "line 3:" in err
 
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     rc, _, _ = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")

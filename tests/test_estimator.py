@@ -24,20 +24,26 @@ def test_estimate_mean_single_user_matches_direct_draw():
     np.testing.assert_array_equal(got, expect)
 
 
-def test_estimate_mean_is_user_order_stable():
-    # user j always draws from substream(j), so the reports do not depend on
-    # the order they are drawn in: drawn last to first and summed in list
-    # order they reproduce estimate_mean exactly
-    params = privunitg.gauss_params(4, 0.9, 0.8)
-    randomizer = _gauss_randomizer(params)
-    vs = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.0, -0.8])]
+def test_estimate_mean_is_block_order_stable():
+    # block b of BLOCK_USERS users always draws from substream(b), so the
+    # reports do not depend on the order the blocks are drawn in: drawn last
+    # to first and summed in block order they reproduce estimate_mean exactly
+    B = estimator.BLOCK_USERS
+    n, d, blocks = 2 * B + 3, 4, 3
+    params = privunitg.gauss_params(d, 0.9, 0.8)
+    g = RngStream(8).normal((n, d))
+    vs = g / np.linalg.norm(g, axis=1, keepdims=True)
     rng = RngStream(5)
-    reports = {j: randomizer(vs[j], rng.substream(j)) for j in reversed(range(len(vs)))}
-    total = np.zeros(4)
-    for j in range(len(vs)):
-        total += reports[j]
-    got = estimator.estimate_mean(vs, randomizer, RngStream(5))
-    np.testing.assert_array_equal(got, total / len(vs))
+    reports = {
+        b: privunitg.randomize_g(vs[b * B:(b + 1) * B], params, rng.substream(b))
+        for b in reversed(range(blocks))
+    }
+    assert reports[blocks - 1].shape == (3, d)
+    total = np.zeros(d)
+    for b in range(blocks):
+        total += reports[b].sum(axis=0)
+    got = estimator.estimate_mean(vs, _gauss_randomizer(params), RngStream(5))
+    np.testing.assert_array_equal(got, total / n)
 
 
 def test_estimate_mean_rejects_bad_input():
@@ -50,6 +56,14 @@ def test_estimate_mean_rejects_bad_input():
             _gauss_randomizer(params),
             RngStream(0),
         )
+
+
+def test_estimate_mean_rejects_one_vector_randomizer():
+    # the randomizer gets a block of rows and must return one report per row
+    params = privunitg.gauss_params(4, 0.9, 0.8)
+    vs = np.eye(4)[:3]
+    with pytest.raises(ValueError):
+        estimator.estimate_mean(vs, lambda rows, rng: privunitg.randomize_g(rows[0], params, rng), RngStream(0))
 
 
 def test_run_trials_deterministic():

@@ -3,11 +3,12 @@ forms and quadrature, privacy accounting, sampling invariants, and the
 two-level density."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from ldpmean import privunit, privunitg
+from ldpmean import privunit, privunitg, specfun, tuner
 from ldpmean.errors import DegenerateParameterError, SupportError
 from ldpmean.sphere import RngStream
 
@@ -113,6 +114,23 @@ def test_degenerate_parameters_rejected():
         privunit.cap_params(3, 0.5, 0.0)
 
 
+def test_subnormal_cap_boundary_is_degenerate():
+    # at this split x = (1 - gamma)/2 is the subnormal 5.6e-320, whose few
+    # significant bits gave the impossible m = 1.00003; it counts as x = 0
+    split = tuner.budget_split(512.0, 512.0 * 184 / 256)
+    assert 0.0 < specfun.inv_reg_inc_beta(split.q_comp, 0.5, 0.5) < sys.float_info.min
+    with pytest.raises(DegenerateParameterError):
+        tuner._params_at(split, 2, "privunit")
+    # no split at the largest budgets gives m above 1 beyond rounding
+    for eps in (512.0, 700.0):
+        for i in range(257):
+            try:
+                params = tuner._params_at(tuner.budget_split(eps, eps * i / 256), 2, "privunit")
+            except DegenerateParameterError:
+                continue
+            assert params.m <= 1.0 + 1e-12
+
+
 # --- analytic error ---------------------------------------------------------
 
 @pytest.mark.parametrize("d,p,gamma", [(2, 0.9, 0.3), (8, 0.95, 0.5), (64, 0.99, 0.2)])
@@ -147,22 +165,61 @@ def test_randomize_norm_and_determinism():
 
 
 def test_scalar_draw_is_one_batch_row():
-    # a scalar draw is the one-row batch draw, bit for bit, for both randomizers
+    # a scalar draw is the one-row batch draw and the draw for the one-row
+    # matrix, bit for bit, for both randomizers
     v = np.array([0.6, 0.0, -0.8, 0.0, 0.0])
     for params, one, batch in (
         (privunit.cap_params(5, 0.9, 0.3), privunit.randomize, privunit.randomize_batch),
         (privunitg.gauss_params(5, 0.9, 0.8), privunitg.randomize_g, privunitg.randomize_g_batch),
     ):
         for seed in range(10):
-            np.testing.assert_array_equal(
-                one(v, params, RngStream(4, seed)), batch(v, params, 1, RngStream(4, seed))[0]
-            )
+            scalar = one(v, params, RngStream(4, seed))
+            assert scalar.shape == (5,)
+            np.testing.assert_array_equal(scalar, batch(v, params, 1, RngStream(4, seed))[0])
+            rows = one(v[None, :], params, RngStream(4, seed))
+            assert rows.shape == (1, 5)
+            np.testing.assert_array_equal(scalar, rows[0])
+
+
+def _both_algorithms(d):
+    # (params, randomize, per-report variance of <X, v>) for both randomizers
+    pu = privunit.cap_params(d, 0.9, 0.3)
+    pg = privunitg.gauss_params(d, 0.9, 0.8)
+    return [
+        (pu, privunit.randomize, privunit.analytic_err(pu).alpha_sq / pu.m**2 - 1.0),
+        (pg, privunitg.randomize_g, pg.alpha_sq / pg.m**2 - 1.0),
+    ]
+
+
+def test_multi_row_draw_centres_each_report_on_its_row():
+    # distinct unit rows v_j, one report each: <X_j, v_j> has mean 1 and
+    # variance alpha_sq/m^2 - 1, so the pooled sum <X_j, v_j> - n lies
+    # within 4 standard errors; PrivUnit reports lie on the radius-1/m sphere
+    n, d = 20000, 8
+    g = RngStream(6).normal((n, d))
+    V = g / np.linalg.norm(g, axis=1, keepdims=True)
+    for params, randomize, var_par in _both_algorithms(d):
+        X = randomize(V, params, RngStream(6, 1))
+        assert X.shape == (n, d)
+        if randomize is privunit.randomize:
+            assert float(np.max(np.abs(np.linalg.norm(X, axis=1) * params.m - 1.0))) <= 1e-9
+        par = np.einsum("ij,ij->i", X, V)
+        assert abs(float(par.sum()) - n) <= 4.0 * math.sqrt(n * var_par)
 
 
 def test_randomize_rejects_dimension_mismatch():
     params = privunit.cap_params(6, 0.9, 0.4)
     with pytest.raises(ValueError):
         privunit.randomize(np.ones(5) / math.sqrt(5.0), params, RngStream(0))
+    with pytest.raises(ValueError):
+        privunit.randomize(np.ones((3, 5)) / math.sqrt(5.0), params, RngStream(0))
+
+
+def test_randomize_rejects_non_finite_input():
+    for params, randomize, _ in _both_algorithms(2):
+        for bad in ([math.nan, 0.0], [math.inf, 0.0], [[1.0, 0.0], [math.nan, math.nan]], [[0.0, -math.inf]]):
+            with pytest.raises(ValueError):
+                randomize(np.array(bad), params, RngStream(0))
 
 
 def test_randomize_scalar_unbiased():

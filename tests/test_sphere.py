@@ -50,6 +50,20 @@ def test_as_unit_vector_accepts_and_rejects():
     # a 1e-8 norm defect exceeds the 1e-9 tolerance
     with pytest.raises(ValueError):
         as_unit_vector([1.0 + 2e-8, 0.0])
+    # non-finite entries fail the norm check
+    for bad in ([math.nan, 0.0], [math.nan, math.nan], [math.inf, 0.0], [1.0, -math.inf]):
+        with pytest.raises(ValueError):
+            as_unit_vector(bad)
+
+
+def test_as_unit_rows_accepts_and_rejects():
+    rows = sphere.as_unit_rows([[1.0, 0.0], [0.0, -1.0]])
+    assert rows.dtype == float and rows.shape == (2, 2)
+    assert sphere.as_unit_rows([0.6, 0.8]).shape == (1, 2)  # one vector is the one-row matrix
+    for bad in ([[1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [math.nan, 0.0]], [[math.inf, 0.0]],
+                np.zeros((0, 3)), [[1.0]], np.ones((1, 1, 2))):
+        with pytest.raises(ValueError):
+            sphere.as_unit_rows(bad)
 
 
 def test_sample_uniform_sphere_norm_and_moments():
