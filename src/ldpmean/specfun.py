@@ -10,13 +10,13 @@ needs on the order of sqrt(a + b) terms, so its iteration budget,
 200 + 4 sqrt(a + b), comes from the shapes.
 
 Each algorithm is written once. The normal quantile is Wichura's AS241
-(1988), accurate to double precision without refinement: one set of tables
-and one rational helper serve the one-value and the array kernel, which
-agree bit for bit. The inverse incomplete beta starts from one function for
-every shape (A&S 26.5.22 for shapes >= 1, power-law tails otherwise) and
-refines by safeguarded Newton. The private ``*_vec`` kernels take arrays
-for the batch samplers; the one-value kernels stay separate, because one
-value costs some thirty times more through the array kernels.
+(1988), accurate to double precision without refinement. The inverse
+incomplete beta starts from one function for every shape (A&S 26.5.22 for
+shapes >= 1, power-law tails otherwise) and refines by safeguarded Newton.
+No sampler inverts a cdf: the samplers draw by rejection
+(``sphere._draw_above``). The private ``*_vec`` names apply the one-value
+inverses elementwise to an array and are kept for callers that look them
+up by name.
 """
 
 from __future__ import annotations
@@ -128,14 +128,13 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - math.exp(ln_front) * _beta_cf(1.0 - x, b, a) / b
 
 
-def _beta_start(y, a: float, b: float):
-    """Starting point of the inverse incomplete beta at targets y in
-    (0, 1/2], a float or an array; callers clip it into (0, 1)."""
-    vec = isinstance(y, np.ndarray)
+def _beta_start(y: float, a: float, b: float) -> float:
+    """Starting point of the inverse incomplete beta at a target y in
+    (0, 1/2]; the caller clips it into (0, 1)."""
     if a >= 1.0 and b >= 1.0:
         # normal approximation to the beta quantile (Abramowitz & Stegun
         # 26.5.22, stated in terms of the upper-tail normal quantile)
-        z = -(_inv_std_normal_cdf_vec(y) if vec else inv_std_normal_cdf(y))
+        z = -inv_std_normal_cdf(y)
         al = (z * z - 3.0) / 6.0
         h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
         w = z * (al + h) ** 0.5 / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
@@ -149,10 +148,7 @@ def _beta_start(y, a: float, b: float):
     t = (a / (a + b)) ** a / a
     u = (b / (a + b)) ** b / b
     s = t + u
-    if not vec:
-        return (a * s * y) ** (1.0 / a) if y < t / s else 1.0 - (b * s * (1.0 - y)) ** (1.0 / b)
-    with np.errstate(over="ignore"):  # only the branch np.where keeps is bounded
-        return np.where(y < t / s, (a * s * y) ** (1.0 / a), 1.0 - (b * s * (1.0 - y)) ** (1.0 / b))
+    return (a * s * y) ** (1.0 / a) if y < t / s else 1.0 - (b * s * (1.0 - y)) ** (1.0 / b)
 
 
 def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
@@ -246,9 +242,9 @@ _AS241_FAR = (
 )
 
 
-def _rational7(r, n, d):
+def _rational7(r: float, n, d) -> float:
     """(n0 + n1 r + ... + n7 r^7) / (1 + d1 r + ... + d7 r^7) by Horner's
-    rule; r is a float or an array, evaluated in the same order either way."""
+    rule."""
     top = ((((((n[7] * r + n[6]) * r + n[5]) * r + n[4]) * r + n[3]) * r + n[2]) * r + n[1]) * r + n[0]
     bot = ((((((d[6] * r + d[5]) * r + d[4]) * r + d[3]) * r + d[2]) * r + d[1]) * r + d[0]) * r + 1.0
     return top / bot
@@ -261,7 +257,8 @@ def inv_std_normal_cdf(p: float) -> float:
     q = p - 0.5
     if abs(q) <= 0.425:
         return q * _rational7(0.180625 - q * q, *_AS241_CENTRAL)
-    # numpy's log, as in the array kernel: libm's may differ by an ulp
+    # numpy's log: libm's may differ by an ulp, which would move tuned
+    # PrivUnitG thresholds
     r = math.sqrt(-float(np.log(p if q < 0.0 else 1.0 - p)))
     x = _rational7(r - 1.6, *_AS241_NEAR) if r <= 5.0 else _rational7(r - 5.0, *_AS241_FAR)
     return -x if q < 0.0 else x
@@ -299,153 +296,14 @@ def trunc_gauss_moments(gamma: float, sigma: float) -> tuple[float, float, float
 
 
 # ---------------------------------------------------------------------------
-# private vectorized variants (batch sampling paths)
+# private elementwise variants
 
 
-def _inv_std_normal_cdf_vec(p: np.ndarray) -> np.ndarray:
-    """Vectorized normal quantile; bit-identical to ``inv_std_normal_cdf``."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("quantile arguments must lie strictly in (0, 1)")
-    q = p - 0.5
-    x = np.empty_like(p)
-    mid = np.abs(q) <= 0.425
-    qm = q[mid]
-    x[mid] = qm * _rational7(0.180625 - qm * qm, *_AS241_CENTRAL)
-    tail = ~mid
-    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
-    near = r <= 5.0
-    xt = np.empty_like(r)
-    xt[near] = _rational7(r[near] - 1.6, *_AS241_NEAR)
-    xt[~near] = _rational7(r[~near] - 5.0, *_AS241_FAR)
-    x[tail] = np.where(q[tail] < 0.0, -xt, xt)
-    return x
+def _inv_std_normal_cdf_vec(p) -> np.ndarray:
+    """``inv_std_normal_cdf`` at each element of an array."""
+    return np.vectorize(inv_std_normal_cdf, otypes=[float])(p)
 
 
-def _beta_cf_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Vectorized modified-Lentz continued fraction; scalar shapes only."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-    d = 1.0 / d
-    h = d.copy()
-    live = np.ones(x.shape, dtype=bool)
-    budget = _cf_budget(a, b)
-    for m in range(1, budget + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _FPMIN, where=np.abs(d) < _FPMIN)
-        c = 1.0 + aa / c
-        np.copyto(c, _FPMIN, where=np.abs(c) < _FPMIN)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        # each lane stops counting once it has converged: settled lanes keep
-        # multiplying by deltas within a few ulps of 1, and among thousands
-        # of lanes a test of all of them at once can fail every time
-        live &= ~(np.abs(delta - 1.0) < _CF_EPS)
-        if not live.any():
-            return h
-    raise NumericsError(
-        f"vectorized incomplete beta continued fraction did not converge "
-        f"in {budget} iterations (a={a}, b={b})"
-    )
-
-
-def _reg_inc_beta_vec(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    zero = x <= 0.0
-    one = x >= 1.0
-    switch = (a + 1.0) / (a + b + 2.0)
-    ln_b = log_beta(a, b)
-    direct = (x < switch) & ~zero
-    flip = ~(x < switch) & ~one
-    if direct.any():
-        xd = x[direct]
-        front = np.exp(a * np.log(xd) + b * np.log1p(-xd) - ln_b)
-        out[direct] = front * _beta_cf_vec(xd, a, b) / a
-    if flip.any():
-        xf = 1.0 - x[flip]
-        front = np.exp(b * np.log(xf) + a * np.log1p(-xf) - ln_b)
-        out[flip] = 1.0 - front * _beta_cf_vec(xf, b, a) / b
-    out[zero] = 0.0
-    out[one] = 1.0
-    if a == b:
-        out[x == 0.5] = 0.5  # exact by symmetry, matches the scalar kernel
-    return out
-
-
-def _inv_beta_core(yy: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Safeguarded Newton for I_x(a, b) = yy with yy in (0, 1/2]: the loop of
-    ``inv_reg_inc_beta`` run on the points not yet done, with their brackets."""
-    ln_b = log_beta(a, b)
-    x = np.clip(_beta_start(yy, a, b), _FPMIN, 1.0 - 1e-16)
-    active = np.arange(yy.size)
-    lo = np.zeros_like(yy)
-    hi = np.ones_like(yy)
-    for _ in range(_MAX_ITER):
-        xa = x[active]
-        ya = yy[active]
-        cur = _reg_inc_beta_vec(xa, a, b)
-        f = cur - ya
-        hi = np.where(f > 0.0, xa, hi)
-        lo = np.where(f < 0.0, xa, lo)
-        # same stopping rule as the scalar kernel: relative residual or
-        # exhausted bracket
-        keep = ~((np.abs(f) <= 1e-12 * ya) | (hi - lo <= 1e-15 * np.minimum(xa, 1.0 - xa)))
-        active, xa, ya, cur, f, lo, hi = (v[keep] for v in (active, xa, ya, cur, f, lo, hi))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            inv_pdf = np.exp(ln_b - (a - 1.0) * np.log(xa) - (b - 1.0) * np.log1p(-xa))
-            step = np.where(
-                cur > 0.0,
-                -(np.log(np.where(cur > 0.0, cur, 1.0)) - np.log(ya)) * cur * inv_pdf,
-                -f * inv_pdf,
-            )
-            x_new = xa + step
-        bad = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
-        x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-        x[active] = x_new
-        moving = x_new != xa  # a stalled point is at float resolution; keep it
-        active, lo, hi = active[moving], lo[moving], hi[moving]
-        if not active.size:
-            return x
-    raise NumericsError(
-        f"vectorized inverse incomplete beta left {active.size} points "
-        f"unconverged (a={a}, b={b})"
-    )
-
-
-def _inv_reg_inc_beta_vec(y: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Vectorized inverse regularized incomplete beta, for every shape."""
-    y = np.asarray(y, dtype=float)
-    out = np.empty_like(y)
-    zero = y <= 0.0
-    one = y >= 1.0
-    out[zero] = 0.0
-    out[one] = 1.0
-    inner = ~(zero | one)
-    if a == b:
-        half = y == 0.5
-        out[half] = 0.5  # exact by symmetry, matches the scalar kernel
-        inner &= ~half
-    # complement reduction as in the scalar kernel: solve within the smaller
-    # tail so the residual test sees full relative precision
-    low = inner & (y <= 0.5)
-    high = inner & (y > 0.5)
-    if low.any():
-        out[low] = _inv_beta_core(y[low], a, b)
-    if high.any():
-        out[high] = 1.0 - _inv_beta_core(1.0 - y[high], b, a)
-    return out
+def _inv_reg_inc_beta_vec(y, a: float, b: float) -> np.ndarray:
+    """``inv_reg_inc_beta`` at each element of an array."""
+    return np.vectorize(inv_reg_inc_beta, otypes=[float])(y, a, b)

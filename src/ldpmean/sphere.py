@@ -3,19 +3,21 @@
 Unit vectors are plain numpy float arrays; ``as_unit_vector`` and
 ``as_unit_rows`` validate the norm at API boundaries. The marginal law of a
 single coordinate of a uniform point on S^{d-1} is the stretched symmetric
-beta 2B - 1 with B ~ Beta((d-1)/2, (d-1)/2), which turns cap sampling into
-one incomplete-beta inversion per draw (deterministic cost even for caps of
-mass e^{-40}, where rejection would stall).
+beta 2B - 1 with B ~ Beta((d-1)/2, (d-1)/2).
 
 Both randomizers and ``sample_cap`` draw through one sampler,
 ``_threshold_rows``: a two-level threshold on the coordinate alpha along the
-input v, drawn by inverting the tail of its 1-D law, plus an isotropic part
-orthogonal to v made by projecting v out of a Gaussian row, so no rotation
-is needed. v is one input shared by every row, or one input per row.
-``rotate_from_e1`` is a standalone utility that no sampler uses.
+input v, drawn from its 1-D law conditioned on one side of the threshold by
+exact rejection (``_draw_above``, which stays fast for caps of any mass),
+plus an isotropic part orthogonal to v made by projecting v out of a
+Gaussian row, so no rotation is needed. v is one input shared by every row,
+or one input per row. ``rotate_from_e1`` is a standalone utility that no
+sampler uses.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -34,6 +36,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# rounds of ``_draw_above`` before it gives up: every proposal is accepted
+# with probability at least 1/4, so one lane survives 1000 rounds with
+# probability (3/4)^1000, about 1e-125
+_MAX_ROUNDS = 1000
 
 
 class RngStream:
@@ -72,6 +78,10 @@ class RngStream:
     def normal(self, size=None):
         """Standard normal draws."""
         return self._gen.standard_normal(size)
+
+    def beta(self, a: float, b: float, size=None):
+        """Beta(a, b) draws."""
+        return self._gen.beta(a, b, size)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -137,20 +147,63 @@ def inv_marginal_cdf(q: float, d: int) -> float:
     return 2.0 * specfun.inv_reg_inc_beta(q, a, a) - 1.0
 
 
-def _upper_quantile(y: np.ndarray, d: int, sigma: float | None):
-    """The t with P(T >= t) = y, for T the first coordinate of a uniform
-    point of S^{d-1} (sigma None) or T ~ N(0, sigma^2).
+def _draw_above(t: float, mass: float, size: int, d: int, sigma: float | None, rng: RngStream) -> np.ndarray:
+    """``size`` independent draws of T conditioned on T >= t, given
+    mass = P(T >= t) > 0; T is the first coordinate 1 - 2X of a uniform point
+    of S^{d-1}, X ~ Beta(a, a) with a = (d-1)/2, when sigma is None, else
+    N(0, sigma^2).
 
-    A single value goes through the scalar kernels: at size 1 the vectorized
-    ones cost about twenty times more.
+    Exact rejection, each round redrawing the lanes not yet accepted. A side
+    of mass >= 1/4 draws T unrestricted and rejects the other side. A smaller
+    side has t > 0, and its proposal follows the law's log density
+    (Devroye 1986, ch. VII): for a > 1 the tangent at x0 = (1-t)/2 of the
+    concave (a-1)(ln x + ln(1-x)), an exponential truncated to (0, x0]; X
+    uniform on (0, x0] at d = 3; x0 U^2 at d = 2, accepted with probability
+    sqrt((1-x0)/(1-x)); and Robert's (1995) exponential tail for the normal.
+    Every exponential inverts one uniform. Each branch accepts with
+    probability at least 1/4.
     """
-    one = y.size == 1
-    if sigma is None:
-        a = 0.5 * (d - 1)
-        x = specfun.inv_reg_inc_beta(y.item(), a, a) if one else specfun._inv_reg_inc_beta_vec(y, a, a)
-        return 1.0 - 2.0 * x
-    z = specfun.inv_std_normal_cdf(y.item()) if one else specfun._inv_std_normal_cdf_vec(y)
-    return -sigma * z
+    a = 0.5 * (d - 1)
+    out = np.empty(size)
+    todo = np.arange(size)
+    for _ in range(_MAX_ROUNDS):
+        k = todo.size
+        if mass >= 0.25:
+            draw = sigma * rng.normal(k) if sigma is not None else 1.0 - 2.0 * rng.beta(a, a, k)
+            ok = draw >= t
+        elif sigma is not None:
+            z0 = t / sigma
+            lam = 0.5 * (z0 + math.sqrt(z0 * z0 + 4.0))  # Robert's optimal rate
+            z = z0 - np.log1p(-rng.uniform(k)) / lam
+            draw = sigma * z
+            ok = rng.uniform(k) < np.exp(-0.5 * (z - lam) ** 2)
+        elif a > 1.0:
+            # X = x0 (1 - e), with e on [0, 1) from the exponential of rate
+            # w = lambda x0 truncated there, lambda = (a-1)(1/x0 - 1/(1-x0))
+            # the tangent's slope; in terms of t, x0 = (1-t)/2
+            w = 2.0 * (a - 1.0) * t / (1.0 + t)
+            e = -np.log1p(rng.uniform(k) * math.expm1(-w)) / w
+            e2 = e * ((1.0 - t) / (1.0 + t))
+            draw = t + (1.0 - t) * e
+            # log density minus tangent, <= 0; an e that rounds to 1 gives -inf
+            with np.errstate(divide="ignore"):
+                ok = rng.uniform(k) < np.exp((a - 1.0) * ((np.log1p(-e) + e) + (np.log1p(e2) - e2)))
+        elif a == 1.0:
+            draw = t + (1.0 - t) * rng.uniform(k)
+            ok = np.ones(k, dtype=bool)
+        else:
+            # X = x0 U^2, accepted with probability sqrt((1-x0)/(1-X))
+            draw = 1.0 - (1.0 - t) * rng.uniform(k) ** 2
+            u = rng.uniform(k)
+            ok = u * u * (1.0 + draw) < 1.0 + t
+        out[todo[ok]] = draw[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return out
+    raise NumericsError(
+        f"conditioned draw left {todo.size} of {size} lanes unaccepted after {_MAX_ROUNDS} rounds "
+        f"(t={t}, mass={mass}, d={d}, sigma={sigma})"
+    )
 
 
 def _project_out(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -171,31 +224,29 @@ def _threshold_rows(v, size, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndar
     T is the first coordinate of a uniform point of S^{d-1} when sigma is
     None, else N(0, sigma^2); q = P(T < gamma) and q_comp = P(T >= gamma).
     Each row takes the closed side T >= gamma with probability p, draws
-    alpha from T conditioned on that side by inverting its tail, adds a
-    standard Gaussian row with its component along v projected out, scaled
-    to norm sqrt(1 - alpha^2) (sphere) or by sigma, adds alpha v and divides
-    by m. Only the mass of a side that is drawn is read.
+    alpha from T conditioned on that side (``_draw_above``), adds a standard
+    Gaussian row with its component along v projected out, scaled to norm
+    sqrt(1 - alpha^2) (sphere) or by sigma, adds alpha v and divides by m.
+    Only the mass of a side that is drawn is read.
     """
     d = v.shape[-1]
     above = rng.uniform(size) < p
-    u = 1.0 - rng.uniform(size)  # in (0, 1], so every tail target is positive
     alpha = np.empty(size)
     n_above = np.count_nonzero(above)
-    # one quantile call per side: the vectorized continued fraction iterates
-    # until its slowest lane converges, and the two sides converge unevenly
     if n_above:
-        alpha[above] = np.maximum(_upper_quantile(q_comp * u[above], d, sigma), gamma)
+        alpha[above] = np.maximum(_draw_above(gamma, q_comp, n_above, d, sigma, rng), gamma)
     if n_above < size:
-        # the law is symmetric; the open side excludes gamma itself
-        below = ~above
-        alpha[below] = np.minimum(-_upper_quantile(q * u[below], d, sigma), np.nextafter(gamma, -2.0))
+        # the law is symmetric: T < gamma is -T > -gamma; the open side
+        # excludes gamma itself
+        open_side = -_draw_above(-gamma, q, size - n_above, d, sigma, rng)
+        alpha[~above] = np.minimum(open_side, np.nextafter(gamma, -2.0))
     g = _project_out(rng.normal((size, d)), v)
     if sigma is None:
-        nrm = np.linalg.norm(g, axis=1)
+        nrm = np.sqrt(np.einsum("ij,ij->i", g, g))  # no n x d temporary
         while not nrm.all():  # probability zero; keeps the norm contract airtight
             redo = nrm == 0.0
             g[redo] = _project_out(rng.normal((np.count_nonzero(redo), d)), v if v.ndim == 1 else v[redo])
-            nrm = np.linalg.norm(g, axis=1)
+            nrm = np.sqrt(np.einsum("ij,ij->i", g, g))
         g *= (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (nrm * m))[:, None]
     else:
         g *= sigma / m
@@ -208,9 +259,10 @@ def sample_cap(d: int, gamma: float, above: bool, rng: RngStream) -> np.ndarray:
     complement), in the e_1 frame.
 
     The threshold construction with v = e_1, p in {0, 1} and m = 1: the
-    first coordinate inverts the conditioned marginal cdf, the rest is
-    uniform on a (d-2)-sphere scaled to keep unit norm. The boundary
-    u_1 = gamma belongs to the "above" cap.
+    first coordinate is an exact rejection draw from the marginal law
+    conditioned on the chosen side, the rest is uniform on a (d-2)-sphere
+    scaled to keep unit norm. The boundary u_1 = gamma belongs to the
+    "above" cap.
     """
     d = _check_dim(d)
     if not (-1.0 < gamma < 1.0):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import sphere
+from ldpmean import specfun, sphere
 from ldpmean.errors import NumericsError
 from ldpmean.sphere import RngStream, as_unit_vector
 
@@ -16,6 +16,7 @@ def test_rng_stream_determinism():
     assert a.uniform() == b.uniform()
     np.testing.assert_array_equal(a.normal(16), b.normal(16))
     np.testing.assert_array_equal(a.uniform(8), b.uniform(8))
+    np.testing.assert_array_equal(a.beta(7.5, 7.5, 8), b.beta(7.5, 7.5, 8))
 
 
 def test_rng_stream_substreams_differ_and_are_stable():
@@ -128,6 +129,70 @@ def test_sample_cap_validation_and_underflow():
         sphere.sample_cap(8, -1.0, False, rng)
     with pytest.raises(NumericsError):
         sphere.sample_cap(64, 1.0 - 1e-15, True, rng)
+
+
+KS_CRIT_1PCT = 1.63  # sqrt(n) D above this has probability about 1%
+
+
+def _sqrt_n_ks(draws, cdf) -> float:
+    """sqrt(n) times the Kolmogorov-Smirnov distance between the draws and
+    the continuous increasing cdf."""
+    f = np.sort([cdf(float(x)) for x in draws])
+    n = f.size
+    i = np.arange(1.0, n + 1.0)
+    return math.sqrt(n) * max(float(np.max(i / n - f)), float(np.max(f - (i - 1.0) / n)))
+
+
+@pytest.mark.parametrize(
+    "d, mass",
+    [(2, 0.6), (2, 0.3), (2, 0.2), (3, 0.3), (3, 0.05), (4, 0.3), (4, 0.05), (16, 0.05), (1000, 0.3), (1000, 0.2),
+     (1000, 1e-50)],
+)
+def test_draw_above_matches_conditioned_sphere_marginal(d, mass):
+    # every branch of the conditioned first coordinate T = 1 - 2X: masses
+    # >= 1/4 draw unrestricted, smaller ones use the d = 2, d = 3 or
+    # tangent-exponential proposal; X is tested against I_x(a, a)
+    a = 0.5 * (d - 1)
+    t = 1.0 - 2.0 * specfun.inv_reg_inc_beta(mass, a, a)
+    x0 = 0.5 * (1.0 - t)
+    mass = specfun.reg_inc_beta(x0, a, a)  # P(T >= t) at the rounded t
+    draws = sphere._draw_above(t, mass, 2000, d, None, RngStream(61, d))
+    assert np.all(draws >= t) and np.all(draws <= 1.0)
+    stat = _sqrt_n_ks(0.5 * (1.0 - draws), lambda x: specfun.reg_inc_beta(x, a, a) / mass)
+    assert stat < KS_CRIT_1PCT
+
+
+@pytest.mark.parametrize("mass", [0.6, 0.3, 0.05, 1e-50])
+def test_draw_above_matches_conditioned_normal(mass):
+    # unrestricted normal draws above 1/4, Robert's exponential tail below
+    sigma = 0.25
+    t = -sigma * specfun.inv_std_normal_cdf(mass)
+    mass = specfun.std_normal_cdf(-t / sigma)
+    draws = sphere._draw_above(t, mass, 2000, 16, sigma, RngStream(62, 0))
+    assert np.all(draws >= t)
+    stat = _sqrt_n_ks(draws, lambda s: 1.0 - specfun.std_normal_cdf(-s / sigma) / mass)
+    assert stat < KS_CRIT_1PCT
+
+
+def test_sample_cap_negative_gamma_matches_marginal():
+    # a negative gamma makes the complement the small side: its draws go
+    # through the negated tangent-exponential proposal
+    d, gamma, n = 16, -0.4, 2000
+    rng = RngStream(63, 0)
+    q = sphere.marginal_cdf(gamma, d)
+    assert q < 0.25
+    below = np.array([sphere.sample_cap(d, gamma, False, rng)[0] for _ in range(n)])
+    above = np.array([sphere.sample_cap(d, gamma, True, rng)[0] for _ in range(n)])
+    assert np.all(below < gamma) and np.all(above >= gamma)
+    assert _sqrt_n_ks(below, lambda s: sphere.marginal_cdf(s, d) / q) < KS_CRIT_1PCT
+    assert _sqrt_n_ks(above, lambda s: (sphere.marginal_cdf(s, d) - q) / (1.0 - q)) < KS_CRIT_1PCT
+
+
+def test_draw_above_round_cap_raises(monkeypatch):
+    # one round leaves about half of 1000 lanes of a mass-1/2 side unaccepted
+    monkeypatch.setattr(sphere, "_MAX_ROUNDS", 1)
+    with pytest.raises(NumericsError):
+        sphere._draw_above(0.0, 0.5, 1000, 16, None, RngStream(64, 0))
 
 
 def test_rotate_from_e1_maps_e1_to_v():
