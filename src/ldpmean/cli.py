@@ -1,7 +1,9 @@
 """Command line driver: deterministic CSV experiment runners plus a
 single-shot randomizer for scripting.
 
-Exit codes: 0 success, 2 usage error, 3 numeric or data-validation error.
+Exit codes: 0 success, 2 usage error (bad arguments, a malformed
+$LDPMEAN_SEED where --seed is read, an input or output path that cannot be
+opened), 3 numeric or data-validation error.
 All numeric output uses 12 significant digits with a C-locale decimal
 point, so repeated runs are byte-identical.
 """
@@ -27,11 +29,6 @@ def _fmt(x) -> str:
 
 def _row(*values) -> str:
     return ",".join(v if isinstance(v, str) else _fmt(v) for v in values)
-
-
-def _default_seed() -> int:
-    env = os.environ.get("LDPMEAN_SEED")
-    return int(env) if env else 0
 
 
 def _int_list(text: str) -> list[int]:
@@ -147,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
         if alg:
             p.add_argument("--alg", choices=("privunit", "privunitg"), default="privunitg")
         if seed:
-            p.add_argument("--seed", type=int, default=_default_seed(),
+            # argparse converts a string default only where --seed is absent, so a
+            # malformed $LDPMEAN_SEED is a usage error of just the commands that read it
+            p.add_argument("--seed", type=int, default=os.environ.get("LDPMEAN_SEED") or "0",
                            help="defaults to $LDPMEAN_SEED or 0")
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
@@ -198,14 +197,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        lines = args.func(args)
+        _emit(args.func(args), args.out)
     except (DegenerateParameterError, ArithmeticError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --in or --out path that cannot be opened
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _emit(lines, args.out)
     return 0
 
 

@@ -86,6 +86,8 @@ class CapParams(ThresholdParams):
     T is the first coordinate of a uniform point of S^{d-1}, whose law is
     2B - 1 with B ~ Beta((d-1)/2, (d-1)/2)."""
 
+    sigma = None  # not a field: names this law to the sampler, as GaussParams.sigma does its own
+
 
 def _ln(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
@@ -176,33 +178,32 @@ def normalizer_m(d: int, p: float, gamma: float) -> float:
 
 
 def analytic_err(params: CapParams) -> ErrorBreakdown:
-    """Exact squared error 1/m^2 - 1 (the output lies on the radius-1/m
-    sphere). alpha_sq is recorded informationally via the closed form
+    """Squared error 1/m^2 - 1 (the output lies on the radius-1/m sphere),
+    not exact: m carries a relative error near 1e-12, so an err below about
+    1e-11 is rounding noise, and ``tuner.tune`` raises where it cancels to
+    <= 0. alpha_sq is recorded informationally via the closed form
     E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d."""
     m = params.m
     alpha_sq = (1.0 + params.gamma * (params.d - 1) * m) / params.d
     return ErrorBreakdown(m=m, alpha_sq=alpha_sq, err=1.0 / (m * m) - 1.0, d=params.d)
 
 
-def _checked_input(v, params: ThresholdParams, size: int) -> np.ndarray:
-    v = as_unit_vector(v)
-    if v.size != params.d:
-        raise ValueError(f"input dimension {v.size} != params dimension {params.d}")
-    if size < 1:
-        raise ValueError(f"size must be positive, got {size}")
-    return v
-
-
-def _report_rows(v, params: ThresholdParams, rng: RngStream, sigma: float | None = None) -> np.ndarray:
-    """One threshold report per unit row of v, an (n, d) matrix, drawn from
-    one stream; a 1-D v is the one-row matrix and gives one 1-D report."""
-    rows = as_unit_rows(v)
+def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None) -> np.ndarray:
+    """Threshold reports of the law that ``params.sigma`` names, all from
+    one stream: given size, size reports of the unit vector v, the rows of
+    its broadcast view; else one per unit row of an (n, d) matrix v, or one
+    1-D report of a unit vector v, the one-row matrix."""
+    if size is None and np.ndim(v) != 1:
+        rows = as_unit_rows(v)
+    else:
+        vec = as_unit_vector(v)
+        if size is not None and size < 1:
+            raise ValueError(f"size must be positive, got {size}")
+        rows = np.broadcast_to(vec, (1 if size is None else size, vec.size))
     if rows.shape[1] != params.d:
         raise ValueError(f"input dimension {rows.shape[1]} != params dimension {params.d}")
-    out = sphere._threshold_rows(
-        rows, rows.shape[0], rng, params.p, params.q, params.q_comp, params.gamma, params.m, sigma
-    )
-    return out if np.ndim(v) == 2 else out[0]
+    out = sphere._threshold_rows(rows, rng, params.p, params.q, params.q_comp, params.gamma, params.m, params.sigma)
+    return out[0] if size is None and np.ndim(v) == 1 else out
 
 
 def randomize(v, params: CapParams, rng: RngStream) -> np.ndarray:
@@ -210,16 +211,15 @@ def randomize(v, params: CapParams, rng: RngStream) -> np.ndarray:
     a complement sample otherwise, scaled to the radius-1/m sphere, so
     E[report] = input. v is an (n, d) matrix of unit rows (one report per
     row, all from the one stream) or one unit vector, which is the one-row
-    matrix and is bit-identical to the one-row :func:`randomize_batch`."""
-    return _report_rows(v, params, rng)
+    matrix."""
+    return _reports(v, params, rng)
 
 
 def randomize_batch(v, params: CapParams, size: int, rng: RngStream) -> np.ndarray:
     """Vectorized draws: (size, d) array of independent PrivUnit outputs
-    for the one input v; size draws differ from size calls of
-    :func:`randomize` on one stream."""
-    v = _checked_input(v, params, size)
-    return sphere._threshold_rows(v, size, rng, params.p, params.q, params.q_comp, params.gamma, params.m)
+    for the one input v, bit for bit the :func:`randomize` reports of the
+    matrix of size copies of v on the same stream."""
+    return _reports(v, params, rng, size)
 
 
 def log_density(u, v, params: CapParams) -> float:

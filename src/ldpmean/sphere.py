@@ -10,8 +10,9 @@ Both randomizers and ``sample_cap`` draw through one sampler,
 input v, drawn from its 1-D law conditioned on one side of the threshold by
 exact rejection (``_draw_above``, which stays fast for caps of any mass),
 plus an isotropic part orthogonal to v made by projecting v out of a
-Gaussian row, so no rotation is needed. v is one input shared by every row,
-or one input per row. ``rotate_from_e1`` is a standalone utility that no
+Gaussian row, so no rotation is needed. The sampler takes an (n, d) matrix
+of unit inputs, one per row; n reports of one shared input are the rows of
+a broadcast view of it. ``rotate_from_e1`` is a standalone utility that no
 sampler uses.
 """
 
@@ -104,7 +105,7 @@ def as_unit_rows(v) -> np.ndarray:
         rows = rows[None, :]
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2:
         raise ValueError(f"unit vectors must be rows with d >= 2, got shape {np.shape(v)}")
-    nrm = np.linalg.norm(rows, axis=1)
+    nrm = np.sqrt(np.einsum("ij,ij->i", rows, rows))  # no n x d temporary
     off = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-9))
     if off.size:
         j = off[0]
@@ -207,19 +208,18 @@ def _draw_above(t: float, mass: float, size: int, d: int, sigma: float | None, r
 
 
 def _project_out(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Remove from each row of g, in place, its component along v: one
-    vector for every row, or row j's own v_j. Row j's dot product is the
-    same one-row ``g_j @ v_j`` either way, so a one-row v draws exactly what
-    the shared v does."""
-    along = g @ v if v.ndim == 1 else (g[:, None, :] @ v[:, :, None])[:, 0, 0]
+    """Remove from each row g_j of g, in place, its component along row v_j
+    of v, with the one-row product ``g_j @ v_j``, so a row's report does not
+    depend on the other rows."""
+    along = (g[:, None, :] @ v[:, :, None])[:, 0, 0]
     g -= along[:, None] * v
     return g
 
 
-def _threshold_rows(v, size, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:
-    """``size`` independent draws of the two-level threshold construction
-    as a (size, d) array: all around the unit vector v, or row j around
-    row j of a (size, d) matrix v of unit rows.
+def _threshold_rows(v, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:
+    """One draw of the two-level threshold construction around each row of
+    v, an (n, d) matrix of unit rows (a broadcast view for a shared input),
+    as an (n, d) array.
 
     T is the first coordinate of a uniform point of S^{d-1} when sigma is
     None, else N(0, sigma^2); q = P(T < gamma) and q_comp = P(T >= gamma).
@@ -229,7 +229,7 @@ def _threshold_rows(v, size, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndar
     sqrt(1 - alpha^2) (sphere) or by sigma, adds alpha v and divides by m.
     Only the mass of a side that is drawn is read.
     """
-    d = v.shape[-1]
+    size, d = v.shape
     above = rng.uniform(size) < p
     alpha = np.empty(size)
     n_above = np.count_nonzero(above)
@@ -245,7 +245,7 @@ def _threshold_rows(v, size, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndar
         nrm = np.sqrt(np.einsum("ij,ij->i", g, g))  # no n x d temporary
         while not nrm.all():  # probability zero; keeps the norm contract airtight
             redo = nrm == 0.0
-            g[redo] = _project_out(rng.normal((np.count_nonzero(redo), d)), v if v.ndim == 1 else v[redo])
+            g[redo] = _project_out(rng.normal((np.count_nonzero(redo), d)), v[redo])
             nrm = np.sqrt(np.einsum("ij,ij->i", g, g))
         g *= (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (nrm * m))[:, None]
     else:
@@ -275,7 +275,7 @@ def sample_cap(d: int, gamma: float, above: bool, rng: RngStream) -> np.ndarray:
     e1 = np.zeros(d)
     e1[0] = 1.0
     # p in {0, 1} draws only the chosen side, so only its mass is read
-    return _threshold_rows(e1, 1, rng, float(above), mass, mass, gamma, 1.0)[0]
+    return _threshold_rows(e1[None, :], rng, float(above), mass, mass, gamma, 1.0)[0]
 
 
 def rotate_from_e1(v, u):

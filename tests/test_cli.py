@@ -68,6 +68,13 @@ def test_simulate_command_and_env_seed(capsys, monkeypatch):
     monkeypatch.delenv("LDPMEAN_SEED")
     rc, out_default, _ = run_cli(capsys, *args)
     assert rc == 0 and out_default != out_seeded  # default seed is 0
+    # a malformed seed is a usage error only of the commands that read it
+    monkeypatch.setenv("LDPMEAN_SEED", "abc")
+    rc, out, _ = run_cli(capsys, "tune", "--eps", "1", "--d", "4")
+    assert rc == 0 and out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
 
 
 def test_out_writes_file(capsys, tmp_path):
@@ -151,10 +158,18 @@ def test_lp_verify_command(capsys):
 
 # --- exit codes ---------------------------------------------------------------
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "tune", "--eps", "-3", "--d", "64")
     assert rc == 2 and out == ""
     assert "usage error" in err
+    # an input file that does not exist, an output file in a missing directory
+    for argv, name in (
+        (["randomize", "--eps", "4", "--d", "2", "--in", str(tmp_path / "absent.txt")], "absent.txt"),
+        (["tune", "--eps", "4", "--d", "64", "--out", str(tmp_path / "no_such_dir" / "x.csv")], "x.csv"),
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert "usage error" in err and name in err
 
 
 def test_argparse_missing_argument_exits_2(capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from ldpmean import privunit, privunitg, specfun, tuner
 from ldpmean.errors import DegenerateParameterError, SupportError
-from ldpmean.sphere import RngStream
+from ldpmean.sphere import RngStream, sample_uniform_sphere
 
 from oracles import sphere_first_coord_moment_quad
 
@@ -164,14 +164,20 @@ def test_randomize_norm_and_determinism():
             assert abs(float(np.linalg.norm(out1)) * params.m - 1.0) <= 1e-12
 
 
+def _randomizers(d):
+    # (params, multi-row randomize, batch randomize) for both randomizers
+    return [
+        (privunit.cap_params(d, 0.9, 0.3), privunit.randomize, privunit.randomize_batch),
+        (privunitg.gauss_params(d, 0.9, 0.8), privunitg.randomize_g, privunitg.randomize_g_batch),
+    ]
+
+
 def test_scalar_draw_is_one_batch_row():
     # a scalar draw is the one-row batch draw and the draw for the one-row
-    # matrix, bit for bit, for both randomizers
+    # matrix, and a batch of n draws for one input is the draw for the
+    # matrix of n copies of it, bit for bit, for both randomizers
     v = np.array([0.6, 0.0, -0.8, 0.0, 0.0])
-    for params, one, batch in (
-        (privunit.cap_params(5, 0.9, 0.3), privunit.randomize, privunit.randomize_batch),
-        (privunitg.gauss_params(5, 0.9, 0.8), privunitg.randomize_g, privunitg.randomize_g_batch),
-    ):
+    for params, one, batch in _randomizers(5):
         for seed in range(10):
             scalar = one(v, params, RngStream(4, seed))
             assert scalar.shape == (5,)
@@ -179,6 +185,13 @@ def test_scalar_draw_is_one_batch_row():
             rows = one(v[None, :], params, RngStream(4, seed))
             assert rows.shape == (1, 5)
             np.testing.assert_array_equal(scalar, rows[0])
+    for d in (2, 5, 64, 1024):
+        v = sample_uniform_sphere(d, RngStream(8, d))
+        for params, one, batch in _randomizers(d):
+            for n in (1, 7, 300):
+                reports = batch(v, params, n, RngStream(5, n))
+                assert reports.shape == (n, d)
+                np.testing.assert_array_equal(reports, one(np.tile(v, (n, 1)), params, RngStream(5, n)))
 
 
 def _both_algorithms(d):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_as_unit_rows_accepts_and_rejects():
                 np.zeros((0, 3)), [[1.0]], np.ones((1, 1, 2))):
         with pytest.raises(ValueError):
             sphere.as_unit_rows(bad)
+
+
+def test_as_unit_rows_allocates_no_matrix_sized_temporary():
+    # the row norms are reductions: validating an (n, d) matrix allocates
+    # O(n), not the n x d squares that a norm over axis 1 would
+    g = RngStream(3).normal((2000, 512))
+    rows = g / np.linalg.norm(g, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert sphere.as_unit_rows(rows).shape == rows.shape
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes / 16
 
 
 def test_sample_uniform_sphere_norm_and_moments():
