@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import capstruct_lp, estimator, privunit, tuner
+from . import capstruct_lp, estimator, privunit, sphere, tuner
 from .errors import DegenerateParameterError, SupportError
 from .sphere import RngStream
 
@@ -111,7 +111,7 @@ def cmd_randomize(args) -> list[str]:
     if not rows:
         raise SupportError("no input vectors given")
     vectors = np.array(rows)
-    nrm = np.linalg.norm(vectors, axis=1)
+    nrm = sphere._row_norms(vectors)
     off = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-6))  # NaN norms are off too
     if off.size:
         j = off[0]

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import privunit, privunitg, tuner
+from . import privunit, privunitg, sphere, tuner
 from .sphere import RngStream
 
 __all__ = ["BLOCK_USERS", "TrialReport", "estimate_mean", "run_trials"]
@@ -94,7 +94,7 @@ def run_trials(n: int, d: int, eps: float, alg: str, trials: int, seed: int) -> 
         # uniform inputs: normalized Gaussian rows, the same normal sequence
         # as n one-vector draws
         vecs = trial_rng.substream(n).normal((n, d))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs /= sphere._row_norms(vecs)[:, None]
         true_mean = vecs.mean(axis=0)
         est = estimate_mean(vecs, randomizer, trial_rng)
         sq_errors[t] = float(np.sum((est - true_mean) ** 2))

@@ -13,15 +13,16 @@ radius-1/m sphere.
 The normalizer combines the two reciprocal cap masses with a minus sign on
 the complement term: unbiasedness forces it, since E[W_1] = 0 splits the
 mixture mean into E[W_1 1{W_1 >= gamma}] * (p/(1-q) - (1-p)/q) with
-q = P(W_1 <= gamma). Everything is evaluated in log space; parameters may
+q = P(W_1 <= gamma). Everything is evaluated in log space; parameters
 carry exact complements (p_comp, q_comp) so that budgets near saturation
-(q -> 1) keep full precision.
+(q -> 1) keep full precision. The threshold gamma is the one input that
+describes the mechanism: both builders evaluate q_comp, q and m at the
+stored gamma, so ``budget`` certifies what ``randomize`` draws.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,15 +43,13 @@ __all__ = [
     "log_density",
 ]
 
-_LN2 = math.log(2.0)
-
-
 @dataclass(frozen=True)
 class ErrorBreakdown:
     """Analytic moments and squared error of a configured randomizer.
 
     m is E[alpha] (the mean inner product with the input before scaling),
-    alpha_sq is E[alpha^2], err the exact squared estimation error.
+    alpha_sq is E[alpha^2], err the squared estimation error as evaluated
+    in double precision.
     """
 
     m: float
@@ -64,9 +63,10 @@ class ThresholdParams:
     """The parameters both randomizers share. A report's coordinate along
     its input follows a 1-D law T conditioned on the closed side
     T >= gamma with probability p, else on T < gamma. q = P(T < gamma) and
-    q_comp = P(T >= gamma); p_comp and q_comp are carried as exact
-    complements. m is the normalizer, log_level_hi/lo the two log density
-    levels, and budget = log_level_hi - log_level_lo."""
+    q_comp = P(T >= gamma) are the masses of the stored threshold gamma, so
+    budget = log_level_hi - log_level_lo certifies the mechanism that is
+    sampled; p_comp and q_comp are carried as exact complements. m is the
+    normalizer, log_level_hi/lo the two log density levels."""
 
     d: int
     p: float
@@ -119,44 +119,30 @@ def privacy_eps(p: float, q: float, p_comp: float | None = None, q_comp: float |
     return log_hi - log_lo
 
 
-def _threshold_fields(
-    d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, tail_mean: float
-) -> dict:
-    """The ThresholdParams fields, given tail_mean = E[T 1{T >= gamma}]:
-    m = tail_mean * (p + q - 1) / (q q_comp), rejected unless positive
-    (p + q <= 1, or a tail mean that underflowed to 0)."""
-    m = tail_mean * (1.0 - (p_comp + q_comp)) / (q * q_comp)  # sign-corrected p + q - 1
-    if not m > 0.0:
-        raise DegenerateParameterError(f"normalizer m = {m!r} is not positive at p={p}, q={q}")
+def _threshold_fields(d: int, p: float, p_comp: float, q_comp: float, gamma: float, tail_mean: float) -> dict:
+    """The ThresholdParams fields at the threshold gamma, given its mass
+    q_comp = P(T >= gamma) and tail_mean = E[T 1{T >= gamma}]: q = 1 - q_comp
+    and m = tail_mean * (p + q - 1) / (q q_comp), rejected unless positive
+    (p + q <= 1, a tail mean that underflowed to 0, or a cap of zero mass)."""
+    q = 1.0 - q_comp
+    num = tail_mean * (1.0 - (p_comp + q_comp))  # sign-corrected p + q - 1
+    if not (num > 0.0 and q_comp > 0.0):
+        raise DegenerateParameterError(f"normalizer is not positive at p={p}, q={q}, q_comp={q_comp}")
+    m = num / (q * q_comp)
     log_hi, log_lo = _two_log_levels(p, q, p_comp, q_comp)
-    return dict(
-        d=d,
-        p=p,
-        p_comp=p_comp,
-        q=q,
-        q_comp=q_comp,
-        gamma=gamma,
-        m=m,
-        log_level_hi=log_hi,
-        log_level_lo=log_lo,
-        budget=log_hi - log_lo,
-    )
+    return dict(d=d, p=p, p_comp=p_comp, q=q, q_comp=q_comp, gamma=gamma, m=m,
+                log_level_hi=log_hi, log_level_lo=log_lo, budget=log_hi - log_lo)
 
 
-def _build(d: int, p: float, p_comp: float, x: float, q: float, q_comp: float) -> CapParams:
-    """PrivUnit parameters at the threshold gamma = 1 - 2x: x = (1 - gamma)/2
-    is carried because gamma rounds to 1 on tiny caps, where x does not."""
+def _build(d: int, p: float, p_comp: float, gamma: float) -> CapParams:
+    """PrivUnit parameters whose masses and m are those of the sampled threshold gamma."""
     a = 0.5 * (d - 1)
-    if x < sys.float_info.min:
-        # an x that underflowed, to 0 or to a subnormal whose few significant
-        # bits can give m > 1, is taken as 0: then m = 0
-        x = 0.0
-    gamma = 1.0 - 2.0 * x
-    # E[W_1 1{W_1 >= gamma}] = (1-gamma^2)^a / ((d-1) 2^{d-2} B(a,a)); gamma
-    # is exact for x >= 1/4, below it 1 - gamma^2 = 4x(1-x) keeps precision
-    ln_1mg2 = math.log1p(-gamma * gamma) if x >= 0.25 else _ln(4.0 * x * (1.0 - x))
-    ln_c = a * ln_1mg2 - (d - 2) * _LN2 - math.log(d - 1) - specfun.log_beta(a, a)
-    return CapParams(**_threshold_fields(d, p, p_comp, q, q_comp, gamma, math.exp(ln_c)))
+    # the cap {T >= gamma} is {X <= x} for X ~ Beta(a, a), so q_comp = I_x(a, a),
+    # and E[T 1{T >= gamma}] = x^a (1-x)^a / (a B(a, a)) is the front factor of
+    # that same I_x, whose rounding then cancels in m; x is 0 or >= 2^-54
+    x = 0.5 * (1.0 - gamma)
+    tail_mean = math.exp(specfun._ln_front(x, a, a)) / a if x > 0.0 else 0.0
+    return CapParams(**_threshold_fields(d, p, p_comp, sphere.marginal_cdf(-gamma, d), gamma, tail_mean))
 
 
 def cap_params(d: int, p: float, gamma: float) -> CapParams:
@@ -167,9 +153,7 @@ def cap_params(d: int, p: float, gamma: float) -> CapParams:
         raise ValueError(f"p must lie in [1/2, 1], got {p!r}")
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
-    q = sphere.marginal_cdf(gamma, d)
-    q_comp = sphere.marginal_cdf(-gamma, d)  # cap mass above, by symmetry
-    return _build(d, p, 1.0 - p, 0.5 * (1.0 - gamma), q, q_comp)
+    return _build(d, p, 1.0 - p, gamma)
 
 
 def normalizer_m(d: int, p: float, gamma: float) -> float:
@@ -179,10 +163,10 @@ def normalizer_m(d: int, p: float, gamma: float) -> float:
 
 def analytic_err(params: CapParams) -> ErrorBreakdown:
     """Squared error 1/m^2 - 1 (the output lies on the radius-1/m sphere),
-    not exact: m carries a relative error near 1e-12, so an err below about
-    1e-11 is rounding noise, and ``tuner.tune`` raises where it cancels to
-    <= 0. alpha_sq is recorded informationally via the closed form
-    E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d."""
+    not exact: it cancels as m nears 1, so an err below about 1e-13 is
+    known only up to rounding noise of a few 1e-16, and ``tuner.tune``
+    raises where it cancels to <= 0. alpha_sq is recorded informationally
+    via the closed form E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d."""
     m = params.m
     alpha_sq = (1.0 + params.gamma * (params.d - 1) * m) / params.d
     return ErrorBreakdown(m=m, alpha_sq=alpha_sq, err=1.0 / (m * m) - 1.0, d=params.d)

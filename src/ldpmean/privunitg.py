@@ -50,12 +50,12 @@ class GaussParams(ThresholdParams):
     alpha_sq: float
 
 
-def _build_gauss(d: int, p: float, p_comp: float, q: float, q_comp: float) -> GaussParams:
+def _build_gauss(d: int, p: float, p_comp: float, g_std: float) -> GaussParams:
+    """PrivUnitG parameters whose masses and m are those of the sampled threshold g_std."""
     sigma = 1.0 / math.sqrt(d)
-    # quantile of the complement keeps precision when q is close to 1
-    g_std = 0.0 - specfun.inv_std_normal_cdf(q_comp)
     gamma = sigma * g_std
-    base = _threshold_fields(d, p, p_comp, q, q_comp, gamma, sigma * specfun.std_normal_pdf(g_std))
+    tail_mean = sigma * specfun.std_normal_pdf(g_std)
+    base = _threshold_fields(d, p, p_comp, specfun.std_normal_cdf(-g_std), gamma, tail_mean)
     return GaussParams(**base, sigma=sigma, g_std=g_std, alpha_sq=sigma * sigma + gamma * base["m"])
 
 
@@ -66,7 +66,8 @@ def gauss_params(d: int, p: float, q: float) -> GaussParams:
         raise ValueError(f"p must lie in [1/2, 1], got {p!r}")
     if not (0.5 <= q < 1.0):
         raise ValueError(f"q must lie in [1/2, 1), got {q!r}")
-    return _build_gauss(d, p, 1.0 - p, q, 1.0 - q)
+    # quantile of the complement keeps precision when q is close to 1
+    return _build_gauss(d, p, 1.0 - p, 0.0 - specfun.inv_std_normal_cdf(1.0 - q))
 
 
 def normalizer_m_g(d: int, p: float, q: float) -> float:

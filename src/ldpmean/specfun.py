@@ -110,6 +110,12 @@ def _beta_cf(x: float, a: float, b: float) -> float:
     )
 
 
+def _ln_front(x: float, a: float, b: float) -> float:
+    """ln(x^a (1-x)^b / B(a, b)), the front factor of I_x(a, b), for 0 < x < 1
+    and shapes the caller has checked (so B comes from math.lgamma directly)."""
+    return a * math.log(x) + b * math.log1p(-x) - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) for x in [0, 1], a, b > 0."""
     if not (a > 0.0 and b > 0.0):
@@ -122,7 +128,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 1.0
     if x == 0.5 and a == b:
         return 0.5  # exact by symmetry
-    ln_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
+    ln_front = _ln_front(x, a, b)
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(ln_front) * _beta_cf(x, a, b) / a
     return 1.0 - math.exp(ln_front) * _beta_cf(1.0 - x, b, a) / b
@@ -156,7 +162,9 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
 
     Starts from ``_beta_start`` and refines by safeguarded Newton; falls
     back to bisection whenever a step leaves the current bracket, so
-    convergence is guaranteed for monotone I_x.
+    convergence is guaranteed for monotone I_x. The Newton step on ln I
+    taken from |ln I_x - ln y| <= 1e-7 is returned without evaluating I again:
+    it leaves a residual near 1e-14, and callers evaluate I where they need it.
     """
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
@@ -196,11 +204,14 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
         if ln_pdf > -700.0:
             if cur > 0.0:
                 # Newton on ln I: far better conditioned deep in the tail
-                step = -(math.log(cur) - math.log(y)) * cur * math.exp(-ln_pdf)
+                ln_res = math.log(cur) - math.log(y)
+                step = -ln_res * cur * math.exp(-ln_pdf)
             else:
-                step = -f * math.exp(-ln_pdf)
+                ln_res, step = math.inf, -f * math.exp(-ln_pdf)
             if lo < x + step < hi:
                 x_new = x + step
+                if abs(ln_res) <= 1e-7:
+                    return x_new
         if x_new == x or x_new == 0.0:
             # at float resolution, or at a root below the smallest double;
             # neither criterion can fire

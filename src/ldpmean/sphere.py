@@ -88,6 +88,11 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of an (n, d) array, with no n x d temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
 def as_unit_vector(v) -> np.ndarray:
     """Validate and return v as a 1-D float array with norm within 1e-9 of 1."""
     v = np.asarray(v, dtype=float)
@@ -105,7 +110,7 @@ def as_unit_rows(v) -> np.ndarray:
         rows = rows[None, :]
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2:
         raise ValueError(f"unit vectors must be rows with d >= 2, got shape {np.shape(v)}")
-    nrm = np.sqrt(np.einsum("ij,ij->i", rows, rows))  # no n x d temporary
+    nrm = _row_norms(rows)
     off = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-9))
     if off.size:
         j = off[0]
@@ -242,11 +247,11 @@ def _threshold_rows(v, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:
         alpha[~above] = np.minimum(open_side, np.nextafter(gamma, -2.0))
     g = _project_out(rng.normal((size, d)), v)
     if sigma is None:
-        nrm = np.sqrt(np.einsum("ij,ij->i", g, g))  # no n x d temporary
+        nrm = _row_norms(g)
         while not nrm.all():  # probability zero; keeps the norm contract airtight
             redo = nrm == 0.0
             g[redo] = _project_out(rng.normal((np.count_nonzero(redo), d)), v[redo])
-            nrm = np.sqrt(np.einsum("ij,ij->i", g, g))
+            nrm = _row_norms(g)
         g *= (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (nrm * m))[:, None]
     else:
         g *= sigma / m

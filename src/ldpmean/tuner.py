@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import privunit, privunitg, sphere
+from . import privunit, privunitg, specfun, sphere
 from .errors import DegenerateParameterError, NumericsError
 from .privunit import CapParams
 from .privunitg import GaussParams
-from .specfun import inv_reg_inc_beta
 
 __all__ = [
     "BudgetSplit",
@@ -93,13 +92,12 @@ class TunedResult:
 
 
 def _params_at(split: BudgetSplit, d: int, alg: str):
-    p, p_comp = split.p, split.p_comp
-    q, q_comp = split.q, split.q_comp
+    # the threshold whose upper mass is the budgeted q_comp; the builder
+    # evaluates the masses at that threshold, so the budget it certifies is
+    # that of the mechanism sampled (0.0 - t keeps gamma = +0.0 at q_comp = 1/2)
     if alg == "privunit":
-        a = 0.5 * (d - 1)
-        # x = (1 - gamma)/2 of the threshold whose cap mass is the budgeted q_comp
-        return privunit._build(d, p, p_comp, inv_reg_inc_beta(q_comp, a, a), q, q_comp)
-    return privunitg._build_gauss(d, p, p_comp, q, q_comp)
+        return privunit._build(d, split.p, split.p_comp, 0.0 - sphere.inv_marginal_cdf(split.q_comp, d))
+    return privunitg._build_gauss(d, split.p, split.p_comp, 0.0 - specfun.inv_std_normal_cdf(split.q_comp))
 
 
 def _err_at(split: BudgetSplit, d: int, alg: str):

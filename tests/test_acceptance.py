@@ -3,8 +3,11 @@
 use fixed seeds and 4-standard-error bands; analytic checks carry their
 stated tolerances and wall-clock budgets."""
 
+import ast
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,3 +214,19 @@ def test_kernel_oracles():
             mass_below = 0.5 * math.erfc(-g_std / math.sqrt(2.0))
             assert abs(mass_above * m_above + mass_below * m_below) <= 1e-10
             assert abs(mass_above * s_above + mass_below * s_below - sigma * sigma) <= 1e-10
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every import in the package is the standard library, numpy, or the
+    # package itself
+    for path in sorted(Path(privunit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {name}"

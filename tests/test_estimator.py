@@ -2,6 +2,7 @@
 derivation determinism, unbiased averaging, and the 1/n error scaling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,3 +99,16 @@ def test_run_trials_error_scales_inversely_with_n():
     rep16 = estimator.run_trials(n=16, d=8, eps=4.0, alg="privunitg", trials=500, seed=11)
     combined = math.hypot(rep1.standard_error / 16.0, rep16.standard_error)
     assert abs(rep16.empirical_mse - rep1.empirical_mse / 16.0) <= 4.0 * combined
+
+
+def test_run_trials_holds_one_copy_of_the_inputs():
+    # the n x d inputs are normalized in place, with no n x d temporary, so
+    # the traced peak stays below 1.5 copies of them
+    n, d = 4000, 512
+    tracemalloc.start()
+    try:
+        estimator.run_trials(n, d, 4.0, "privunitg", 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * d * 8

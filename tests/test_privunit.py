@@ -23,6 +23,10 @@ def test_normalizer_closed_forms_d3():
     assert privunit.normalizer_m(3, 1.0, 0.0) == pytest.approx(0.5, rel=1e-13)
     assert privunit.normalizer_m(3, 1.0, 0.5) == pytest.approx(0.75, rel=1e-13)
     assert privunit.normalizer_m(3, 0.9, 0.3) == pytest.approx(0.55, rel=1e-13)
+    # the tiniest cap a float gamma expresses keeps its mass q_comp = (1 - gamma)/2
+    tiny = privunit.cap_params(3, 0.9, 1.0 - 2.0**-53)
+    assert tiny.q_comp == pytest.approx(2.0**-54, rel=1e-14)
+    assert tiny.m == pytest.approx(0.9, rel=1e-13)
 
 
 def test_normalizer_closed_form_d2():
@@ -116,7 +120,8 @@ def test_degenerate_parameters_rejected():
 
 def test_subnormal_cap_boundary_is_degenerate():
     # at this split x = (1 - gamma)/2 is the subnormal 5.6e-320, whose few
-    # significant bits gave the impossible m = 1.00003; it counts as x = 0
+    # significant bits gave the impossible m = 1.00003; the float gamma is 1,
+    # a cap of zero mass
     split = tuner.budget_split(512.0, 512.0 * 184 / 256)
     assert 0.0 < specfun.inv_reg_inc_beta(split.q_comp, 0.5, 0.5) < sys.float_info.min
     with pytest.raises(DegenerateParameterError):

@@ -76,11 +76,14 @@ def test_threshold_bound_at_tuned_params():
 
 
 def test_quantile_round_trip_inside_params():
-    params = privunitg.gauss_params(32, 0.9, 0.97)
     from ldpmean.specfun import std_normal_cdf
 
-    assert std_normal_cdf(params.g_std) == pytest.approx(params.q, abs=1e-12)
-    assert params.gamma == params.sigma * params.g_std
+    for d, p, q in ((32, 0.9, 0.97), (2, 0.6, 0.5), (1024, 1.0, 1.0 - 1e-12)):
+        params = privunitg.gauss_params(d, p, q)
+        assert std_normal_cdf(params.g_std) == pytest.approx(params.q, abs=1e-12)
+        assert params.gamma == params.sigma * params.g_std
+        # the masses are those of the stored threshold, bit for bit
+        assert params.q_comp == std_normal_cdf(-params.g_std)
 
 
 # --- validation -------------------------------------------------------------

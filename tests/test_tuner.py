@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from ldpmean import privunit, privunitg, tuner
+from ldpmean import privunit, privunitg, specfun, sphere, tuner
 from ldpmean.errors import DegenerateParameterError, NumericsError
 from ldpmean.privunit import CapParams
 from ldpmean.privunitg import GaussParams
@@ -112,6 +112,11 @@ def test_tune_envelope_contract(eps, d, alg):
     assert math.isfinite(res.err_star) and res.err_star > 0.0
     assert res.params.budget <= eps
     assert res.params.d == d
+    # the certified masses are those of the stored threshold, bit for bit
+    if alg == "privunit":
+        assert res.params.q_comp == sphere.marginal_cdf(-res.params.gamma, d)
+    else:
+        assert res.params.q_comp == specfun.std_normal_cdf(-res.params.g_std)
 
 
 def test_interior_budgets_never_win():
