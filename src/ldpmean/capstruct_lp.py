@@ -85,28 +85,20 @@ def solve_greedy(instance: LpInstance) -> LpSolution:
 
     # pairs (j, K-1-j) for j < K/2 are already ordered by descending xbar;
     # sum of xbar over all arcs vanishes by symmetry, so alpha(k) only sees
-    # the high-pair partial sum
-    best_k, best_alpha = 0, -math.inf
-    cum = 0.0
-    for k in range(half + 1):
-        n_hi = 2 * k
-        base = 1.0 / (w * (n_hi * hi_f + (K - n_hi) * lo_f))
-        alpha = w * base * (hi_f - lo_f) * (2.0 * cum)
-        if alpha > best_alpha:
-            best_k, best_alpha = k, alpha
-        if k < half:
-            cum += xbar[k]
-
-    n_hi = 2 * best_k
+    # the high-pair partial sum; argmax keeps the first of equal maxima
+    n_hi = 2 * np.arange(half + 1)
     base = 1.0 / (w * (n_hi * hi_f + (K - n_hi) * lo_f))
+    cum = np.concatenate(([0.0], np.cumsum(xbar[:half])))
+    best_k = int(np.argmax(w * base * (hi_f - lo_f) * (2.0 * cum)))
+    base_p = float(base[best_k])
     j = np.arange(K)
     high = (j < best_k) | (j >= K - best_k)
-    levels = np.where(high, hi_f * base, lo_f * base)
+    levels = np.where(high, hi_f * base_p, lo_f * base_p)
     alpha = float(w * np.dot(levels, xbar))
     return LpSolution(
         levels=levels,
-        base_p=base,
-        threshold_count=n_hi,
+        base_p=base_p,
+        threshold_count=2 * best_k,
         alpha=alpha,
         err_implied=1.0 / (alpha * alpha) - 1.0,
         instance=instance,

@@ -142,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, *, alg=True, seed=False):
         if alg:
-            p.add_argument("--alg", choices=("privunit", "privunitg"), default="privunitg")
+            p.add_argument("--alg", choices=tuner._ALGS, default="privunitg")
         if seed:
             # argparse converts a string default only where --seed is absent, so a
             # malformed $LDPMEAN_SEED is a usage error of just the commands that read it

@@ -177,13 +177,13 @@ def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None
     one stream: given size, size reports of the unit vector v, the rows of
     its broadcast view; else one per unit row of an (n, d) matrix v, or one
     1-D report of a unit vector v, the one-row matrix."""
-    if size is None and np.ndim(v) != 1:
+    if size is None:
         rows = as_unit_rows(v)
     else:
         vec = as_unit_vector(v)
-        if size is not None and size < 1:
+        if size < 1:
             raise ValueError(f"size must be positive, got {size}")
-        rows = np.broadcast_to(vec, (1 if size is None else size, vec.size))
+        rows = np.broadcast_to(vec, (size, vec.size))
     if rows.shape[1] != params.d:
         raise ValueError(f"input dimension {rows.shape[1]} != params dimension {params.d}")
     out = sphere._threshold_rows(rows, rng, params.p, params.q, params.q_comp, params.gamma, params.m, params.sigma)

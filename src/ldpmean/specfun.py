@@ -290,8 +290,7 @@ def trunc_gauss_moments(gamma: float, sigma: float) -> tuple[float, float, float
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
     g = gamma / sigma
-    mass_above = 0.5 * math.erfc(g / _SQRT2)  # 1 - Phi(g)
-    mass_below = 0.5 * math.erfc(-g / _SQRT2)  # Phi(g)
+    mass_above, mass_below = std_normal_cdf(-g), std_normal_cdf(g)
     if mass_above < 1e-300 or mass_below < 1e-300:
         raise NumericsError(
             f"conditioning tail mass saturated below 1e-300 at gamma/sigma={g}"

@@ -163,9 +163,10 @@ def _draw_above(t: float, mass: float, size: int, d: int, sigma: float | None, r
     of mass >= 1/4 draws T unrestricted and rejects the other side. A smaller
     side has t > 0, and its proposal follows the law's log density
     (Devroye 1986, ch. VII): for a > 1 the tangent at x0 = (1-t)/2 of the
-    concave (a-1)(ln x + ln(1-x)), an exponential truncated to (0, x0]; X
-    uniform on (0, x0] at d = 3; x0 U^2 at d = 2, accepted with probability
-    sqrt((1-x0)/(1-x)); and Robert's (1995) exponential tail for the normal.
+    concave (a-1)(ln x + ln(1-x)), an exponential truncated to (0, x0]; for
+    a <= 1 the power law x0 U^(1/a), accepted with probability
+    ((1-x0)/(1-x))^(1-a), which is 1 at d = 3; and Robert's (1995)
+    exponential tail for the normal.
     Every exponential inverts one uniform. Each branch accepts with
     probability at least 1/4.
     """
@@ -194,14 +195,10 @@ def _draw_above(t: float, mass: float, size: int, d: int, sigma: float | None, r
             # log density minus tangent, <= 0; an e that rounds to 1 gives -inf
             with np.errstate(divide="ignore"):
                 ok = rng.uniform(k) < np.exp((a - 1.0) * ((np.log1p(-e) + e) + (np.log1p(e2) - e2)))
-        elif a == 1.0:
-            draw = t + (1.0 - t) * rng.uniform(k)
-            ok = np.ones(k, dtype=bool)
         else:
-            # X = x0 U^2, accepted with probability sqrt((1-x0)/(1-X))
-            draw = 1.0 - (1.0 - t) * rng.uniform(k) ** 2
-            u = rng.uniform(k)
-            ok = u * u * (1.0 + draw) < 1.0 + t
+            # X = x0 U^(1/a), accepted with probability ((1-x0)/(1-X))^(1-a)
+            draw = 1.0 - (1.0 - t) * rng.uniform(k) ** (1.0 / a)
+            ok = rng.uniform(k) < ((1.0 + t) / (1.0 + draw)) ** (1.0 - a)
         out[todo[ok]] = draw[ok]
         todo = todo[~ok]
         if not todo.size:

@@ -44,8 +44,8 @@ def _sigmoid(t: float) -> float:
 
 @dataclass(frozen=True)
 class BudgetSplit:
-    """A split eps = eps0 + eps1 of the privacy budget; p and q are the
-    corresponding sigmoid levels, with exact complements exposed so that
+    """A split eps0 + eps1 of the budget eps (all of it from budget_split);
+    p and q are the sigmoid levels, with exact complements exposed so that
     downstream formulas avoid 1-p cancellation at large budgets."""
 
     eps: float
@@ -113,9 +113,10 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     One golden-section search over eps1 in [0, eps] down to width 1e-8
     (the error is unimodal in eps1, so nothing needs bracketing first);
     degenerate splits count as +inf. Returns the best split seen anywhere,
-    with the rounding excess of its budget taken back from eps0 so that
-    budget <= eps exactly. Raises NumericsError when its error is not
-    positive or its budget stays above eps.
+    with the excess of its budget taken back from eps0 so that budget <= eps
+    exactly, and the eps1 its stored threshold's mass spends, so eps0 + eps1
+    is the budget. Raises NumericsError when its error is not positive or
+    its budget stays above eps.
     """
     budget_split(eps, eps)  # validates eps
     d = sphere._check_dim(d)
@@ -151,9 +152,10 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     err_star, split, params = best
     if split is None:
         raise DegenerateParameterError(f"no valid split found for eps={eps}, d={d}")
-    # the log-space budget may round a few ulps above eps; take the excess
-    # back from eps0, doubling the step until the rounded budget drops (about
-    # 2^9 times the excess at eps = 1e-3), and give up before eps0 turns negative
+    # the stored threshold's mass, and rounding, may put its budget above
+    # eps; take the excess back from eps0, doubling the step until the
+    # budget drops (about 2^9 times the excess at eps = 1e-3), and give up
+    # before eps0 turns negative
     step = params.budget - eps
     while params.budget > eps:
         if step > split.eps0:
@@ -161,6 +163,7 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
         split = BudgetSplit(eps=eps, eps0=split.eps0 - step, eps1=split.eps1)
         err_star, params = _err_at(split, d, alg)
         step *= 2.0
+    split = BudgetSplit(eps=eps, eps0=split.eps0, eps1=math.log(params.q) - math.log(params.q_comp))
     if not err_star > 0.0:
         # the true error is positive; 1/m^2 - 1 cancelled where m is within
         # rounding of 1

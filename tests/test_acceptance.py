@@ -4,6 +4,7 @@ use fixed seeds and 4-standard-error bands; analytic checks carry their
 stated tolerances and wall-clock budgets."""
 
 import ast
+import importlib
 import math
 import sys
 import time
@@ -230,3 +231,13 @@ def test_numpy_is_the_only_runtime_dependency():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names or top == "numpy", f"{path.name} imports {name}"
+
+
+def test_every_exported_name_resolves():
+    # every name in the package's and each module's __all__ exists, so a
+    # deleted definition cannot leave a stale export behind
+    for path in sorted(Path(privunit.__file__).parent.glob("*.py")):
+        modname = "ldpmean" if path.stem == "__init__" else f"ldpmean.{path.stem}"
+        mod = importlib.import_module(modname)
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{modname}.__all__ names {name!r}, which is not defined"

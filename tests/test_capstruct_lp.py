@@ -2,6 +2,7 @@
 enumeration against a literal brute force, the structure certificate on
 genuine and corrupted solutions, and refinement behavior in K."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -106,6 +107,11 @@ def test_verify_rejects_bad_mass():
         instance=sol.instance,
     )
     assert not verify_cap_structure(scaled)
+    # a NaN level or a non-positive base level
+    nan_levels = sol.levels.copy()
+    nan_levels[3] = math.nan
+    assert not verify_cap_structure(dataclasses.replace(sol, levels=nan_levels))
+    assert not verify_cap_structure(dataclasses.replace(sol, base_p=0.0))
 
 
 def test_verify_rejects_asymmetry():
@@ -140,6 +146,24 @@ def test_verify_rejects_noncontiguous_cap():
         instance=sol.instance,
     )
     assert not verify_cap_structure(swapped)
+
+    # one transitional pair, but one pair past the boundary of the high
+    # prefix, in a solution of unit mass
+    inst = sol.instance
+    hi_f, lo_f = math.exp(0.5 * inst.eps), math.exp(-0.5 * inst.eps)
+    factors = np.full(K, lo_f)
+    factors[:k] = factors[K - k:] = hi_f
+    factors[k + 1] = factors[K - 2 - k] = 0.5 * (hi_f + lo_f)
+    base = 1.0 / (inst.arc_measure * float(factors.sum()))
+    gap = dataclasses.replace(sol, levels=base * factors, base_p=base)
+    assert abs(float(np.sum(gap.levels)) * inst.arc_measure - 1.0) <= 1e-14
+    assert not verify_cap_structure(gap)
+
+    # the exchange test: arcs whose mean x-coordinate ascends in the pair
+    # index, so a low pair outranks the high ones
+    ascending = dataclasses.replace(inst, arc_mean_x=-inst.arc_mean_x)
+    assert verify_cap_structure(sol)
+    assert not verify_cap_structure(dataclasses.replace(sol, instance=ascending))
 
 
 def test_verify_rejects_box_violation():

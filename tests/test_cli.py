@@ -86,7 +86,8 @@ def test_out_writes_file(capsys, tmp_path):
 
 
 def test_randomize_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 0 0 0\n0 1 0 0\n"))
+    # blank and whitespace-only lines are skipped
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n1 0 0 0\n  \n0 1 0 0\n"))
     rc, out, _ = run_cli(
         capsys, "randomize", "--eps", "4", "--d", "4", "--alg", "privunit", "--seed", "3"
     )
@@ -187,6 +188,11 @@ def test_data_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("not a number\n"))
     rc, _, _ = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")
     assert rc == 3
+
+    # a line with the wrong coordinate count is named by its line number
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 0\n\n0.6 0 0.8\n"))
+    rc, out, err = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")
+    assert rc == 3 and out == "" and "line 3:" in err and "expected 2 coordinates, got 3" in err
 
     # non-finite coordinates fail the norm check
     for line in ("nan nan\n", "nan 0\n", "inf 0\n"):

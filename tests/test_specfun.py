@@ -103,6 +103,9 @@ def test_inv_reg_inc_beta_endpoints_and_midpoint():
     assert sf.inv_reg_inc_beta(0.0, 3.0, 5.0) == 0.0
     assert sf.inv_reg_inc_beta(1.0, 3.0, 5.0) == 1.0
     assert sf.inv_reg_inc_beta(0.5, 17.5, 17.5) == 0.5
+    for y, a, b in ((0.5, 0.0, 2.0), (0.5, 2.0, -1.0), (-0.1, 2.0, 2.0), (1.1, 2.0, 2.0)):
+        with pytest.raises(ValueError):
+            sf.inv_reg_inc_beta(y, a, b)
 
 
 def test_inv_reg_inc_beta_monotone():

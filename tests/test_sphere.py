@@ -104,6 +104,9 @@ def test_marginal_cdf_symmetry_and_reference():
             assert abs(sphere.marginal_cdf(t, d) + sphere.marginal_cdf(-t, d) - 1.0) <= 1e-13
     # reference computed with 50-digit arithmetic
     assert math.isclose(sphere.marginal_cdf(0.2, 64), 0.94490609874570535151, rel_tol=1e-13)
+    for t in (-1.0 - 1e-12, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            sphere.marginal_cdf(t, 5)
 
 
 def test_inv_marginal_cdf_round_trip():
@@ -113,6 +116,9 @@ def test_inv_marginal_cdf_round_trip():
             assert -1.0 <= t <= 1.0
             assert abs(sphere.marginal_cdf(t, d) - q) <= 1e-10
     assert sphere.inv_marginal_cdf(0.5, 64) == 0.0
+    for q in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            sphere.inv_marginal_cdf(q, 5)
 
 
 def test_sample_cap_membership_and_norm():

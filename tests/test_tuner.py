@@ -117,6 +117,10 @@ def test_tune_envelope_contract(eps, d, alg):
         assert res.params.q_comp == sphere.marginal_cdf(-res.params.gamma, d)
     else:
         assert res.params.q_comp == specfun.std_normal_cdf(-res.params.g_std)
+    # the reported split is the one the stored mechanism spends
+    assert res.split.p == res.params.p
+    assert res.split.q == pytest.approx(res.params.q, rel=1e-12)
+    assert res.split.eps0 + res.split.eps1 == pytest.approx(res.params.budget, rel=1e-12)
 
 
 def test_interior_budgets_never_win():
