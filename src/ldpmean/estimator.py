@@ -6,10 +6,13 @@ B = BLOCK_USERS: users [b*B, (b+1)*B) form block b, drawn as one multi-row
 call of the randomizer on substream(b) of the protocol's stream. Streams are
 derived, never shared: trial t uses root.substream(t), block b inside a
 trial uses substream(b) of the trial stream, and the trial's n inputs are
-one draw on substream(n), which no block uses. A block's reports depend
-only on the seed and its own inputs, so results are reproducible bit for
-bit whatever order the blocks are drawn in; only the order in which the
-block sums are added is fixed.
+one draw on substream(n), which no block uses. Where d > 256 the sampler
+splits a block of users further into row blocks, each on a jump of the
+block's stream (see ``sphere``), not on a third level of substream ids,
+which ``substream`` refuses. A block's reports depend only on the seed and
+its own inputs, so results are reproducible bit for bit whatever order the
+blocks are drawn in; only the order in which the block sums are added is
+fixed.
 """
 
 from __future__ import annotations

@@ -173,10 +173,11 @@ def analytic_err(params: CapParams) -> ErrorBreakdown:
 
 
 def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Threshold reports of the law that ``params.sigma`` names, all from
-    one stream: given size, size reports of the unit vector v, the rows of
-    its broadcast view; else one per unit row of an (n, d) matrix v, or one
-    1-D report of a unit vector v, the one-row matrix."""
+    """Threshold reports of the law that ``params.sigma`` names, drawn from
+    rng by the sampler's block rule (``sphere._threshold_rows``): given
+    size, size reports of the unit vector v, the rows of its broadcast view;
+    else one per unit row of an (n, d) matrix v, or one 1-D report of a unit
+    vector v, the one-row matrix."""
     if size is None:
         rows = as_unit_rows(v)
     else:
@@ -194,15 +195,16 @@ def randomize(v, params: CapParams, rng: RngStream) -> np.ndarray:
     """PrivUnit reports: a cap sample around the input with probability p,
     a complement sample otherwise, scaled to the radius-1/m sphere, so
     E[report] = input. v is an (n, d) matrix of unit rows (one report per
-    row, all from the one stream) or one unit vector, which is the one-row
-    matrix."""
+    row) or one unit vector, which is the one-row matrix, drawn from rng
+    by the sampler's block rule (``sphere._threshold_rows``)."""
     return _reports(v, params, rng)
 
 
 def randomize_batch(v, params: CapParams, size: int, rng: RngStream) -> np.ndarray:
     """Vectorized draws: (size, d) array of independent PrivUnit outputs
     for the one input v, bit for bit the :func:`randomize` reports of the
-    matrix of size copies of v on the same stream."""
+    matrix of size copies of v on the same stream, with the same row
+    blocks."""
     return _reports(v, params, rng, size)
 
 

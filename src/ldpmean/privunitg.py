@@ -95,15 +95,15 @@ def analytic_err_g(params: GaussParams) -> ErrorBreakdown:
 def randomize_g(v, params: GaussParams, rng: RngStream) -> np.ndarray:
     """Reports alpha*v + sigma*(g - <g,v>v) with g standard normal, scaled
     by 1/m, so E[report] = input v. v is an (n, d) matrix of unit rows (one
-    report per row, all from the one stream) or one unit vector, which is
-    the one-row matrix."""
+    report per row) or one unit vector, which is the one-row matrix, drawn
+    from rng by the sampler's block rule (``sphere._threshold_rows``)."""
     return _reports(v, params, rng)
 
 
 def randomize_g_batch(v, params: GaussParams, size: int, rng: RngStream) -> np.ndarray:
     """Vectorized draws: (size, d) array of independent outputs for the one
     input v, bit for bit the :func:`randomize_g` reports of the matrix of
-    size copies of v on the same stream."""
+    size copies of v on the same stream, with the same row blocks."""
     return _reports(v, params, rng, size)
 
 

@@ -14,11 +14,22 @@ Gaussian row, so no rotation is needed. The sampler takes an (n, d) matrix
 of unit inputs, one per row; n reports of one shared input are the rows of
 a broadcast view of it. ``rotate_from_e1`` is a standalone utility that no
 sampler uses.
+
+Random streams derive in two ways (see ``RngStream``): by substream id, for
+the trials and user blocks of the protocol, and by block jump inside one
+sampler call. The sampler draws its rows in fixed blocks of
+max(1, 2**16 // d) rows. A call of one block draws on the caller's stream.
+A longer call draws block b on the caller's stream jumped b + 1 times, each
+block on its own thread, up to one thread per core; its reports depend on
+the seed and this block rule, never on the number of cores.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,6 +48,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_ID_LEVEL = 1 << 32  # substream ids: stream_id * 2**32 + i + 1
+# values in one row block of a sampler call: 2**16 doubles are 512 KiB, so a
+# block's arrays stay in a core's cache from its Gaussian draw to its output
+_BLOCK_VALUES = 1 << 16
 # rounds of ``_draw_above`` before it gives up: every proposal is accepted
 # with probability at least 1/4, so one lane survives 1000 rounds with
 # probability (3/4)^1000, about 1e-125
@@ -49,13 +64,22 @@ class RngStream:
     Backed by numpy's counter-based Philox generator keyed with
     ``key = (stream_id << 64) | seed``, so identical ``(seed, stream_id)``
     pairs reproduce identical draw sequences and distinct stream ids give
-    statistically independent streams.
+    statistically independent streams. Streams derive in two ways.
 
-    Substream derivation rule: ``substream(i)`` is
-    ``RngStream(seed, (stream_id * 2**32 + i + 1) mod 2**64)``. With ids
-    below 2**32 and derivation depth at most two (trial stream, then the
-    stream of one block of users, or of a trial's inputs) this is collision
-    free.
+    Substream ids: ``substream(i)`` is
+    ``RngStream(seed, stream_id * 2**32 + i + 1)``, for a stream_id below
+    2**32 and i in [0, 2**32 - 1). Outside that range the id would wrap mod
+    2**64 onto another stream's id, so ``substream`` raises ValueError.
+    From stream 0 this allows two levels (trial stream, then the stream of
+    one block of users, or of a trial's inputs), and from any other id below
+    2**32 one level. Substream i of stream 0 has id i + 1, the id of a root
+    stream.
+
+    Block jumps: a sampler call of nb > 1 row blocks draws block b on this
+    stream's Philox counter jumped b + 1 times (``Philox.jumped``, 2**128
+    draws per jump), then moves this stream nb + 1 jumps ahead, so its later
+    draws overlap no block. Jumps keep the key, so they never reach another
+    stream.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -70,7 +94,23 @@ class RngStream:
         self._gen = np.random.Generator(np.random.Philox(key=(stream_id << 64) | seed))
 
     def substream(self, i: int) -> "RngStream":
-        return RngStream(self.seed, (self.stream_id * (1 << 32) + i + 1) & _MASK64)
+        if self.stream_id >= _ID_LEVEL:
+            raise ValueError(f"stream_id {self.stream_id} >= 2**32 derives no substream: its ids would wrap")
+        if not (0 <= i < _ID_LEVEL - 1):
+            raise ValueError(f"substream index must lie in [0, 2**32 - 1), got {i}")
+        return RngStream(self.seed, self.stream_id * _ID_LEVEL + i + 1)
+
+    def _block_streams(self, nb: int) -> list["RngStream"]:
+        """The streams of nb row blocks, block b on this stream jumped b + 1
+        times; this stream then moves nb + 1 jumps ahead."""
+        bits = self._gen.bit_generator
+        blocks = []
+        for b in range(nb):
+            block = copy.copy(self)
+            block._gen = np.random.Generator(bits.jumped(b + 1))
+            blocks.append(block)
+        bits.advance((nb + 1) << 128)
+        return blocks
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1)."""
@@ -218,10 +258,42 @@ def _project_out(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     return g
 
 
+def _cores() -> int:
+    """The CPUs this process may run on, which bounds a call's block threads."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _threshold_rows(v, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:
     """One draw of the two-level threshold construction around each row of
     v, an (n, d) matrix of unit rows (a broadcast view for a shared input),
     as an (n, d) array.
+
+    Rows are drawn in blocks of max(1, 2**16 // d). One block draws on rng
+    (``_threshold_block``). More blocks fill one (n, d) output: block b
+    draws its slice on rng jumped b + 1 times (``RngStream._block_streams``),
+    on a pool of up to one thread per core.
+    """
+    size, d = v.shape
+    rows = max(1, _BLOCK_VALUES // d)
+    law = (p, q, q_comp, gamma, m, sigma)
+    if size <= rows:
+        return _threshold_block(v, rng, *law)
+    out = np.empty((size, d))
+    starts = range(0, size, rows)
+
+    def fill(start, stream):
+        _threshold_block(v[start:start + rows], stream, *law, out=out[start:start + rows])
+
+    streams = rng._block_streams(len(starts))
+    with ThreadPoolExecutor(min(_cores(), len(starts))) as pool:
+        for _ in pool.map(fill, starts, streams):  # re-raises a block's error
+            pass
+    return out
+
+
+def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out=None) -> np.ndarray:
+    """The threshold draw for the (k, d) rows of v, all from rng, written to
+    out (k, d) if given, else to a new array.
 
     T is the first coordinate of a uniform point of S^{d-1} when sigma is
     None, else N(0, sigma^2); q = P(T < gamma) and q_comp = P(T >= gamma).
@@ -243,17 +315,19 @@ def _threshold_rows(v, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:
         open_side = -_draw_above(-gamma, q, size - n_above, d, sigma, rng)
         alpha[~above] = np.minimum(open_side, np.nextafter(gamma, -2.0))
     g = _project_out(rng.normal((size, d)), v)
+    if out is None:
+        out = g
     if sigma is None:
         nrm = _row_norms(g)
         while not nrm.all():  # probability zero; keeps the norm contract airtight
             redo = nrm == 0.0
             g[redo] = _project_out(rng.normal((np.count_nonzero(redo), d)), v[redo])
             nrm = _row_norms(g)
-        g *= (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (nrm * m))[:, None]
+        np.multiply(g, (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (nrm * m))[:, None], out=out)
     else:
-        g *= sigma / m
-    g += (alpha / m)[:, None] * v
-    return g
+        np.multiply(g, sigma / m, out=out)
+    out += (alpha / m)[:, None] * v
+    return out
 
 
 def sample_cap(d: int, gamma: float, above: bool, rng: RngStream) -> np.ndarray:

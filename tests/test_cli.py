@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import cli, estimator, privunit, privunitg, tuner
+from ldpmean import cli, estimator, privunit, privunitg, sphere, tuner
 from ldpmean.sphere import RngStream
 
 
@@ -212,6 +212,14 @@ def test_data_error_exit_code(capsys, monkeypatch):
     # an overflow inside the solver is a numeric failure, not a traceback
     rc, out, _ = run_cli(capsys, "lp_verify", "--eps", "1500")
     assert rc == 3 and out == ""
+
+
+def test_simulate_exits_3_when_a_block_thread_fails(capsys, monkeypatch):
+    # at d = 1024 a block of 256 users is drawn in 4 row blocks on threads;
+    # one rejection round fails there, and the CLI reports a numeric failure
+    monkeypatch.setattr(sphere, "_MAX_ROUNDS", 1)
+    rc, out, err = run_cli(capsys, "simulate", "--eps", "4", "--d", "1024", "--n", "300", "--trials", "1")
+    assert rc == 3 and out == "" and "unaccepted" in err
 
 
 @pytest.mark.parametrize("eps,d,code", [("1", "100000", 0), ("64", "2", 3), ("512", "2", 3)])

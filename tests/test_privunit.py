@@ -4,12 +4,13 @@ two-level density."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ldpmean import privunit, privunitg, specfun, tuner
-from ldpmean.errors import DegenerateParameterError, SupportError
+from ldpmean import privunit, privunitg, specfun, sphere, tuner
+from ldpmean.errors import DegenerateParameterError, NumericsError, SupportError
 from ldpmean.sphere import RngStream, sample_uniform_sphere
 
 from oracles import sphere_first_coord_moment_quad
@@ -197,6 +198,109 @@ def test_scalar_draw_is_one_batch_row():
                 reports = batch(v, params, n, RngStream(5, n))
                 assert reports.shape == (n, d)
                 np.testing.assert_array_equal(reports, one(np.tile(v, (n, 1)), params, RngStream(5, n)))
+
+
+def _jumped(seed, stream_id, jumps):
+    # the stream (seed, stream_id) with its Philox counter jumped `jumps` times
+    rng = RngStream(seed, stream_id)
+    rng._gen = np.random.Generator(rng._gen.bit_generator.jumped(jumps))
+    return rng
+
+
+def _counter(rng) -> int:
+    # the 256-bit Philox counter of a stream; one jump adds 2**128
+    words = rng._gen.bit_generator.state["state"]["counter"]
+    return sum(int(w) << (64 * k) for k, w in enumerate(words))
+
+
+@pytest.mark.parametrize("d", [16, 1024])
+def test_multi_block_draws_follow_the_block_rule(d, monkeypatch):
+    # rows are drawn in blocks of 2**16 // d, block b on the call stream
+    # jumped b + 1 times, whatever the number of block threads: 1, 2 or 8
+    # workers (more threads than cores, under a short switch interval) give
+    # the same reports, and block b, the last one ragged, is the one-block
+    # draw of its rows on the jumped stream
+    rows = 2**16 // d
+    n = 2 * rows + 5
+    g = RngStream(9, d).normal((n, d))
+    V = g / np.linalg.norm(g, axis=1, keepdims=True)
+    for params, one, batch in _randomizers(d):
+        outs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(sphere, "_cores", lambda w=workers: w)
+                outs.append((one(V, params, RngStream(3, 4)), batch(V[0], params, n, RngStream(3, 5))))
+        finally:
+            sys.setswitchinterval(interval)
+        for rows_out, batch_out in outs[1:]:
+            np.testing.assert_array_equal(rows_out, outs[0][0])
+            np.testing.assert_array_equal(batch_out, outs[0][1])
+        for b, start in enumerate(range(0, n, rows)):
+            block = V[start:start + rows]
+            np.testing.assert_array_equal(outs[0][0][start:start + rows], one(block, params, _jumped(3, 4, b + 1)))
+            np.testing.assert_array_equal(outs[0][1][start:start + rows],
+                                          batch(V[0], params, block.shape[0], _jumped(3, 5, b + 1)))
+
+
+def test_consecutive_multi_block_calls_share_no_block_stream(monkeypatch):
+    # the counters where the block streams of two multi-block calls start,
+    # and where the call stream stands after them, lie at least one jump
+    # (2**128 counter steps) apart, so no two of them share a draw
+    starts = []
+    block_streams = RngStream._block_streams
+
+    def record(rng, nb):
+        blocks = block_streams(rng, nb)
+        starts.extend(_counter(b) for b in blocks)
+        return blocks
+
+    monkeypatch.setattr(RngStream, "_block_streams", record)
+    d = 1024
+    v = sample_uniform_sphere(d, RngStream(8, d))
+    params = privunitg.gauss_params(d, 0.9, 0.8)
+    rng = RngStream(14, 2)
+    privunitg.randomize_g_batch(v, params, 200, rng)  # 4 blocks of at most 64 rows
+    privunit.randomize_batch(v, privunit.cap_params(d, 0.9, 0.3), 130, rng)  # 3 blocks
+    starts.append(_counter(rng))
+    assert len(starts) == 4 + 3 + 1
+    ordered = sorted(starts)
+    assert all(b - a >= 2**128 for a, b in zip(ordered, ordered[1:]))
+    # the draw after them is the call stream jumped (4 + 1) + (3 + 1) times
+    np.testing.assert_array_equal(rng.uniform(8), _jumped(14, 2, 9).uniform(8))
+
+
+def test_block_errors_reach_the_caller_typed(monkeypatch):
+    # one rejection round leaves lanes of a mass-1/2 side unaccepted inside
+    # the block threads; the caller sees the sampler's own NumericsError
+    monkeypatch.setattr(sphere, "_MAX_ROUNDS", 1)
+    d = 1024
+    v = sample_uniform_sphere(d, RngStream(8, d))
+    for params, batch in ((privunit.cap_params(d, 0.9, 0.0), privunit.randomize_batch),
+                          (privunitg.gauss_params(d, 0.9, 0.5), privunitg.randomize_g_batch)):
+        with pytest.raises(NumericsError) as exc:
+            batch(v, params, 300, RngStream(2, 2))
+        assert type(exc.value) is NumericsError
+
+
+def test_batch_draws_hold_one_copy_of_the_output(monkeypatch):
+    # rows are drawn in cache-sized blocks into one (n, d) output, so the
+    # traced peak stays below 1.5 copies of it (a draw in one block holds
+    # about two); each block thread holds block-sized scratch, so the
+    # thread count is pinned
+    monkeypatch.setattr(sphere, "_cores", lambda: 2)
+    n, d = 4000, 512
+    v = np.zeros(d)
+    v[0] = 1.0
+    for params, _, batch in _randomizers(d):
+        tracemalloc.start()
+        try:
+            batch(v, params, n, RngStream(1, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8
 
 
 def _both_algorithms(d):

@@ -33,6 +33,23 @@ def test_rng_stream_substreams_differ_and_are_stable():
     assert len(seen) == 25
 
 
+def test_substream_refuses_ids_that_would_wrap():
+    # stream_id * 2**32 + i + 1 is collision free only for stream ids and
+    # indexes below 2**32; past that it wraps mod 2**64 onto another id.
+    # A third level from stream 0 is such a derivation: without the check,
+    # this pair of paths draws the same values
+    with pytest.raises(ValueError):
+        RngStream(5, 0).substream(0).substream(3).substream(1)
+    with pytest.raises(ValueError):
+        RngStream(5, 0).substream(7).substream(3).substream(1)
+    for stream_id, i in ((2**40, 0), (2**32, 0), (0, 2**64 - 1), (0, 2**32 - 1), (3, -1)):
+        with pytest.raises(ValueError):
+            RngStream(5, stream_id).substream(i)
+    # the largest ids the rule allows stay distinct and in range
+    assert RngStream(5, 2**32 - 1).substream(2**32 - 2).stream_id == 2**64 - 1
+    assert RngStream(5, 0).substream(2**32 - 2).stream_id == 2**32 - 1
+
+
 def test_rng_stream_validation_and_repr():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
