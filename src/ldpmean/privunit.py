@@ -163,13 +163,30 @@ def normalizer_m(d: int, p: float, gamma: float) -> float:
 
 def analytic_err(params: CapParams) -> ErrorBreakdown:
     """Squared error 1/m^2 - 1 (the output lies on the radius-1/m sphere),
-    not exact: it cancels as m nears 1, so an err below about 1e-13 is
-    known only up to rounding noise of a few 1e-16, and ``tuner.tune``
-    raises where it cancels to <= 0. alpha_sq is recorded informationally
-    via the closed form E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d."""
-    m = params.m
-    alpha_sq = (1.0 + params.gamma * (params.d - 1) * m) / params.d
-    return ErrorBreakdown(m=m, alpha_sq=alpha_sq, err=1.0 / (m * m) - 1.0, d=params.d)
+    evaluated without cancellation as (1 - m)(1 + m)/m^2 with
+    1 - m = p r + p_comp (1 + tau/q), a sum of positive terms, so a small
+    err keeps its relative precision.
+
+    tau = E[T 1{T >= gamma}] comes back from m, and r = 1 - tau/q_comp is
+    1 - E[T | T >= gamma]. With a = (d-1)/2 and x = (1 - gamma)/2 <= 1/2,
+    q_comp = I_x(a, a) and tau share the front factor of the continued
+    fraction, so tau/q_comp is 1/CF(x; a, a) to rounding. Where it exceeds
+    1/2, 1 - tau/q_comp would cancel, and r = I_x(a+1, a)/I_x(a, a) is
+    taken as (2ax/(a+1)) CF(x; a+1, a)/CF(x; a, a) instead, whose front
+    factors cancel. alpha_sq is recorded informationally via the closed
+    form E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d."""
+    d, m, q = params.d, params.m, params.q
+    tau = m * q * params.q_comp / (1.0 - (params.p_comp + params.q_comp))
+    cap_mean = tau / params.q_comp
+    if cap_mean <= 0.5:
+        r = 1.0 - cap_mean
+    else:
+        a = 0.5 * (d - 1)
+        x = 0.5 * (1.0 - params.gamma)
+        r = 2.0 * a * x / (a + 1.0) * specfun._beta_cf(x, a + 1.0, a) * cap_mean
+    one_minus_m = params.p * r + params.p_comp * (1.0 + tau / q)
+    alpha_sq = (1.0 + params.gamma * (d - 1) * m) / d
+    return ErrorBreakdown(m=m, alpha_sq=alpha_sq, err=one_minus_m * (1.0 + m) / (m * m), d=d)
 
 
 def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None) -> np.ndarray:

@@ -252,10 +252,27 @@ def _draw_above(t: float, mass: float, size: int, d: int, sigma: float | None, r
 def _project_out(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Remove from each row g_j of g, in place, its component along row v_j
     of v, with the one-row product ``g_j @ v_j``, so a row's report does not
-    depend on the other rows."""
+    depend on the other rows; returns the components removed."""
     along = (g[:, None, :] @ v[:, :, None])[:, 0, 0]
     g -= along[:, None] * v
-    return g
+    return along
+
+
+def _orthogonal_sq_norms(g: np.ndarray, v: np.ndarray, along: np.ndarray) -> np.ndarray:
+    """The squared norms of the rows of g, which ``_project_out`` has just
+    taken the components ``along`` out of. A row that lay within 1/8 of its
+    v (|g_perp|^2 < |g|^2/64, |g|^2 = along^2 + |g_perp|^2) keeps a
+    rounding residual along v that dividing by |g_perp| would magnify, so
+    it is projected a second time, in place; two passes suffice (Giraud,
+    Langou & Rozloznik 2005). Only d <= 3 meets such rows often."""
+    sq = np.einsum("ij,ij->i", g, g)
+    again = 64.0 * sq < along * along + sq
+    if again.any():
+        rows = g[again]
+        _project_out(rows, v[again])
+        g[again] = rows
+        sq[again] = np.einsum("ij,ij->i", rows, rows)
+    return sq
 
 
 def _cores() -> int:
@@ -314,16 +331,18 @@ def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out=None) -> np.ndar
         # excludes gamma itself
         open_side = -_draw_above(-gamma, q, size - n_above, d, sigma, rng)
         alpha[~above] = np.minimum(open_side, np.nextafter(gamma, -2.0))
-    g = _project_out(rng.normal((size, d)), v)
+    g = rng.normal((size, d))
+    along = _project_out(g, v)
     if out is None:
         out = g
     if sigma is None:
-        nrm = _row_norms(g)
-        while not nrm.all():  # probability zero; keeps the norm contract airtight
-            redo = nrm == 0.0
-            g[redo] = _project_out(rng.normal((np.count_nonzero(redo), d)), v[redo])
-            nrm = _row_norms(g)
-        np.multiply(g, (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (nrm * m))[:, None], out=out)
+        sq = _orthogonal_sq_norms(g, v, along)
+        while not sq.all():  # probability zero; keeps the norm contract airtight
+            redo = sq == 0.0
+            rows, vr = rng.normal((np.count_nonzero(redo), d)), v[redo]
+            sq[redo] = _orthogonal_sq_norms(rows, vr, _project_out(rows, vr))
+            g[redo] = rows
+        np.multiply(g, (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (np.sqrt(sq) * m))[:, None], out=out)
     else:
         np.multiply(g, sigma / m, out=out)
     out += (alpha / m)[:, None] * v

@@ -5,10 +5,15 @@ minimize the analytic error over the split.
 
 Error is monotone improving toward the constraint boundary for both
 randomizers, so the 2-D constrained problem reduces to a 1-D search over
-eps1 in [0, eps]. Up to the precision of its evaluation the error has a
-single interior minimum in eps1, so one golden-section search over the
-whole interval finds it. The scaled constant eps*err/d converges (in d,
-then in eps) to roughly 0.614, which is what c_eps exposes.
+eps1 in [0, eps]. The error is smooth in eps1 with a single minimum.
+PrivUnit's error is evaluated without cancellation, and PrivUnitG's stays
+above 7e-4 on the envelope, far above its rounding, so Brent's method over
+the whole interval finds the minimum: parabolic steps, with golden-section
+steps where a parabola is not trusted or a split is degenerate (+inf).
+Where a float threshold quantizes PrivUnit's cap (d <= 16 at large eps)
+the error is a staircase in eps1, and the search may stop on a stair
+above the lowest. The scaled constant eps*err/d converges (in d, then in
+eps) to roughly 0.614, which is what c_eps exposes.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ __all__ = [
     "repetition_err",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction
 _ALGS = ("privunit", "privunitg")
 
 
@@ -107,16 +112,73 @@ def _err_at(split: BudgetSplit, d: int, alg: str):
     return privunitg.analytic_err_g(params).err, params
 
 
+def _rank(u: float, fu: float) -> tuple[float, float]:
+    # degenerate splits (+inf) lie at the high-eps1 end, so of two the one
+    # at the larger eps1 ranks worse
+    return fu, (u if fu == math.inf else 0.0)
+
+
+def _brent_min(f, a: float, b: float, tol: float) -> None:
+    """Brent's localmin (Algorithms for Minimization without Derivatives,
+    1973, ch. 5) of f on (a, b), to an absolute tolerance tol in the
+    abscissa: parabolic steps through the best three points, a
+    golden-section step whenever the parabola is not trusted or passes
+    through a +inf probe. The caller keeps what it needs from the probes."""
+    x = w = v = a + _CGOLD * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    tol2 = 2.0 * tol
+    while True:
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return
+        golden = True
+        if abs(e) > tol and max(fx, fw, fv) < math.inf:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if (x + d) - a < tol2 or b - (x + d) < tol2:
+                    d = tol if x <= xm else -tol
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else (tol if d > 0.0 else -tol))
+        fu = f(u)
+        ru = _rank(u, fu)
+        if ru <= _rank(x, fx):
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if ru <= _rank(w, fw) or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif ru <= _rank(v, fv) or v == x or v == w:
+                v, fv = u, fu
+
+
 def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
-    One golden-section search over eps1 in [0, eps] down to width 1e-8
-    (the error is unimodal in eps1, so nothing needs bracketing first);
-    degenerate splits count as +inf. Returns the best split seen anywhere,
-    with the excess of its budget taken back from eps0 so that budget <= eps
-    exactly, and the eps1 its stored threshold's mass spends, so eps0 + eps1
-    is the budget. Raises NumericsError when its error is not positive or
-    its budget stays above eps.
+    One Brent search (``_brent_min``) over eps1 in [0, eps] to the
+    tolerance 1e-9 max(1, eps) (the error is unimodal in eps1, so nothing
+    needs bracketing first); degenerate splits count as +inf. Returns the
+    best split seen anywhere, with the excess of its budget taken back from
+    eps0 so that budget <= eps exactly, and the eps1 its stored threshold's
+    mass spends, so eps0 + eps1 is the budget. Raises NumericsError when
+    its error is not positive or its budget stays above eps.
     """
     budget_split(eps, eps)  # validates eps
     d = sphere._check_dim(d)
@@ -135,19 +197,7 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
             best[0], best[1], best[2] = err, split, params
         return err
 
-    lo, hi = 0.0, eps
-    c = hi - _INVPHI * (hi - lo)
-    dd = lo + _INVPHI * (hi - lo)
-    fc, fd = ev(c), ev(dd)
-    while hi - lo > 1e-8:
-        if fc <= fd:
-            hi, dd, fd = dd, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = ev(c)
-        else:
-            lo, c, fc = c, dd, fd
-            dd = lo + _INVPHI * (hi - lo)
-            fd = ev(dd)
+    _brent_min(ev, 0.0, eps, 1e-9 * max(1.0, eps))
 
     err_star, split, params = best
     if split is None:
@@ -165,8 +215,7 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
         step *= 2.0
     split = BudgetSplit(eps=eps, eps0=split.eps0, eps1=math.log(params.q) - math.log(params.q_comp))
     if not err_star > 0.0:
-        # the true error is positive; 1/m^2 - 1 cancelled where m is within
-        # rounding of 1
+        # the true error is positive; it can only underflow
         raise NumericsError(f"best error {err_star!r} is not positive at eps={eps}, d={d}")
     return TunedResult(
         split=split,

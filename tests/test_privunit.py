@@ -144,10 +144,38 @@ def test_error_breakdown_invariants(d, p, gamma):
     params = privunit.cap_params(d, p, gamma)
     bd = privunit.analytic_err(params)
     assert bd.d == d and bd.m == params.m
-    assert bd.err == 1.0 / (bd.m * bd.m) - 1.0
+    assert bd.err == pytest.approx(1.0 / (bd.m * bd.m) - 1.0, rel=1e-12)
     assert bd.err > 0.0
     # alpha is a mean of first coordinates, so E[alpha^2] <= 1 and >= m^2
     assert bd.m * bd.m - 1e-15 <= bd.alpha_sq <= 1.0 + 1e-15
+
+
+@pytest.mark.parametrize(
+    "d,p,x,ref",
+    [
+        # (d, p, x = (1 - gamma)/2, 1/m^2 - 1 from a 40-digit continued
+        # fraction); gamma = 1 - 2x keeps x exact. The three errors below
+        # 1e-11 lose most of their digits when 1/m^2 - 1 is taken in doubles
+        (2, 0.9, 0.35, 1.5417739705821962),
+        (2, 1 - 2.0**-40, 2.0**-50, 1.8201736759525013e-12),
+        (2, 1.0, 2.0**-40, 1.2126596023651543e-12),
+        (2, 0.5 + 2.0**-10, 0.5, 646813.39402979221),
+        (3, 0.75, 0.5, 15.0),
+        (3, 1 - 2.0**-45, 2.0**-48, 6.3948846218412084e-14),
+        (3, 0.99, 2.0**-7, 0.036599976372809151),
+        (16, 0.95, 0.25, 2.3976383214055345),
+        (16, 1 - 2.0**-40, 2.0**-30, 3.2888398488505302e-9),
+        (16, 1.0, 2.0**-20, 3.3659175906602418e-6),
+        (1024, 0.9, 0.45, 104.18620467621968),
+        (1024, 0.999, 0.3, 5.1994851568776352),
+        (1_000_000, 0.6, 0.4995, 1562339.3911849729),
+        (1_000_000, 0.99, 0.499, 181241.48471220812),
+    ],
+)
+def test_analytic_err_matches_reference(d, p, x, ref):
+    gamma = 1.0 - 2.0 * x
+    assert 0.5 * (1.0 - gamma) == x
+    assert privunit.analytic_err(privunit.cap_params(d, p, gamma)).err == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # --- sampling ---------------------------------------------------------------
@@ -168,6 +196,16 @@ def test_randomize_norm_and_determinism():
             out2 = privunit.randomize(v, params, RngStream(11, seed))
             np.testing.assert_array_equal(out1, out2)
             assert abs(float(np.linalg.norm(out1)) * params.m - 1.0) <= 1e-12
+
+
+def test_report_norms_at_d2_with_a_general_input():
+    # a Gaussian row nearly parallel to v keeps a rounding residual along v
+    # after one projection; the second projection keeps every report on the
+    # radius-1/m sphere to rounding
+    v = np.array([0.6, -0.8])
+    params = privunit.cap_params(2, 0.9, 0.3)
+    out = privunit.randomize_batch(v, params, 100_000, RngStream(29))
+    assert np.abs(np.sqrt(np.einsum("ij,ij->i", out, out)) * params.m - 1.0).max() <= 1e-14
 
 
 def _randomizers(d):

@@ -68,6 +68,29 @@ def test_reg_inc_beta_against_quadrature():
         assert abs(sf.reg_inc_beta(x, a, b) - beta_cdf_quad(x, a, b)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "a,x,ref",
+    [
+        # I_x(a, a) at d = 1024 and d = 10^6, from a 40-digit continued fraction
+        (511.5, 0.49, 0.26121793815205175),
+        (511.5, 0.45, 0.00067368600154336542),
+        (511.5, 0.4, 5.2112025215511339e-11),
+        (511.5, 0.3, 5.7605538070609554e-41),
+        (511.5, 0.2, 1.5066817990646335e-101),
+        (499999.5, 0.4999, 0.42074034843524277),
+        (499999.5, 0.4995, 0.15865537491690984),
+        (499999.5, 0.499, 0.022750104952571),
+        (499999.5, 0.4985, 0.0013498780883238629),
+        (499999.5, 0.498, 3.1669502068405913e-5),
+    ],
+)
+def test_reg_inc_beta_large_symmetric_shapes(a, x, ref):
+    # the front factor of I_x(a, a) is a ln(4x(1-x)) - ln(4^a B(a, a)), two
+    # terms of moderate size, so its precision does not fall with the shape
+    tol = 2e-13 if a < 1000.0 else 5e-13
+    assert sf.reg_inc_beta(x, a, a) == pytest.approx(ref, rel=tol, abs=0.0)
+
+
 def test_reg_inc_beta_domain():
     with pytest.raises(ValueError):
         sf.reg_inc_beta(-0.1, 2.0, 2.0)

@@ -123,6 +123,34 @@ def test_tune_envelope_contract(eps, d, alg):
     assert res.split.eps0 + res.split.eps1 == pytest.approx(res.params.budget, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps,d", [(64.0, 2), (512.0, 2), (700.0, 2), (256.0, 3), (512.0, 3), (700.0, 3)])
+def test_tiny_privunit_errors_tune(eps, d):
+    # where 1/m^2 - 1 cancelled to <= 0, the error is evaluated through
+    # 1 - m, so these points tune and meet the envelope contract
+    res = tuner.tune(eps, d, "privunit")
+    assert 0.0 < res.err_star < 1e-15
+    assert res.params.budget <= eps
+    assert res.params.q_comp == sphere.marginal_cdf(-res.params.gamma, d)
+    assert res.split.eps0 + res.split.eps1 == pytest.approx(res.params.budget, rel=1e-12)
+
+
+def test_error_evaluations_per_tune(monkeypatch):
+    # the benchmark's envelope grid: Brent's method needs at most 25 error
+    # evaluations per tune on average
+    calls = [0]
+    for mod, name in ((privunit, "analytic_err"), (privunitg, "analytic_err_g")):
+        def counted(params, _f=getattr(mod, name)):
+            calls[0] += 1
+            return _f(params)
+        monkeypatch.setattr(mod, name, counted)
+    grid = [(alg, eps, d) for alg in ("privunit", "privunitg")
+            for eps in (1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0)
+            for d in (2, 3, 16, 1024, 50_000, 100_000, 1_000_000)]
+    for alg, eps, d in grid:
+        tuner.tune(eps, d, alg)
+    assert calls[0] / len(grid) <= 25.0
+
+
 def test_interior_budgets_never_win():
     # any split that spends less than the full budget is dominated
     eps, d = 4.0, 128
