@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import privunit, privunitg, sphere, tuner
+from . import privunit, sphere, tuner
 from .sphere import RngStream
 
 __all__ = ["BLOCK_USERS", "TrialReport", "estimate_mean", "run_trials"]
@@ -76,12 +76,6 @@ def estimate_mean(vectors, randomizer: Randomizer, rng: RngStream) -> np.ndarray
     return acc / mat.shape[0]
 
 
-def _make_randomizer(params) -> Randomizer:
-    if isinstance(params, privunit.CapParams):
-        return lambda v, rng: privunit.randomize(v, params, rng)
-    return lambda v, rng: privunitg.randomize_g(v, params, rng)
-
-
 def run_trials(n: int, d: int, eps: float, alg: str, trials: int, seed: int) -> TrialReport:
     """Repeat the n-user protocol on fresh uniform inputs and compare the
     empirical MSE of the average against the tuned analytic single-user
@@ -89,7 +83,9 @@ def run_trials(n: int, d: int, eps: float, alg: str, trials: int, seed: int) -> 
     if n < 1 or trials < 1:
         raise ValueError(f"n and trials must be positive, got n={n}, trials={trials}")
     tuned = tuner.tune(eps, d, alg)
-    randomizer = _make_randomizer(tuned.params)
+    # one randomizer serves both laws: ``privunit._reports`` reads the law
+    # from params.sigma
+    randomizer = lambda v, rng: privunit.randomize(v, tuned.params, rng)
     root = RngStream(seed, 0)
     sq_errors = np.empty(trials)
     for t in range(trials):

@@ -134,15 +134,19 @@ def _threshold_fields(d: int, p: float, p_comp: float, q_comp: float, gamma: flo
                 log_level_hi=log_hi, log_level_lo=log_lo, budget=log_hi - log_lo)
 
 
-def _build(d: int, p: float, p_comp: float, gamma: float) -> CapParams:
-    """PrivUnit parameters whose masses and m are those of the sampled threshold gamma."""
+def _build(d: int, p: float, p_comp: float, gamma: float, q_comp: float | None = None) -> CapParams:
+    """PrivUnit parameters whose masses and m are those of the sampled
+    threshold gamma; q_comp, where given, is the caller's
+    ``sphere.marginal_cdf(-gamma, d)``, which is then not evaluated again."""
     a = 0.5 * (d - 1)
     # the cap {T >= gamma} is {X <= x} for X ~ Beta(a, a), so q_comp = I_x(a, a),
     # and E[T 1{T >= gamma}] = x^a (1-x)^a / (a B(a, a)) is the front factor of
     # that same I_x, whose rounding then cancels in m; x is 0 or >= 2^-54
     x = 0.5 * (1.0 - gamma)
     tail_mean = math.exp(specfun._ln_front(x, a, a)) / a if x > 0.0 else 0.0
-    return CapParams(**_threshold_fields(d, p, p_comp, sphere.marginal_cdf(-gamma, d), gamma, tail_mean))
+    if q_comp is None:
+        q_comp = sphere.marginal_cdf(-gamma, d)
+    return CapParams(**_threshold_fields(d, p, p_comp, q_comp, gamma, tail_mean))
 
 
 def cap_params(d: int, p: float, gamma: float) -> CapParams:

@@ -50,12 +50,16 @@ class GaussParams(ThresholdParams):
     alpha_sq: float
 
 
-def _build_gauss(d: int, p: float, p_comp: float, g_std: float) -> GaussParams:
-    """PrivUnitG parameters whose masses and m are those of the sampled threshold g_std."""
+def _build_gauss(d: int, p: float, p_comp: float, g_std: float, q_comp: float | None = None) -> GaussParams:
+    """PrivUnitG parameters whose masses and m are those of the sampled
+    threshold g_std; q_comp, where given, is the caller's
+    ``specfun.std_normal_cdf(-g_std)``, which is then not evaluated again."""
     sigma = 1.0 / math.sqrt(d)
     gamma = sigma * g_std
     tail_mean = sigma * specfun.std_normal_pdf(g_std)
-    base = _threshold_fields(d, p, p_comp, specfun.std_normal_cdf(-g_std), gamma, tail_mean)
+    if q_comp is None:
+        q_comp = specfun.std_normal_cdf(-g_std)
+    base = _threshold_fields(d, p, p_comp, q_comp, gamma, tail_mean)
     return GaussParams(**base, sigma=sigma, g_std=g_std, alpha_sq=sigma * sigma + gamma * base["m"])
 
 

@@ -162,7 +162,7 @@ def _beta_start(y: float, a: float, b: float) -> float:
     if a >= 1.0 and b >= 1.0:
         # normal approximation to the beta quantile (Abramowitz & Stegun
         # 26.5.22, stated in terms of the upper-tail normal quantile)
-        z = -inv_std_normal_cdf(y)
+        z = -_as241(y)
         al = (z * z - 3.0) / 6.0
         h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
         w = z * (al + h) ** 0.5 / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
@@ -287,6 +287,13 @@ def inv_std_normal_cdf(p: float) -> float:
     """Standard normal quantile (AS241), relative error below 1e-15."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
+    return _as241(p)
+
+
+def _as241(p: float) -> float:
+    # the quantile for a p in (0, 1) already checked; ``_beta_start`` takes
+    # its normal approximation from here, so an incomplete-beta inversion
+    # makes no call of the public quantile
     q = p - 0.5
     if abs(q) <= 0.425:
         return q * _rational7(0.180625 - q * q, *_AS241_CENTRAL)

@@ -4,16 +4,23 @@ product constraint saturated, p = sigmoid(eps0) and q = sigmoid(eps1), and
 minimize the analytic error over the split.
 
 Error is monotone improving toward the constraint boundary for both
-randomizers, so the 2-D constrained problem reduces to a 1-D search over
-eps1 in [0, eps]. The error is smooth in eps1 with a single minimum.
-PrivUnit's error is evaluated without cancellation, and PrivUnitG's stays
-above 7e-4 on the envelope, far above its rounding, so Brent's method over
-the whole interval finds the minimum: parabolic steps, with golden-section
-steps where a parabola is not trusted or a split is degenerate (+inf).
-Where a float threshold quantizes PrivUnit's cap (d <= 16 at large eps)
-the error is a staircase in eps1, and the search may stop on a stair
-above the lowest. The scaled constant eps*err/d converges (in d, then in
-eps) to roughly 0.614, which is what c_eps exposes.
+randomizers, so the 2-D constrained problem reduces to a 1-D search. The
+search runs over the threshold that the builders take and the sampler
+draws with: -ln x with x = (1 - gamma)/2 for PrivUnit, g_std for PrivUnitG.
+A probe evaluates its threshold's mass q_comp once, takes
+eps1 = ln(q/q_comp) from it and gives the rest of eps to p, so every probe
+spends the whole budget and needs no quantile inversion; one inversion, at
+mass sigmoid(-eps), fixes the end of the bracket. The error is smooth in
+the threshold with a single minimum. PrivUnit's error is evaluated without
+cancellation, and PrivUnitG's stays above 7e-4 on the envelope, far above
+its rounding, so Brent's method over the whole bracket finds the minimum:
+parabolic steps, with golden-section steps where a parabola is not trusted
+or a split is degenerate (+inf). Where a float gamma quantizes PrivUnit's
+cap (d <= 16 at large eps) the error is a staircase; the bracket then ends
+at the smallest cap a float gamma expresses, x = 2^-54, which is probed
+once, so the lowest stair is never missed. The scaled constant eps*err/d
+converges (in d, then in eps) to roughly 0.614, which is what c_eps
+exposes.
 """
 
 from __future__ import annotations
@@ -37,6 +44,13 @@ __all__ = [
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction
 _ALGS = ("privunit", "privunitg")
+_LN2 = math.log(2.0)
+# the smallest cap of a float gamma: gamma = 1 - 2^-53, x = (1 - gamma)/2 = 2^-54
+_GAMMA_EDGE = 1.0 - 2.0**-53
+_S_EDGE = 54.0 * _LN2
+# Brent's tolerance as a fraction of the bracket: the square root of the
+# double epsilon, below which differences of the error sink into its rounding
+_TOL = 2.0**-26
 
 
 def _sigmoid(t: float) -> float:
@@ -172,48 +186,89 @@ def _brent_min(f, a: float, b: float, tol: float) -> None:
 def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
-    One Brent search (``_brent_min``) over eps1 in [0, eps] to the
-    tolerance 1e-9 max(1, eps) (the error is unimodal in eps1, so nothing
-    needs bracketing first); degenerate splits count as +inf. Returns the
-    best split seen anywhere, with the excess of its budget taken back from
-    eps0 so that budget <= eps exactly, and the eps1 its stored threshold's
-    mass spends, so eps0 + eps1 is the budget. Raises NumericsError when
-    its error is not positive or its budget stays above eps.
+    One Brent search (``_brent_min``) over the stored threshold: s = -ln x
+    with x = (1 - gamma)/2 for PrivUnit, s = g_std for PrivUnitG. A probe
+    evaluates the mass q_comp of its threshold once, takes
+    eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1; a threshold
+    whose eps1 exceeds eps, or a degenerate split, counts as +inf. The
+    bracket runs from eps1 = 0 (x = 1/2, g_std = 0) to the threshold of
+    mass sigmoid(-eps), the one quantile inversion of a tune, and the
+    tolerance is 2^-26 of the bracket, over eps where eps < 1 (the error
+    is unimodal in the threshold, so nothing needs bracketing first). A
+    float gamma expresses no x below 2^-54: where PrivUnit's bracket end
+    lies beyond it, the bracket stops there and that smallest cap is
+    probed once, so the search cannot settle on a stair of the float-gamma
+    staircase above the lowest. Returns the best probe seen anywhere, with
+    the excess of its budget (rounding) taken back from eps0 at the same
+    threshold so that budget <= eps exactly, and the split its stored
+    parameters spend. Raises NumericsError when its error is not positive
+    or its budget stays above eps.
     """
     budget_split(eps, eps)  # validates eps
     d = sphere._check_dim(d)
     if alg not in _ALGS:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
+    y = _sigmoid(-eps)  # the mass at which eps1 = eps
+    edge = None
+    if alg == "privunit":
+        build, error = privunit._build, privunit.analytic_err
 
-    best: list = [math.inf, None, None]  # err, split, params
+        def at(s: float) -> tuple[float, float]:
+            gamma = 1.0 - 2.0 * math.exp(-s)
+            return gamma, sphere.marginal_cdf(-gamma, d)
 
-    def ev(eps1: float) -> float:
-        split = budget_split(eps, eps1)
+        lo = _LN2
+        edge = (_GAMMA_EDGE, sphere.marginal_cdf(-_GAMMA_EDGE, d))
+        if edge[1] >= y:  # the threshold of mass y lies at or past the smallest cap
+            hi = _S_EDGE
+        else:
+            a = 0.5 * (d - 1)
+            hi, edge = -math.log(specfun.inv_reg_inc_beta(y, a, a)), None
+    else:
+        build, error = privunitg._build_gauss, privunitg.analytic_err_g
+
+        def at(s: float) -> tuple[float, float]:
+            return s, specfun.std_normal_cdf(-s)
+
+        lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
+
+    best: list = [math.inf, None]  # err, (eps0, threshold, mass, params)
+
+    def probe(t: float, q_comp: float) -> float:
+        if not q_comp > 0.0:
+            return math.inf
+        eps0 = eps - (math.log(1.0 - q_comp) - math.log(q_comp))
+        if not eps0 >= 0.0:
+            return math.inf
         try:
-            err, params = _err_at(split, d, alg)
+            params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
+            err = error(params).err
         except DegenerateParameterError:
             return math.inf
         if err < best[0]:
-            best[0], best[1], best[2] = err, split, params
+            best[0], best[1] = err, (eps0, t, q_comp, params)
         return err
 
-    _brent_min(ev, 0.0, eps, 1e-9 * max(1.0, eps))
+    if edge is not None:
+        probe(*edge)
+    _brent_min(lambda s: probe(*at(s)), lo, hi, _TOL * (hi - lo) / min(1.0, eps))
 
-    err_star, split, params = best
-    if split is None:
+    err_star, found = best
+    if found is None:
         raise DegenerateParameterError(f"no valid split found for eps={eps}, d={d}")
-    # the stored threshold's mass, and rounding, may put its budget above
-    # eps; take the excess back from eps0, doubling the step until the
-    # budget drops (about 2^9 times the excess at eps = 1e-3), and give up
-    # before eps0 turns negative
+    eps0, t, q_comp, params = found
+    # rounding may put the budget above eps; take the excess back from
+    # eps0 at the same threshold, doubling the step until the budget drops,
+    # and give up before eps0 turns negative
     step = params.budget - eps
     while params.budget > eps:
-        if step > split.eps0:
+        if step > eps0:
             raise NumericsError(f"budget {params.budget!r} stays above eps={eps}, d={d}")
-        split = BudgetSplit(eps=eps, eps0=split.eps0 - step, eps1=split.eps1)
-        err_star, params = _err_at(split, d, alg)
+        eps0 -= step
+        params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
+        err_star = error(params).err
         step *= 2.0
-    split = BudgetSplit(eps=eps, eps0=split.eps0, eps1=math.log(params.q) - math.log(params.q_comp))
+    split = BudgetSplit(eps=eps, eps0=eps0, eps1=math.log(params.q) - math.log(params.q_comp))
     if not err_star > 0.0:
         # the true error is positive; it can only underflow
         raise NumericsError(f"best error {err_star!r} is not positive at eps={eps}, d={d}")

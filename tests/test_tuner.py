@@ -134,9 +134,59 @@ def test_tiny_privunit_errors_tune(eps, d):
     assert res.split.eps0 + res.split.eps1 == pytest.approx(res.params.budget, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "eps,d,bound,edge",
+    [
+        # err_star of a search that stopped on a stair above the lowest
+        (64.0, 2, 2.2208364874364103e-16, True),
+        (700.0, 2, 2.220446049250314e-16, True),
+        (700.0, 16, 3.9184342045593774e-16, True),
+        # a search that found the lowest stair already
+        (256.0, 2, 7.401486830834377e-17, False),
+        (512.0, 16, 1.9592171022796887e-16, False),
+    ],
+)
+def test_tune_probes_the_lowest_float_gamma_stair(eps, d, bound, edge):
+    # a float gamma expresses no cap below x = (1 - gamma)/2 = 2^-54; where
+    # the search is clipped there, that smallest cap is probed
+    res = tuner.tune(eps, d, "privunit")
+    if edge:
+        assert res.err_star < bound
+        assert res.params.gamma == 1.0 - 2.0**-53
+    else:
+        assert res.err_star <= bound
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+@pytest.mark.parametrize("d", [2, 3, 16, 1024, 50_000, 100_000, 1_000_000])
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0, 512.0, 700.0])
+def test_tune_spends_the_full_budget(eps, d, alg):
+    # each probe spends on p what its threshold's mass leaves of eps, so
+    # only rounding stays unspent
+    res = tuner.tune(eps, d, alg)
+    assert 0.0 <= eps - res.params.budget <= 1e-12 * eps
+
+
+def test_one_quantile_inversion_per_tune(monkeypatch):
+    # the search runs over the stored threshold; only the bracket end, the
+    # threshold of mass sigmoid(-eps), is found by inverting a cdf
+    calls = [0]
+    for name in ("inv_reg_inc_beta", "inv_std_normal_cdf"):
+        def counted(*args, _f=getattr(specfun, name)):
+            calls[0] += 1
+            return _f(*args)
+        monkeypatch.setattr(specfun, name, counted)
+    for alg in ("privunit", "privunitg"):
+        for eps in (1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0, 512.0, 700.0):
+            for d in (2, 3, 16, 1024, 50_000, 100_000, 1_000_000):
+                calls[0] = 0
+                tuner.tune(eps, d, alg)
+                assert calls[0] <= 1, (alg, eps, d)
+
+
 def test_error_evaluations_per_tune(monkeypatch):
-    # the benchmark's envelope grid: Brent's method needs at most 25 error
-    # evaluations per tune on average
+    # the benchmark's envelope grid: Brent's method over the stored
+    # threshold needs at most 20 error evaluations per tune on average
     calls = [0]
     for mod, name in ((privunit, "analytic_err"), (privunitg, "analytic_err_g")):
         def counted(params, _f=getattr(mod, name)):
@@ -148,7 +198,7 @@ def test_error_evaluations_per_tune(monkeypatch):
             for d in (2, 3, 16, 1024, 50_000, 100_000, 1_000_000)]
     for alg, eps, d in grid:
         tuner.tune(eps, d, alg)
-    assert calls[0] / len(grid) <= 25.0
+    assert calls[0] / len(grid) <= 20.0
 
 
 def test_interior_budgets_never_win():
