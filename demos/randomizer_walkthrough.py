@@ -40,7 +40,7 @@ def main():
     pg = tuned_g.params
     print(f"  tuned p={pg.p:.4f} q={pg.q:.4f}: the coordinate along v is a")
     print(f"  truncated N(0, 1/d) draw, the rest stays Gaussian, scaled by 1/m.")
-    batch_g = privunitg.randomize_g_batch(v, pg, draws, RngStream(3, 1))
+    batch_g = privunit.randomize_batch(v, pg, draws, RngStream(3, 1))  # the same call serves both laws
     dev_g = float(np.linalg.norm(batch_g.mean(axis=0) - v))
     print(f"  mean of {draws} draws is {dev_g:.4f} from v"
           f" (predicted scale {math.sqrt(tuned_g.err_star / draws):.4f})")

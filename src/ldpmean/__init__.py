@@ -14,18 +14,15 @@ from .privunit import (
     analytic_err,
     cap_params,
     log_density,
-    normalizer_m,
     privacy_eps,
     randomize,
     randomize_batch,
 )
 from .privunitg import (
     GaussParams,
-    alpha_second_moment,
     analytic_err_g,
     gauss_params,
     log_density_g,
-    normalizer_m_g,
     randomize_g,
     randomize_g_batch,
 )
@@ -47,7 +44,6 @@ __all__ = [
     "SupportError",
     "TrialReport",
     "TunedResult",
-    "alpha_second_moment",
     "analytic_err",
     "analytic_err_g",
     "as_unit_vector",
@@ -61,8 +57,6 @@ __all__ = [
     "log_density_g",
     "lp_instance",
     "marginal_cdf",
-    "normalizer_m",
-    "normalizer_m_g",
     "privacy_eps",
     "randomize",
     "randomize_batch",

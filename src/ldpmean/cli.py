@@ -118,9 +118,8 @@ def cmd_randomize(args) -> list[str]:
         raise SupportError(f"line {line_nos[j]}: vector norm {float(nrm[j])!r} is off unit by more than 1e-6")
     vectors /= nrm[:, None]
     tuned = tuner.tune(args.eps, args.d, args.alg)
-    randomizer = lambda v, rng: privunit.randomize(v, tuned.params, rng)
     line_fmt = " ".join(["%.12g"] * args.d)  # _fmt's text for every coordinate at once
-    blocks = estimator._blocks(vectors, randomizer, RngStream(args.seed, 0))
+    blocks = estimator._blocks(vectors, tuned.params, RngStream(args.seed, 0))
     return [line_fmt % tuple(row) for reports in blocks for row in reports.tolist()]
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "CapParams",
     "ErrorBreakdown",
     "cap_params",
-    "normalizer_m",
     "privacy_eps",
     "analytic_err",
     "randomize",
@@ -160,11 +159,6 @@ def cap_params(d: int, p: float, gamma: float) -> CapParams:
     return _build(d, p, 1.0 - p, gamma)
 
 
-def normalizer_m(d: int, p: float, gamma: float) -> float:
-    """The exact normalizer m = E[<unscaled output, e_1>] > 0."""
-    return cap_params(d, p, gamma).m
-
-
 def analytic_err(params: CapParams) -> ErrorBreakdown:
     """Squared error 1/m^2 - 1 (the output lies on the radius-1/m sphere),
     evaluated without cancellation as (1 - m)(1 + m)/m^2 with
@@ -238,9 +232,8 @@ def log_density(u, v, params: CapParams) -> float:
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: u {u.shape} vs v {v.shape}")
     radius = 1.0 / params.m
-    if abs(float(np.linalg.norm(u)) - radius) > 1e-6:
-        raise SupportError(
-            f"u has norm {float(np.linalg.norm(u))!r}, support sphere has radius {radius!r}"
-        )
+    norm = float(np.linalg.norm(u))
+    if not (abs(norm - radius) <= 1e-6):  # a NaN norm is off too
+        raise SupportError(f"u has norm {norm!r}, support sphere has radius {radius!r}")
     t = params.m * float(np.dot(u, v))
     return params.log_level_hi if t >= params.gamma else params.log_level_lo

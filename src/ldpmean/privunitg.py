@@ -21,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere, specfun
+from .errors import SupportError
 from .privunit import ErrorBreakdown, ThresholdParams, _reports, _threshold_fields
 from .sphere import RngStream, as_unit_vector
 
 __all__ = [
     "GaussParams",
     "gauss_params",
-    "normalizer_m_g",
-    "alpha_second_moment",
     "analytic_err_g",
     "randomize_g",
     "randomize_g_batch",
@@ -74,20 +73,6 @@ def gauss_params(d: int, p: float, q: float) -> GaussParams:
     return _build_gauss(d, p, 1.0 - p, 0.0 - specfun.inv_std_normal_cdf(1.0 - q))
 
 
-def normalizer_m_g(d: int, p: float, q: float) -> float:
-    """The exact normalizer m = E[alpha] > 0."""
-    return gauss_params(d, p, q).m
-
-
-def alpha_second_moment(d: int, p: float, q: float) -> float:
-    """E[alpha^2] assembled from the one-sided truncated moments,
-    p*E[U^2 | U >= gamma] + (1-p)*E[U^2 | U < gamma]; agrees with the
-    closed form sigma^2 + gamma*m to ~1e-12."""
-    params = gauss_params(d, p, q)
-    _, s_above, _, s_below = specfun.trunc_gauss_moments(params.gamma, params.sigma)
-    return params.p * s_above + params.p_comp * s_below
-
-
 def analytic_err_g(params: GaussParams) -> ErrorBreakdown:
     """Exact squared error (E[alpha^2] + (d-1)/d)/m^2 - 1 of the unbiased
     estimator: the orthogonal part contributes sigma^2 per coordinate."""
@@ -119,6 +104,8 @@ def log_density_g(u, v, params: GaussParams) -> float:
     v = as_unit_vector(v)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: u {u.shape} vs v {v.shape}")
+    if not np.all(np.isfinite(u)):
+        raise SupportError("u has a non-finite coordinate")
     w = params.m * u
     s2 = params.sigma * params.sigma
     base = -0.5 * float(np.dot(w, w)) / s2 - 0.5 * params.d * (_LN2PI + math.log(s2))

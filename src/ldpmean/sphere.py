@@ -83,22 +83,20 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        seed = int(seed)
-        stream_id = int(stream_id)
-        if not (0 <= seed <= _MASK64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        if not (0 <= stream_id <= _MASK64):
-            raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
-        self.seed = seed
-        self.stream_id = stream_id
-        self._gen = np.random.Generator(np.random.Philox(key=(stream_id << 64) | seed))
+        # a float id that int() would truncate aliases another stream
+        for name, x in (("seed", seed), ("stream_id", stream_id)):
+            if not (0 <= x <= _MASK64) or int(x) != x:
+                raise ValueError(f"{name} must be a 64-bit unsigned integer, got {x!r}")
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        self._gen = np.random.Generator(np.random.Philox(key=(self.stream_id << 64) | self.seed))
 
     def substream(self, i: int) -> "RngStream":
         if self.stream_id >= _ID_LEVEL:
             raise ValueError(f"stream_id {self.stream_id} >= 2**32 derives no substream: its ids would wrap")
-        if not (0 <= i < _ID_LEVEL - 1):
-            raise ValueError(f"substream index must lie in [0, 2**32 - 1), got {i}")
-        return RngStream(self.seed, self.stream_id * _ID_LEVEL + i + 1)
+        if not (0 <= i < _ID_LEVEL - 1) or int(i) != i:
+            raise ValueError(f"substream index must be an integer in [0, 2**32 - 1), got {i!r}")
+        return RngStream(self.seed, self.stream_id * _ID_LEVEL + int(i) + 1)
 
     def _block_streams(self, nb: int) -> list["RngStream"]:
         """The streams of nb row blocks, block b on this stream jumped b + 1

@@ -7,64 +7,56 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldpmean import estimator, privunitg, tuner
+from ldpmean import estimator, privunit, privunitg, tuner
 from ldpmean.sphere import RngStream
 
 
-def _gauss_randomizer(params):
-    return lambda v, rng: privunitg.randomize_g(v, params, rng)
+_LAWS = [
+    pytest.param(lambda d: privunit.cap_params(d, 0.9, 0.3), id="privunit"),
+    pytest.param(lambda d: privunitg.gauss_params(d, 0.9, 0.8), id="privunitg"),
+]
 
 
-def test_estimate_mean_single_user_matches_direct_draw():
-    params = privunitg.gauss_params(6, 0.9, 0.8)
+@pytest.mark.parametrize("make_params", _LAWS)
+def test_estimate_mean_single_user_matches_direct_draw(make_params):
+    params = make_params(6)
     v = np.zeros(6)
     v[0] = 1.0
     rng = RngStream(3, 1)
-    got = estimator.estimate_mean([v], _gauss_randomizer(params), rng)
-    expect = privunitg.randomize_g(v, params, RngStream(3, 1).substream(0))
+    got = estimator.estimate_mean([v], params, rng)
+    expect = privunit.randomize(v, params, RngStream(3, 1).substream(0))
     np.testing.assert_array_equal(got, expect)
 
 
-def test_estimate_mean_is_block_order_stable():
+@pytest.mark.parametrize("make_params", _LAWS)
+def test_estimate_mean_is_block_order_stable(make_params):
     # block b of BLOCK_USERS users always draws from substream(b), so the
     # reports do not depend on the order the blocks are drawn in: drawn last
     # to first and summed in block order they reproduce estimate_mean exactly
     B = estimator.BLOCK_USERS
     n, d, blocks = 2 * B + 3, 4, 3
-    params = privunitg.gauss_params(d, 0.9, 0.8)
+    params = make_params(d)
     g = RngStream(8).normal((n, d))
     vs = g / np.linalg.norm(g, axis=1, keepdims=True)
     rng = RngStream(5)
     reports = {
-        b: privunitg.randomize_g(vs[b * B:(b + 1) * B], params, rng.substream(b))
+        b: privunit.randomize(vs[b * B:(b + 1) * B], params, rng.substream(b))
         for b in reversed(range(blocks))
     }
     assert reports[blocks - 1].shape == (3, d)
     total = np.zeros(d)
     for b in range(blocks):
         total += reports[b].sum(axis=0)
-    got = estimator.estimate_mean(vs, _gauss_randomizer(params), RngStream(5))
+    got = estimator.estimate_mean(vs, params, RngStream(5))
     np.testing.assert_array_equal(got, total / n)
 
 
 def test_estimate_mean_rejects_bad_input():
     params = privunitg.gauss_params(4, 0.9, 0.8)
     with pytest.raises(ValueError):
-        estimator.estimate_mean([], _gauss_randomizer(params), RngStream(0))
+        estimator.estimate_mean([], params, RngStream(0))
     with pytest.raises(ValueError):
-        estimator.estimate_mean(
-            [np.ones(4) / 2.0, np.ones(3) / math.sqrt(3.0)],
-            _gauss_randomizer(params),
-            RngStream(0),
-        )
-
-
-def test_estimate_mean_rejects_one_vector_randomizer():
-    # the randomizer gets a block of rows and must return one report per row
-    params = privunitg.gauss_params(4, 0.9, 0.8)
-    vs = np.eye(4)[:3]
-    with pytest.raises(ValueError):
-        estimator.estimate_mean(vs, lambda rows, rng: privunitg.randomize_g(rows[0], params, rng), RngStream(0))
+        estimator.estimate_mean([np.ones(4) / 2.0, np.ones(3) / math.sqrt(3.0)], params, RngStream(0))
 
 
 def test_run_trials_deterministic():
@@ -80,6 +72,8 @@ def test_run_trials_validation_and_single_trial():
         estimator.run_trials(n=0, d=8, eps=4.0, alg="privunitg", trials=5, seed=0)
     with pytest.raises(ValueError):
         estimator.run_trials(n=2, d=8, eps=4.0, alg="privunitg", trials=0, seed=0)
+    with pytest.raises(ValueError):  # n names the stream of the inputs
+        estimator.run_trials(n=2.5, d=8, eps=4.0, alg="privunitg", trials=1, seed=0)
     rep = estimator.run_trials(n=1, d=8, eps=4.0, alg="privunitg", trials=1, seed=0)
     assert math.isnan(rep.standard_error)
     assert rep.n == 1 and rep.trials == 1

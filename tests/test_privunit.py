@@ -21,9 +21,9 @@ from oracles import sphere_first_coord_moment_quad
 def test_normalizer_closed_forms_d3():
     # d = 3: the first coordinate is uniform on [-1, 1], so q = (1+gamma)/2,
     # q(1-q) = (1-gamma^2)/4 and m collapses to p + q - 1
-    assert privunit.normalizer_m(3, 1.0, 0.0) == pytest.approx(0.5, rel=1e-13)
-    assert privunit.normalizer_m(3, 1.0, 0.5) == pytest.approx(0.75, rel=1e-13)
-    assert privunit.normalizer_m(3, 0.9, 0.3) == pytest.approx(0.55, rel=1e-13)
+    assert privunit.cap_params(3, 1.0, 0.0).m == pytest.approx(0.5, rel=1e-13)
+    assert privunit.cap_params(3, 1.0, 0.5).m == pytest.approx(0.75, rel=1e-13)
+    assert privunit.cap_params(3, 0.9, 0.3).m == pytest.approx(0.55, rel=1e-13)
     # the tiniest cap a float gamma expresses keeps its mass q_comp = (1 - gamma)/2
     tiny = privunit.cap_params(3, 0.9, 1.0 - 2.0**-53)
     assert tiny.q_comp == pytest.approx(2.0**-54, rel=1e-14)
@@ -32,7 +32,7 @@ def test_normalizer_closed_forms_d3():
 
 def test_normalizer_closed_form_d2():
     # circle, p = 1, gamma = 0: m = E[cos theta | upper half] * ... = 2/pi
-    assert privunit.normalizer_m(2, 1.0, 0.0) == pytest.approx(2.0 / math.pi, rel=1e-13)
+    assert privunit.cap_params(2, 1.0, 0.0).m == pytest.approx(2.0 / math.pi, rel=1e-13)
 
 
 def test_alpha_sq_closed_form_d3():
@@ -454,6 +454,25 @@ def test_log_density_boundary_is_inside_cap():
     v = np.array([1.0, 0.0, 0.0, 0.0])
     u = np.array([0.0, 1.0, 0.0, 0.0]) / params.m
     assert privunit.log_density(u, v, params) == params.log_level_hi
+
+
+@pytest.mark.parametrize(
+    "params,log_density",
+    [
+        (privunit.cap_params(4, 0.8, 0.3), privunit.log_density),
+        (privunitg.gauss_params(4, 0.8, 0.7), privunitg.log_density_g),
+    ],
+    ids=["privunit", "privunitg"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_density_rejects_non_finite_point(params, log_density, bad):
+    # a NaN compares false against every bound, so without a check it lands
+    # on one of the levels, or gives nan
+    v = np.array([1.0, 0.0, 0.0, 0.0])
+    u = v / params.m
+    u[1] = bad
+    with pytest.raises(SupportError):
+        log_density(u, v, params)
 
 
 def test_density_levels_integrate_to_one():

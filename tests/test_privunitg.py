@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import privunitg, tuner
+from ldpmean import privunitg, specfun, tuner
 from ldpmean.errors import DegenerateParameterError
 from ldpmean.sphere import RngStream
 
@@ -19,9 +19,7 @@ from oracles import trunc_gauss_moment_quad
 
 def test_normalizer_closed_form():
     # p = 1, q = 1/2: gamma = 0, num = 1/2, m = sigma phi(0) / (1/2) twice over
-    assert privunitg.normalizer_m_g(4, 1.0, 0.5) == pytest.approx(
-        1.0 / math.sqrt(2.0 * math.pi), rel=1e-14
-    )
+    assert privunitg.gauss_params(4, 1.0, 0.5).m == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=1e-14)
 
 
 def test_analytic_err_closed_form():
@@ -37,7 +35,8 @@ def test_analytic_err_closed_form():
 def test_second_moment_identity(d, p, q):
     # closed form sigma^2 + gamma m vs the p-weighted truncated moments
     params = privunitg.gauss_params(d, p, q)
-    assembled = privunitg.alpha_second_moment(d, p, q)
+    _, s_above, _, s_below = specfun.trunc_gauss_moments(params.gamma, params.sigma)
+    assembled = params.p * s_above + params.p_comp * s_below
     assert abs(params.alpha_sq - assembled) <= 1e-12
 
 

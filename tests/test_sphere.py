@@ -50,6 +50,21 @@ def test_substream_refuses_ids_that_would_wrap():
     assert RngStream(5, 0).substream(2**32 - 2).stream_id == 2**32 - 1
 
 
+def test_rng_stream_refuses_non_integral_ids():
+    # int() would truncate these onto another stream: substream(0.5) onto
+    # substream(0), seed 3.7 onto seed 3
+    for seed, stream_id in ((3.7, 0), (3, 1.5), (math.nan, 0), (3, math.inf)):
+        with pytest.raises(ValueError):
+            RngStream(seed, stream_id)
+    for i in (0.5, 2.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError):
+            RngStream(3).substream(i)
+    # integral values of any type name the same stream
+    same = (RngStream(3.0, np.uint64(2)), RngStream(np.int64(3), 2), RngStream(3, 0).substream(np.int32(1)))
+    assert {(r.seed, r.stream_id) for r in same} == {(3, 2)}
+    assert all(type(r.seed) is int and type(r.stream_id) is int for r in same)
+
+
 def test_rng_stream_validation_and_repr():
     with pytest.raises(ValueError):
         RngStream(-1, 0)
