@@ -55,7 +55,7 @@ class LpSolution:
 
 
 def lp_instance(K: int, eps: float) -> LpInstance:
-    if int(K) != K or K < 8 or K % 2:
+    if not (8 <= K < math.inf) or int(K) != K or K % 2:
         raise ValueError(f"K must be an even integer >= 8, got {K!r}")
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")

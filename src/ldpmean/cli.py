@@ -119,8 +119,8 @@ def cmd_randomize(args) -> list[str]:
     vectors /= nrm[:, None]
     tuned = tuner.tune(args.eps, args.d, args.alg)
     line_fmt = " ".join(["%.12g"] * args.d)  # _fmt's text for every coordinate at once
-    blocks = estimator._blocks(vectors, tuned.params, RngStream(args.seed, 0))
-    return [line_fmt % tuple(row) for reports in blocks for row in reports.tolist()]
+    reports = privunit.randomize(vectors, tuned.params, RngStream(args.seed, 0))
+    return [line_fmt % tuple(row) for row in reports.tolist()]
 
 
 def cmd_lp_verify(args) -> list[str]:

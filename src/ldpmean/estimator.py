@@ -1,19 +1,14 @@
 """Additive aggregation protocol and the Monte Carlo harness.
 
 The aggregate is the plain average of the randomized vectors, so its MSE is
-the single-user error divided by n. Users are randomized in fixed blocks of
-B = BLOCK_USERS: users [b*B, (b+1)*B) form block b, drawn as one multi-row
-``privunit.randomize`` call on substream(b) of the protocol's stream; that
-one call serves both laws, as it reads the law from the parameters. Streams
-are derived, never shared: trial t uses root.substream(t), block b inside a
-trial uses substream(b) of the trial stream, and the trial's n inputs are
-one draw on substream(n), which no block uses. Where d > 256 the sampler
-splits a block of users further into row blocks, each on a jump of the
-block's stream (see ``sphere``), not on a third level of substream ids,
-which ``substream`` refuses. A block's reports depend only on the seed and
-its own inputs, so results are reproducible bit for bit whatever order the
-blocks are drawn in; only the order in which the block sums are added is
-fixed.
+the single-user error divided by n. The users' reports are exactly
+``privunit.randomize(vectors, params, rng)``, the one call that serves both
+laws, as it reads the law from the parameters: ``estimate_mean`` draws them
+by the sampler's row-block rule (``sphere._row_blocks``), sums each block
+on the thread that drew it and adds the block sums in block order, so it
+holds one block of reports per thread, never all n. Streams are derived,
+never shared: trial t uses root.substream(t), and draws its n inputs and
+then its reports on that one stream.
 """
 
 from __future__ import annotations
@@ -26,11 +21,8 @@ import numpy as np
 from . import privunit, sphere, tuner
 from .sphere import RngStream
 
-__all__ = ["BLOCK_USERS", "TrialReport", "estimate_mean", "run_trials"]
+__all__ = ["TrialReport", "estimate_mean", "run_trials"]
 
-BLOCK_USERS = 256
-"""B, the users per block. A constant of the protocol, not a tuning knob:
-every per-seed result depends on it."""
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -46,33 +38,25 @@ class TrialReport:
     seed: int
 
 
-def _blocks(mat: np.ndarray, params: privunit.ThresholdParams, rng: RngStream):
-    """The reports of each block of BLOCK_USERS rows of mat, in block
-    order: block b is privunit.randomize(its rows, params, rng.substream(b))."""
-    for b, start in enumerate(range(0, mat.shape[0], BLOCK_USERS)):
-        yield privunit.randomize(mat[start:start + BLOCK_USERS], params, rng.substream(b))
-
-
 def estimate_mean(vectors, params: privunit.ThresholdParams, rng: RngStream) -> np.ndarray:
-    """Average of the reports of every block of users under params, a
-    ``CapParams`` or ``GaussParams`` (see the module docstring), block sums
-    added in block order; unbiased for the true mean. Holds one block of
-    reports at a time."""
-    mat = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError("vectors must be a nonempty list of equal-length vectors")
-    acc = np.zeros(mat.shape[1])
-    for reports in _blocks(mat, params, rng):
-        acc += reports.sum(axis=0)
-    return acc / mat.shape[0]
+    """Average of the reports ``privunit.randomize(vectors, params, rng)``
+    under params, a ``CapParams`` or ``GaussParams``, with one block sum per
+    row block added in block order (see the module docstring); unbiased for
+    the true mean."""
+    mat = sphere.as_unit_rows(vectors)
+
+    def block_sum(rows, stream):
+        return privunit.randomize(mat[rows], params, stream).sum(axis=0)
+
+    return sum(sphere._row_blocks(*mat.shape, block_sum, rng)) / mat.shape[0]
 
 
 def run_trials(n: int, d: int, eps: float, alg: str, trials: int, seed: int) -> TrialReport:
     """Repeat the n-user protocol on fresh uniform inputs and compare the
     empirical MSE of the average against the tuned analytic single-user
     error. Deterministic given seed."""
-    if n < 1 or trials < 1:
-        raise ValueError(f"n and trials must be positive, got n={n}, trials={trials}")
+    n = sphere._check_int(n, "n", 1)
+    trials = sphere._check_int(trials, "trials", 1)
     tuned = tuner.tune(eps, d, alg)
     root = RngStream(seed, 0)
     sq_errors = np.empty(trials)
@@ -80,7 +64,7 @@ def run_trials(n: int, d: int, eps: float, alg: str, trials: int, seed: int) -> 
         trial_rng = root.substream(t)
         # uniform inputs: normalized Gaussian rows, the same normal sequence
         # as n one-vector draws
-        vecs = trial_rng.substream(n).normal((n, d))
+        vecs = trial_rng.normal((n, d))
         vecs /= sphere._row_norms(vecs)[:, None]
         true_mean = vecs.mean(axis=0)
         est = estimate_mean(vecs, tuned.params, trial_rng)

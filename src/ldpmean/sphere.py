@@ -16,12 +16,13 @@ a broadcast view of it. ``rotate_from_e1`` is a standalone utility that no
 sampler uses.
 
 Random streams derive in two ways (see ``RngStream``): by substream id, for
-the trials and user blocks of the protocol, and by block jump inside one
-sampler call. The sampler draws its rows in fixed blocks of
-max(1, 2**16 // d) rows. A call of one block draws on the caller's stream.
-A longer call draws block b on the caller's stream jumped b + 1 times, each
-block on its own thread, up to one thread per core; its reports depend on
-the seed and this block rule, never on the number of cores.
+the trials of the protocol, and by block jump inside one call. One rule,
+``_row_blocks``, splits every multi-row draw, the sampler's and the
+protocol's, into fixed blocks of max(1, 2**16 // d) rows. A call of one
+block draws on the caller's stream. A longer call draws block b on the
+caller's stream jumped b + 1 times, each block on its own thread, up to one
+thread per core; its reports depend on the seed and this block rule, never
+on the number of cores.
 """
 
 from __future__ import annotations
@@ -70,16 +71,15 @@ class RngStream:
     ``RngStream(seed, stream_id * 2**32 + i + 1)``, for a stream_id below
     2**32 and i in [0, 2**32 - 1). Outside that range the id would wrap mod
     2**64 onto another stream's id, so ``substream`` raises ValueError.
-    From stream 0 this allows two levels (trial stream, then the stream of
-    one block of users, or of a trial's inputs), and from any other id below
-    2**32 one level. Substream i of stream 0 has id i + 1, the id of a root
-    stream.
+    From stream 0 this allows two levels, and from any other id below 2**32
+    one level; the protocol uses one, a trial's stream. Substream i of
+    stream 0 has id i + 1, the id of a root stream.
 
-    Block jumps: a sampler call of nb > 1 row blocks draws block b on this
-    stream's Philox counter jumped b + 1 times (``Philox.jumped``, 2**128
-    draws per jump), then moves this stream nb + 1 jumps ahead, so its later
-    draws overlap no block. Jumps keep the key, so they never reach another
-    stream.
+    Block jumps: a call of nb > 1 row blocks (``_row_blocks``) draws block
+    b on this stream's Philox counter jumped b + 1 times (``Philox.jumped``,
+    2**128 draws per jump), then moves this stream nb + 1 jumps ahead, so
+    its later draws overlap no block. Jumps keep the key, so they never
+    reach another stream.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -156,10 +156,16 @@ def as_unit_rows(v) -> np.ndarray:
     return rows
 
 
+def _check_int(x, name: str, lo: int) -> int:
+    """x as an int if it is an integer >= lo, else ValueError; the range
+    is checked first, so NaN and inf never reach int()."""
+    if not (lo <= x < math.inf) or int(x) != x:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {x!r}")
+    return int(x)
+
+
 def _check_dim(d: int) -> int:
-    if int(d) != d or d < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
-    return int(d)
+    return _check_int(d, "dimension", 2)
 
 
 def sample_uniform_sphere(d: int, rng: RngStream) -> np.ndarray:
@@ -278,37 +284,38 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _row_blocks(n: int, d: int, fn, rng: RngStream) -> list:
+    """fn(rows, stream) for each row block of an n-row call at dimension d,
+    rows the block's slice, and the results in block order.
+
+    Blocks hold max(1, 2**16 // d) rows. One block runs on rng. More blocks
+    run on a pool of up to one thread per core, block b on rng jumped b + 1
+    times (``RngStream._block_streams``), so the results depend on the seed
+    and this rule only, never on the number of cores.
+    """
+    rows = max(1, _BLOCK_VALUES // d)
+    if n <= rows:
+        return [fn(slice(0, n), rng)]
+    starts = range(0, n, rows)
+    streams = rng._block_streams(len(starts))
+    with ThreadPoolExecutor(min(_cores(), len(starts))) as pool:  # map re-raises a block's error
+        return list(pool.map(lambda start, stream: fn(slice(start, start + rows), stream), starts, streams))
+
+
 def _threshold_rows(v, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:
     """One draw of the two-level threshold construction around each row of
     v, an (n, d) matrix of unit rows (a broadcast view for a shared input),
-    as an (n, d) array.
-
-    Rows are drawn in blocks of max(1, 2**16 // d). One block draws on rng
-    (``_threshold_block``). More blocks fill one (n, d) output: block b
-    draws its slice on rng jumped b + 1 times (``RngStream._block_streams``),
-    on a pool of up to one thread per core.
-    """
-    size, d = v.shape
-    rows = max(1, _BLOCK_VALUES // d)
+    as an (n, d) array whose row blocks ``_threshold_block`` fills
+    (``_row_blocks``)."""
+    out = np.empty(v.shape)
     law = (p, q, q_comp, gamma, m, sigma)
-    if size <= rows:
-        return _threshold_block(v, rng, *law)
-    out = np.empty((size, d))
-    starts = range(0, size, rows)
-
-    def fill(start, stream):
-        _threshold_block(v[start:start + rows], stream, *law, out=out[start:start + rows])
-
-    streams = rng._block_streams(len(starts))
-    with ThreadPoolExecutor(min(_cores(), len(starts))) as pool:
-        for _ in pool.map(fill, starts, streams):  # re-raises a block's error
-            pass
+    _row_blocks(*v.shape, lambda rows, stream: _threshold_block(v[rows], stream, *law, out[rows]), rng)
     return out
 
 
-def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out=None) -> np.ndarray:
-    """The threshold draw for the (k, d) rows of v, all from rng, written to
-    out (k, d) if given, else to a new array.
+def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out) -> None:
+    """The threshold draw for the (k, d) rows of one row block, all from
+    rng, written to out, the block's (k, d) slice of the call's output.
 
     T is the first coordinate of a uniform point of S^{d-1} when sigma is
     None, else N(0, sigma^2); q = P(T < gamma) and q_comp = P(T >= gamma).
@@ -331,8 +338,6 @@ def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out=None) -> np.ndar
         alpha[~above] = np.minimum(open_side, np.nextafter(gamma, -2.0))
     g = rng.normal((size, d))
     along = _project_out(g, v)
-    if out is None:
-        out = g
     if sigma is None:
         sq = _orthogonal_sq_norms(g, v, along)
         while not sq.all():  # probability zero; keeps the norm contract airtight
@@ -344,7 +349,6 @@ def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out=None) -> np.ndar
     else:
         np.multiply(g, sigma / m, out=out)
     out += (alpha / m)[:, None] * v
-    return out
 
 
 def sample_cap(d: int, gamma: float, above: bool, rng: RngStream) -> np.ndarray:

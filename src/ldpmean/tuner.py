@@ -292,6 +292,5 @@ def repetition_err(eps: float, k: int, d: int, alg: str = "privunitg") -> float:
     """Error of averaging k independent runs at budget eps/k each (total
     budget eps by composition): tune(eps/k, d).err_star / k. Never beats
     tune(eps, d) directly, which is the repetition-optimality comparison."""
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    return tune(eps / int(k), d, alg).err_star / int(k)
+    k = sphere._check_int(k, "k", 1)
+    return tune(eps / k, d, alg).err_star / k

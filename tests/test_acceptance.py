@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldpmean import capstruct_lp, cli, estimator, privunit, privunitg, tuner
+from ldpmean import capstruct_lp, cli, estimator, privunit, privunitg, sphere, tuner
 from ldpmean.sphere import RngStream, sample_uniform_sphere
 from ldpmean.specfun import (
     inv_std_normal_cdf,
@@ -186,6 +186,31 @@ def test_repetition_never_beats_direct_tuning():
         for k in (2, 4):
             assert c_at[k * eps] <= c_at[eps] + 1e-9
     assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: tuner.tune(4.0, math.inf), id="tune-d-inf"),
+    pytest.param(lambda: tuner.tune(4.0, math.nan), id="tune-d-nan"),
+    pytest.param(lambda: tuner.tune(4.0, 16.5), id="tune-d-fraction"),
+    pytest.param(lambda: privunitg.gauss_params(math.inf, 0.9, 0.8), id="gauss_params-d-inf"),
+    pytest.param(lambda: privunit.cap_params(math.inf, 0.9, 0.3), id="cap_params-d-inf"),
+    pytest.param(lambda: sphere.marginal_cdf(0.1, math.inf), id="marginal_cdf-d-inf"),
+    pytest.param(lambda: tuner.repetition_err(4.0, math.inf, 8), id="repetition_err-k-inf"),
+    pytest.param(lambda: tuner.repetition_err(4.0, math.nan, 8), id="repetition_err-k-nan"),
+    pytest.param(lambda: tuner.repetition_err(4.0, 2.5, 8), id="repetition_err-k-fraction"),
+    pytest.param(lambda: estimator.run_trials(2, 8, 4.0, "privunitg", 2.5, 0), id="run_trials-trials-fraction"),
+    pytest.param(lambda: estimator.run_trials(2, 8, 4.0, "privunitg", math.inf, 0), id="run_trials-trials-inf"),
+    pytest.param(lambda: estimator.run_trials(2, 8, 4.0, "privunitg", math.nan, 0), id="run_trials-trials-nan"),
+    pytest.param(lambda: estimator.run_trials(2.5, 8, 4.0, "privunitg", 1, 0), id="run_trials-n-fraction"),
+    pytest.param(lambda: estimator.run_trials(math.inf, 8, 4.0, "privunitg", 1, 0), id="run_trials-n-inf"),
+    pytest.param(lambda: estimator.run_trials(math.nan, 8, 4.0, "privunitg", 1, 0), id="run_trials-n-nan"),
+    pytest.param(lambda: capstruct_lp.lp_instance(math.inf, 4.0), id="lp_instance-K-inf"),
+])
+def test_integer_arguments_reject_nan_inf_and_fractions(call):
+    # the range is checked before int(), so inf raises ValueError (a usage
+    # error), never OverflowError, which the CLI would map to exit code 3
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_kernel_oracles():

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import cli, estimator, privunit, privunitg, sphere, tuner
+from ldpmean import cli, privunit, sphere, tuner
 from ldpmean.sphere import RngStream
 
 
@@ -121,14 +121,13 @@ def test_randomize_deterministic(capsys, monkeypatch):
     assert out == out_again
 
 
-@pytest.mark.parametrize(
-    "alg,randomize", [("privunit", privunit.randomize), ("privunitg", privunitg.randomize_g)]
-)
-def test_randomize_draws_blocks_of_users(capsys, tmp_path, alg, randomize):
-    # input line j belongs to block b = j // BLOCK_USERS, drawn in one call on
-    # substream(b) of the root stream; each coordinate prints as "%.12g"
-    B, d, seed = estimator.BLOCK_USERS, 3, 12
-    g = np.random.default_rng(4).standard_normal((B + 5, d))
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+def test_randomize_prints_randomize_reports(capsys, tmp_path, alg):
+    # the output is privunit.randomize(V, params, RngStream(seed)), one line
+    # per input and "%.12g" per coordinate; at d = 1024 the 150 rows make
+    # three row blocks, drawn on threads
+    d, seed = 1024, 12
+    g = np.random.default_rng(4).standard_normal((150, d))
     g /= np.linalg.norm(g, axis=1)[:, None]
     src = tmp_path / "vectors.txt"
     src.write_text("".join(" ".join(repr(x) for x in row) + "\n" for row in g.tolist()))
@@ -137,13 +136,9 @@ def test_randomize_draws_blocks_of_users(capsys, tmp_path, alg, randomize):
     assert rc == 0
     # the CLI renormalizes each parsed row by its norm
     V = np.array([[float(t) for t in line.split()] for line in src.read_text().splitlines()])
-    V /= np.linalg.norm(V, axis=1)[:, None]
-    params = tuner.tune(4.0, d, alg).params
-    expect = []
-    for b in range(2):
-        for row in randomize(V[b * B:(b + 1) * B], params, RngStream(seed).substream(b)):
-            expect.append(" ".join("%.12g" % x for x in row))
-    assert out.splitlines() == expect
+    V /= sphere._row_norms(V)[:, None]
+    reports = privunit.randomize(V, tuner.tune(4.0, d, alg).params, RngStream(seed))
+    assert out.splitlines() == [" ".join("%.12g" % x for x in row) for row in reports]
 
 
 def test_lp_verify_command(capsys):
@@ -215,8 +210,8 @@ def test_data_error_exit_code(capsys, monkeypatch):
 
 
 def test_simulate_exits_3_when_a_block_thread_fails(capsys, monkeypatch):
-    # at d = 1024 a block of 256 users is drawn in 4 row blocks on threads;
-    # one rejection round fails there, and the CLI reports a numeric failure
+    # at d = 1024 the 300 users are drawn in 5 row blocks on threads; one
+    # rejection round fails there, and the CLI reports a numeric failure
     monkeypatch.setattr(sphere, "_MAX_ROUNDS", 1)
     rc, out, err = run_cli(capsys, "simulate", "--eps", "4", "--d", "1024", "--n", "300", "--trials", "1")
     assert rc == 3 and out == "" and "unaccepted" in err

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldpmean import estimator, privunit, privunitg, tuner
+from ldpmean import estimator, privunit, privunitg, sphere, tuner
 from ldpmean.sphere import RngStream
 
 
@@ -24,31 +24,30 @@ def test_estimate_mean_single_user_matches_direct_draw(make_params):
     v[0] = 1.0
     rng = RngStream(3, 1)
     got = estimator.estimate_mean([v], params, rng)
-    expect = privunit.randomize(v, params, RngStream(3, 1).substream(0))
+    # one user is one row block, drawn on the caller's stream
+    expect = privunit.randomize(v, params, RngStream(3, 1))
     np.testing.assert_array_equal(got, expect)
 
 
 @pytest.mark.parametrize("make_params", _LAWS)
-def test_estimate_mean_is_block_order_stable(make_params):
-    # block b of BLOCK_USERS users always draws from substream(b), so the
-    # reports do not depend on the order the blocks are drawn in: drawn last
-    # to first and summed in block order they reproduce estimate_mean exactly
-    B = estimator.BLOCK_USERS
-    n, d, blocks = 2 * B + 3, 4, 3
+def test_estimate_mean_equals_block_sums_of_randomize(make_params):
+    # the reports are privunit.randomize(vs, params, rng) bit for bit: at
+    # d = 1024 a row block holds 64 users, so 133 users make two full
+    # blocks and a ragged third, drawn on threads; their sums are added in
+    # block order, and the caller's stream moves as far as randomize moves it
+    rows, d = 2**16 // 1024, 1024
+    n = 2 * rows + 5
     params = make_params(d)
     g = RngStream(8).normal((n, d))
     vs = g / np.linalg.norm(g, axis=1, keepdims=True)
     rng = RngStream(5)
-    reports = {
-        b: privunit.randomize(vs[b * B:(b + 1) * B], params, rng.substream(b))
-        for b in reversed(range(blocks))
-    }
-    assert reports[blocks - 1].shape == (3, d)
+    reports = privunit.randomize(vs, params, rng)
     total = np.zeros(d)
-    for b in range(blocks):
-        total += reports[b].sum(axis=0)
-    got = estimator.estimate_mean(vs, params, RngStream(5))
-    np.testing.assert_array_equal(got, total / n)
+    for start in range(0, n, rows):
+        total += reports[start:start + rows].sum(axis=0)
+    again = RngStream(5)
+    np.testing.assert_array_equal(estimator.estimate_mean(vs, params, again), total / n)
+    np.testing.assert_array_equal(again.uniform(4), rng.uniform(4))
 
 
 def test_estimate_mean_rejects_bad_input():
@@ -72,7 +71,7 @@ def test_run_trials_validation_and_single_trial():
         estimator.run_trials(n=0, d=8, eps=4.0, alg="privunitg", trials=5, seed=0)
     with pytest.raises(ValueError):
         estimator.run_trials(n=2, d=8, eps=4.0, alg="privunitg", trials=0, seed=0)
-    with pytest.raises(ValueError):  # n names the stream of the inputs
+    with pytest.raises(ValueError):  # n sizes the input draw, so it must be an integer
         estimator.run_trials(n=2.5, d=8, eps=4.0, alg="privunitg", trials=1, seed=0)
     rep = estimator.run_trials(n=1, d=8, eps=4.0, alg="privunitg", trials=1, seed=0)
     assert math.isnan(rep.standard_error)
@@ -86,6 +85,17 @@ def test_run_trials_mse_matches_analytic(alg):
     expect = rep.analytic_err_per_user / n
     assert abs(rep.empirical_mse - expect) <= 4.0 * rep.standard_error
     assert rep.analytic_err_per_user == tuner.tune(4.0, 16, alg).err_star
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+def test_run_trials_does_not_depend_on_the_core_count(alg, monkeypatch):
+    # at d = 1024, 300 users make 5 row blocks: on one thread or on two,
+    # each block draws on its own jump of the trial stream
+    reps = []
+    for cores in (1, 2):
+        monkeypatch.setattr(sphere, "_cores", lambda c=cores: c)
+        reps.append(estimator.run_trials(300, 1024, 4.0, alg, 2, 19))
+    assert reps[0] == reps[1]
 
 
 def test_run_trials_error_scales_inversely_with_n():
