@@ -120,7 +120,7 @@ def cmd_randomize(args) -> list[str]:
     tuned = tuner.tune(args.eps, args.d, args.alg)
     line_fmt = " ".join(["%.12g"] * args.d)  # _fmt's text for every coordinate at once
     reports = privunit.randomize(vectors, tuned.params, RngStream(args.seed, 0))
-    return [line_fmt % tuple(row) for row in reports.tolist()]
+    return [line_fmt % tuple(row.tolist()) for row in reports]  # one row of Python floats at a time
 
 
 def cmd_lp_verify(args) -> list[str]:

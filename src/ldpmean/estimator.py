@@ -6,9 +6,12 @@ the single-user error divided by n. The users' reports are exactly
 laws, as it reads the law from the parameters: ``estimate_mean`` draws them
 by the sampler's row-block rule (``sphere._row_blocks``), sums each block
 on the thread that drew it and adds the block sums in block order, so it
-holds one block of reports per thread, never all n. Streams are derived,
-never shared: trial t uses root.substream(t), and draws its n inputs and
-then its reports on that one stream.
+holds one block of reports per thread, never all n. It runs at most
+``_THREADS`` block threads, as each holds about three blocks of scratch
+(1.5 MB): its memory beyond the inputs stays near 3 MB whatever the core
+count, and its reports never depend on the thread count. Streams are
+derived, never shared: trial t uses root.substream(t), and draws its n
+inputs and then its reports on that one stream.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from . import privunit, sphere, tuner
 from .sphere import RngStream
 
 __all__ = ["TrialReport", "estimate_mean", "run_trials"]
+
+_THREADS = 2
 
 
 @dataclass(frozen=True)
@@ -46,9 +51,10 @@ def estimate_mean(vectors, params: privunit.ThresholdParams, rng: RngStream) -> 
     mat = sphere.as_unit_rows(vectors)
 
     def block_sum(rows, stream):
-        return privunit.randomize(mat[rows], params, stream).sum(axis=0)
+        # the rows are validated once, above, not again per block
+        return privunit._row_reports(mat[rows], params, stream).sum(axis=0)
 
-    return sum(sphere._row_blocks(*mat.shape, block_sum, rng)) / mat.shape[0]
+    return sum(sphere._row_blocks(*mat.shape, block_sum, rng, _THREADS)) / mat.shape[0]
 
 
 def run_trials(n: int, d: int, eps: float, alg: str, trials: int, seed: int) -> TrialReport:

@@ -200,10 +200,16 @@ def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None
         if size < 1:
             raise ValueError(f"size must be positive, got {size}")
         rows = np.broadcast_to(vec, (size, vec.size))
+    out = _row_reports(rows, params, rng)
+    return out[0] if size is None and np.ndim(v) == 1 else out
+
+
+def _row_reports(rows, params: ThresholdParams, rng: RngStream) -> np.ndarray:
+    """The reports of ``_reports`` for an (n, d) matrix of rows already
+    validated as unit rows."""
     if rows.shape[1] != params.d:
         raise ValueError(f"input dimension {rows.shape[1]} != params dimension {params.d}")
-    out = sphere._threshold_rows(rows, rng, params.p, params.q, params.q_comp, params.gamma, params.m, params.sigma)
-    return out[0] if size is None and np.ndim(v) == 1 else out
+    return sphere._threshold_rows(rows, rng, params.p, params.q, params.q_comp, params.gamma, params.m, params.sigma)
 
 
 def randomize(v, params: CapParams, rng: RngStream) -> np.ndarray:

@@ -21,8 +21,8 @@ the trials of the protocol, and by block jump inside one call. One rule,
 protocol's, into fixed blocks of max(1, 2**16 // d) rows. A call of one
 block draws on the caller's stream. A longer call draws block b on the
 caller's stream jumped b + 1 times, each block on its own thread, up to one
-thread per core; its reports depend on the seed and this block rule, never
-on the number of cores.
+thread per core (the protocol caps its threads lower); its reports depend
+on the seed and this block rule, never on the number of threads.
 """
 
 from __future__ import annotations
@@ -284,21 +284,22 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _row_blocks(n: int, d: int, fn, rng: RngStream) -> list:
+def _row_blocks(n: int, d: int, fn, rng: RngStream, threads: float = math.inf) -> list:
     """fn(rows, stream) for each row block of an n-row call at dimension d,
     rows the block's slice, and the results in block order.
 
     Blocks hold max(1, 2**16 // d) rows. One block runs on rng. More blocks
-    run on a pool of up to one thread per core, block b on rng jumped b + 1
-    times (``RngStream._block_streams``), so the results depend on the seed
-    and this rule only, never on the number of cores.
+    run on a pool of up to one thread per core, and at most threads, block
+    b on rng jumped b + 1 times (``RngStream._block_streams``), so the
+    results depend on the seed and this rule only, never on the number of
+    threads.
     """
     rows = max(1, _BLOCK_VALUES // d)
     if n <= rows:
         return [fn(slice(0, n), rng)]
     starts = range(0, n, rows)
     streams = rng._block_streams(len(starts))
-    with ThreadPoolExecutor(min(_cores(), len(starts))) as pool:  # map re-raises a block's error
+    with ThreadPoolExecutor(min(_cores(), len(starts), threads)) as pool:  # map re-raises a block's error
         return list(pool.map(lambda start, stream: fn(slice(start, start + rows), stream), starts, streams))
 
 

@@ -116,3 +116,18 @@ def test_run_trials_holds_one_copy_of_the_inputs():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * d * 8
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+def test_run_trials_memory_does_not_grow_with_the_core_count(monkeypatch, alg):
+    # each block thread holds block-sized scratch, so the protocol caps its
+    # threads: on a many-core machine the peak stays below 1.5 copies too
+    monkeypatch.setattr(sphere, "_cores", lambda: 16)
+    n, d = 4000, 512
+    tracemalloc.start()
+    try:
+        estimator.run_trials(n, d, 4.0, alg, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * d * 8
