@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericsError
+
 __all__ = ["LpInstance", "LpSolution", "lp_instance", "solve_greedy", "verify_cap_structure"]
 
 
@@ -59,6 +61,8 @@ def lp_instance(K: int, eps: float) -> LpInstance:
         raise ValueError(f"K must be an even integer >= 8, got {K!r}")
     if not (eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if math.exp(-0.5 * eps) == 1.0:  # then exp(0.5 * eps) == 1.0 too
+        raise ValueError(f"eps={eps!r} is too small: the two density levels round to one double")
     K = int(K)
     j = np.arange(K)
     midpoints = (2.0 * j + 1.0) * math.pi / K
@@ -89,7 +93,13 @@ def solve_greedy(instance: LpInstance) -> LpSolution:
     n_hi = 2 * np.arange(half + 1)
     base = 1.0 / (w * (n_hi * hi_f + (K - n_hi) * lo_f))
     cum = np.concatenate(([0.0], np.cumsum(xbar[:half])))
-    best_k = int(np.argmax(w * base * (hi_f - lo_f) * (2.0 * cum)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = w * base * (hi_f - lo_f) * (2.0 * cum)
+    # past eps of about 711 the uniform vertex's w * base * hi_f overflows
+    # and inf * 0 is NaN, where argmax would pick it
+    if not np.all(np.isfinite(gain)):
+        raise NumericsError(f"the circle objective overflows at eps={eps}, K={K}")
+    best_k = int(np.argmax(gain))
     base_p = float(base[best_k])
     j = np.arange(K)
     high = (j < best_k) | (j >= K - best_k)
@@ -119,12 +129,13 @@ def verify_cap_structure(solution: LpSolution) -> bool:
         return False
     if abs(float(np.dot(levels, np.full(K, w))) - 1.0) > 1e-12:
         return False
-    scale = base
-    if np.max(np.abs(levels - levels[::-1])) > 1e-12 * scale:
+    if np.max(np.abs(levels - levels[::-1])) > 1e-12 * base:
         return False
     hi_v = math.exp(0.5 * inst.eps) * base
     lo_v = math.exp(-0.5 * inst.eps) * base
-    tol = 1e-9 * scale
+    # below both the low level and the level gap, so that at small eps no
+    # level counts as both and at large eps the low level keeps its digits
+    tol = 1e-9 * min(lo_v, hi_v - lo_v)
     if np.any(levels < lo_v - tol) or np.any(levels > hi_v + tol):
         return False
     half = K // 2

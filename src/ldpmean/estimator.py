@@ -9,9 +9,9 @@ on the thread that drew it and adds the block sums in block order, so it
 holds one block of reports per thread, never all n. It runs at most
 ``_THREADS`` block threads, as each holds about three blocks of scratch
 (1.5 MB): its memory beyond the inputs stays near 3 MB whatever the core
-count, and its reports never depend on the thread count. Streams are
-derived, never shared: trial t uses root.substream(t), and draws its n
-inputs and then its reports on that one stream.
+count, and its reports never depend on the thread count. Trial t of
+``run_trials`` draws its n inputs and then its reports on its own stream,
+``RngStream(seed, t + 1)``.
 """
 
 from __future__ import annotations
@@ -64,10 +64,9 @@ def run_trials(n: int, d: int, eps: float, alg: str, trials: int, seed: int) -> 
     n = sphere._check_int(n, "n", 1)
     trials = sphere._check_int(trials, "trials", 1)
     tuned = tuner.tune(eps, d, alg)
-    root = RngStream(seed, 0)
     sq_errors = np.empty(trials)
     for t in range(trials):
-        trial_rng = root.substream(t)
+        trial_rng = RngStream(seed, t + 1)
         # uniform inputs: normalized Gaussian rows, the same normal sequence
         # as n one-vector draws
         vecs = trial_rng.normal((n, d))

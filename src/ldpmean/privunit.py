@@ -197,8 +197,7 @@ def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None
         rows = as_unit_rows(v)
     else:
         vec = as_unit_vector(v)
-        if size < 1:
-            raise ValueError(f"size must be positive, got {size}")
+        size = sphere._check_int(size, "size", 1)
         rows = np.broadcast_to(vec, (size, vec.size))
     out = _row_reports(rows, params, rng)
     return out[0] if size is None and np.ndim(v) == 1 else out

@@ -15,14 +15,15 @@ of unit inputs, one per row; n reports of one shared input are the rows of
 a broadcast view of it. ``rotate_from_e1`` is a standalone utility that no
 sampler uses.
 
-Random streams derive in two ways (see ``RngStream``): by substream id, for
-the trials of the protocol, and by block jump inside one call. One rule,
-``_row_blocks``, splits every multi-row draw, the sampler's and the
-protocol's, into fixed blocks of max(1, 2**16 // d) rows. A call of one
-block draws on the caller's stream. A longer call draws block b on the
-caller's stream jumped b + 1 times, each block on its own thread, up to one
-thread per core (the protocol caps its threads lower); its reports depend
-on the seed and this block rule, never on the number of threads.
+The package names its streams by id (see ``RngStream``): stream 0 for CLI
+``randomize`` and stream t + 1 for trial t of ``estimator.run_trials``.
+Inside one call, streams derive by block jump only: ``_row_blocks`` splits
+every multi-row draw, the sampler's and the protocol's, into fixed blocks
+of max(1, 2**16 // d) rows. A call of one block draws on the caller's
+stream. A longer call draws block b on the caller's stream jumped b + 1
+times, each block on its own thread, up to one thread per core (the
+protocol caps its threads lower); its reports depend on the seed and this
+block rule, never on the number of threads.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-_ID_LEVEL = 1 << 32  # substream ids: stream_id * 2**32 + i + 1
 # values in one row block of a sampler call: 2**16 doubles are 512 KiB, so a
 # block's arrays stay in a core's cache from its Gaussian draw to its output
 _BLOCK_VALUES = 1 << 16
@@ -65,21 +65,15 @@ class RngStream:
     Backed by numpy's counter-based Philox generator keyed with
     ``key = (stream_id << 64) | seed``, so identical ``(seed, stream_id)``
     pairs reproduce identical draw sequences and distinct stream ids give
-    statistically independent streams. Streams derive in two ways.
+    statistically independent streams. The package names stream 0 (CLI
+    ``randomize``) and stream t + 1 (trial t of ``estimator.run_trials``);
+    a caller names any other id in [0, 2**64) directly.
 
-    Substream ids: ``substream(i)`` is
-    ``RngStream(seed, stream_id * 2**32 + i + 1)``, for a stream_id below
-    2**32 and i in [0, 2**32 - 1). Outside that range the id would wrap mod
-    2**64 onto another stream's id, so ``substream`` raises ValueError.
-    From stream 0 this allows two levels, and from any other id below 2**32
-    one level; the protocol uses one, a trial's stream. Substream i of
-    stream 0 has id i + 1, the id of a root stream.
-
-    Block jumps: a call of nb > 1 row blocks (``_row_blocks``) draws block
-    b on this stream's Philox counter jumped b + 1 times (``Philox.jumped``,
-    2**128 draws per jump), then moves this stream nb + 1 jumps ahead, so
-    its later draws overlap no block. Jumps keep the key, so they never
-    reach another stream.
+    Streams derive by block jump only: a call of nb > 1 row blocks
+    (``_row_blocks``) draws block b on this stream's Philox counter jumped
+    b + 1 times (``Philox.jumped``, 2**128 draws per jump), then moves this
+    stream nb + 1 jumps ahead, so its later draws overlap no block. Jumps
+    keep the key, so they never reach another stream.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -90,13 +84,6 @@ class RngStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._gen = np.random.Generator(np.random.Philox(key=(self.stream_id << 64) | self.seed))
-
-    def substream(self, i: int) -> "RngStream":
-        if self.stream_id >= _ID_LEVEL:
-            raise ValueError(f"stream_id {self.stream_id} >= 2**32 derives no substream: its ids would wrap")
-        if not (0 <= i < _ID_LEVEL - 1) or int(i) != i:
-            raise ValueError(f"substream index must be an integer in [0, 2**32 - 1), got {i!r}")
-        return RngStream(self.seed, self.stream_id * _ID_LEVEL + int(i) + 1)
 
     def _block_streams(self, nb: int) -> list["RngStream"]:
         """The streams of nb row blocks, block b on this stream jumped b + 1

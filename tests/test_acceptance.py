@@ -75,13 +75,13 @@ def test_unbiased_mean_both_randomizers():
     v = sample_uniform_sphere(d, RngStream(2024, 5))
     for stream_id, alg in ((1, "privunit"), (2, "privunitg")):
         tuned = tuner.tune(4.0, d, alg)
-        root = RngStream(77, stream_id)
         total = np.zeros(d)
         for i in range(draws // chunk):
+            rng = RngStream(77, (stream_id << 32) + i + 1)
             if alg == "privunit":
-                out = privunit.randomize_batch(v, tuned.params, chunk, root.substream(i))
+                out = privunit.randomize_batch(v, tuned.params, chunk, rng)
             else:
-                out = privunitg.randomize_g_batch(v, tuned.params, chunk, root.substream(i))
+                out = privunitg.randomize_g_batch(v, tuned.params, chunk, rng)
             total += out.sum(axis=0)
         deviation = float(np.linalg.norm(total / draws - v))
         assert deviation <= 4.0 * math.sqrt(tuned.err_star / draws)
@@ -95,13 +95,13 @@ def test_empirical_error_matches_analytic():
     v = sample_uniform_sphere(d, RngStream(2024, 6))
     for stream_id, alg in ((11, "privunit"), (12, "privunitg")):
         tuned = tuner.tune(8.0, d, alg)
-        root = RngStream(501, stream_id)
         total_sq = 0.0
         for i in range(draws // chunk):
+            rng = RngStream(501, (stream_id << 32) + i + 1)
             if alg == "privunit":
-                out = privunit.randomize_batch(v, tuned.params, chunk, root.substream(i))
+                out = privunit.randomize_batch(v, tuned.params, chunk, rng)
             else:
-                out = privunitg.randomize_g_batch(v, tuned.params, chunk, root.substream(i))
+                out = privunitg.randomize_g_batch(v, tuned.params, chunk, rng)
             total_sq += float(np.sum((out - v) ** 2))
         mse = total_sq / draws
         assert abs(mse / tuned.err_star - 1.0) <= 0.02
@@ -188,6 +188,11 @@ def test_repetition_never_beats_direct_tuning():
     assert time.perf_counter() - t0 < 2.0
 
 
+_E1 = np.eye(8)[0]
+_CAP8 = privunit.cap_params(8, 0.9, 0.3)
+_GAUSS8 = privunitg.gauss_params(8, 0.9, 0.8)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: tuner.tune(4.0, math.inf), id="tune-d-inf"),
     pytest.param(lambda: tuner.tune(4.0, math.nan), id="tune-d-nan"),
@@ -205,12 +210,26 @@ def test_repetition_never_beats_direct_tuning():
     pytest.param(lambda: estimator.run_trials(math.inf, 8, 4.0, "privunitg", 1, 0), id="run_trials-n-inf"),
     pytest.param(lambda: estimator.run_trials(math.nan, 8, 4.0, "privunitg", 1, 0), id="run_trials-n-nan"),
     pytest.param(lambda: capstruct_lp.lp_instance(math.inf, 4.0), id="lp_instance-K-inf"),
+    pytest.param(lambda: privunit.randomize_batch(_E1, _CAP8, 2.5, RngStream(0)), id="randomize_batch-size-fraction"),
+    pytest.param(lambda: privunit.randomize_batch(_E1, _CAP8, math.inf, RngStream(0)), id="randomize_batch-size-inf"),
+    pytest.param(lambda: privunit.randomize_batch(_E1, _CAP8, math.nan, RngStream(0)), id="randomize_batch-size-nan"),
+    pytest.param(lambda: privunitg.randomize_g_batch(_E1, _GAUSS8, 2.5, RngStream(0)), id="randomize_g_batch-size-fraction"),
+    pytest.param(lambda: privunitg.randomize_g_batch(_E1, _GAUSS8, math.inf, RngStream(0)), id="randomize_g_batch-size-inf"),
+    pytest.param(lambda: privunitg.randomize_g_batch(_E1, _GAUSS8, math.nan, RngStream(0)), id="randomize_g_batch-size-nan"),
 ])
 def test_integer_arguments_reject_nan_inf_and_fractions(call):
     # the range is checked before int(), so inf raises ValueError (a usage
     # error), never OverflowError, which the CLI would map to exit code 3
     with pytest.raises(ValueError):
         call()
+
+
+def test_batch_size_accepts_integral_floats():
+    # an integral size of any type is the integer it names, as for every
+    # other integer argument
+    for size in (3.0, np.float64(3.0)):
+        assert privunit.randomize_batch(_E1, _CAP8, size, RngStream(0)).shape == (3, 8)
+        assert privunitg.randomize_g_batch(_E1, _GAUSS8, size, RngStream(0)).shape == (3, 8)
 
 
 def test_kernel_oracles():

@@ -52,6 +52,8 @@ def test_instance_validation():
         lp_instance(36, 0.0)
     with pytest.raises(ValueError):
         lp_instance(36, math.inf)
+    with pytest.raises(ValueError):  # the two levels round to one double
+        lp_instance(36, 1e-16)
 
 
 # --- solver ------------------------------------------------------------------
@@ -67,8 +69,10 @@ def test_greedy_equals_brute_force(K, eps):
     assert sol.err_implied == 1.0 / (sol.alpha * sol.alpha) - 1.0
 
 
-@pytest.mark.parametrize("eps", [0.5, 2.0, 8.0])
+@pytest.mark.parametrize("eps", [1e-12, 1e-6, 0.5, 2.0, 8.0, 700.0])
 def test_greedy_solution_certified(eps):
+    # the certificate's tolerance stays below the level gap at small eps and
+    # below the low level at large eps
     for K in (36, 360):
         assert verify_cap_structure(solve_greedy(lp_instance(K, eps)))
 

@@ -207,6 +207,9 @@ def test_data_error_exit_code(capsys, monkeypatch):
     # an overflow inside the solver is a numeric failure, not a traceback
     rc, out, _ = run_cli(capsys, "lp_verify", "--eps", "1500")
     assert rc == 3 and out == ""
+    # and so is an objective that overflows to inf * 0 = NaN
+    rc, out, err = run_cli(capsys, "lp_verify", "--eps", "800", "--k", "36")
+    assert rc == 3 and out == "" and "overflows" in err
 
 
 def test_simulate_exits_3_when_a_block_thread_fails(capsys, monkeypatch):

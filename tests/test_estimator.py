@@ -79,6 +79,19 @@ def test_run_trials_validation_and_single_trial():
 
 
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+def test_run_trials_draws_trial_0_on_stream_1(alg):
+    # trial t draws its inputs and then its reports on RngStream(seed, t + 1);
+    # 300 users at d = 1024 make 5 row blocks, drawn on jumps of that stream
+    n, d, seed = 300, 1024, 19
+    rng = RngStream(seed, 1)
+    vecs = rng.normal((n, d))
+    vecs /= sphere._row_norms(vecs)[:, None]
+    est = estimator.estimate_mean(vecs, tuner.tune(4.0, d, alg).params, rng)
+    rep = estimator.run_trials(n, d, 4.0, alg, 1, seed)
+    assert rep.empirical_mse == float(np.sum((est - vecs.mean(axis=0)) ** 2))
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
 def test_run_trials_mse_matches_analytic(alg):
     n, trials = 25, 400
     rep = estimator.run_trials(n=n, d=16, eps=4.0, alg=alg, trials=trials, seed=7)

@@ -18,49 +18,19 @@ def test_rng_stream_determinism():
     np.testing.assert_array_equal(a.normal(16), b.normal(16))
     np.testing.assert_array_equal(a.uniform(8), b.uniform(8))
     np.testing.assert_array_equal(a.beta(7.5, 7.5, 8), b.beta(7.5, 7.5, 8))
-
-
-def test_rng_stream_substreams_differ_and_are_stable():
-    root = RngStream(1, 0)
-    s3 = root.substream(3)
-    s4 = root.substream(4)
-    assert s3.uniform() != s4.uniform()
-    # deriving again yields the same stream regardless of draw history
-    again = RngStream(1, 0).substream(3)
-    assert RngStream(1, 0).substream(3).uniform() == again.uniform()
-    # nested derivation stays collision-free for distinct paths
-    seen = {RngStream(1, 0).substream(i).substream(j).uniform() for i in range(5) for j in range(5)}
+    # distinct ids, as run_trials names one per trial, draw distinct values
+    seen = {RngStream(1, i).uniform() for i in range(25)}
     assert len(seen) == 25
 
 
-def test_substream_refuses_ids_that_would_wrap():
-    # stream_id * 2**32 + i + 1 is collision free only for stream ids and
-    # indexes below 2**32; past that it wraps mod 2**64 onto another id.
-    # A third level from stream 0 is such a derivation: without the check,
-    # this pair of paths draws the same values
-    with pytest.raises(ValueError):
-        RngStream(5, 0).substream(0).substream(3).substream(1)
-    with pytest.raises(ValueError):
-        RngStream(5, 0).substream(7).substream(3).substream(1)
-    for stream_id, i in ((2**40, 0), (2**32, 0), (0, 2**64 - 1), (0, 2**32 - 1), (3, -1)):
-        with pytest.raises(ValueError):
-            RngStream(5, stream_id).substream(i)
-    # the largest ids the rule allows stay distinct and in range
-    assert RngStream(5, 2**32 - 1).substream(2**32 - 2).stream_id == 2**64 - 1
-    assert RngStream(5, 0).substream(2**32 - 2).stream_id == 2**32 - 1
-
-
 def test_rng_stream_refuses_non_integral_ids():
-    # int() would truncate these onto another stream: substream(0.5) onto
-    # substream(0), seed 3.7 onto seed 3
-    for seed, stream_id in ((3.7, 0), (3, 1.5), (math.nan, 0), (3, math.inf)):
+    # int() would truncate these onto another stream: stream 1.5 onto
+    # stream 1, seed 3.7 onto seed 3
+    for seed, stream_id in ((3.7, 0), (3, 1.5), (3, 2.0 + 1e-9), (math.nan, 0), (3, math.nan), (3, math.inf)):
         with pytest.raises(ValueError):
             RngStream(seed, stream_id)
-    for i in (0.5, 2.0 + 1e-9, math.nan):
-        with pytest.raises(ValueError):
-            RngStream(3).substream(i)
     # integral values of any type name the same stream
-    same = (RngStream(3.0, np.uint64(2)), RngStream(np.int64(3), 2), RngStream(3, 0).substream(np.int32(1)))
+    same = (RngStream(3.0, np.uint64(2)), RngStream(np.int64(3), 2), RngStream(3, np.int32(2)))
     assert {(r.seed, r.stream_id) for r in same} == {(3, 2)}
     assert all(type(r.seed) is int and type(r.stream_id) is int for r in same)
 

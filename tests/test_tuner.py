@@ -4,12 +4,14 @@ budgets, and produce the monotone scaled constant."""
 
 import math
 
+import numpy as np
 import pytest
 
 from ldpmean import privunit, privunitg, specfun, sphere, tuner
 from ldpmean.errors import DegenerateParameterError, NumericsError
 from ldpmean.privunit import CapParams
 from ldpmean.privunitg import GaussParams
+from ldpmean.sphere import RngStream
 
 
 # --- budget splits ----------------------------------------------------------
@@ -99,9 +101,14 @@ def test_tune_matches_dense_grid(alg, eps, d, grid_n, rel):
     assert abs(res.err_star - best) <= rel * best
 
 
+# the advertised envelope: 126 points with both algorithms
+_ENVELOPE_D = [2, 3, 16, 1024, 50_000, 100_000, 1_000_000]
+_ENVELOPE_EPS = [1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0, 512.0, 700.0]
+
+
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
-@pytest.mark.parametrize("d", [2, 3, 16, 1024, 50_000, 100_000, 1_000_000])
-@pytest.mark.parametrize("eps", [1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0, 512.0, 700.0])
+@pytest.mark.parametrize("d", _ENVELOPE_D)
+@pytest.mark.parametrize("eps", _ENVELOPE_EPS)
 def test_tune_envelope_contract(eps, d, alg):
     # every point of the advertised envelope either tunes to a finite,
     # positive error within its budget or raises a typed numeric error
@@ -121,6 +128,27 @@ def test_tune_envelope_contract(eps, d, alg):
     assert res.split.p == res.params.p
     assert res.split.q == pytest.approx(res.params.q, rel=1e-12)
     assert res.split.eps0 + res.split.eps1 == pytest.approx(res.params.budget, rel=1e-12)
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+@pytest.mark.parametrize("d", _ENVELOPE_D)
+@pytest.mark.parametrize("eps", _ENVELOPE_EPS)
+def test_sampler_envelope_contract(eps, d, alg):
+    # every tuned envelope point draws finite reports around a general v and
+    # around e_1, and PrivUnit's reports lie on the radius-1/m sphere
+    try:
+        params = tuner.tune(eps, d, alg).params
+    except (NumericsError, DegenerateParameterError):
+        return
+    n = max(1, 2**14 // d)
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    for v in (sphere.sample_uniform_sphere(d, RngStream(16, d)), e1):
+        out = privunit.randomize_batch(v, params, n, RngStream(17, d))
+        assert out.shape == (n, d) and np.all(np.isfinite(out))
+        if alg == "privunit":
+            norms = np.linalg.norm(out, axis=1)
+            assert np.all(np.abs(norms - 1.0 / params.m) <= 1e-14 / params.m)
 
 
 @pytest.mark.parametrize("eps,d", [(64.0, 2), (512.0, 2), (700.0, 2), (256.0, 3), (512.0, 3), (700.0, 3)])
