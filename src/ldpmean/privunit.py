@@ -118,33 +118,46 @@ def privacy_eps(p: float, q: float, p_comp: float | None = None, q_comp: float |
     return log_hi - log_lo
 
 
-def _threshold_fields(d: int, p: float, p_comp: float, q_comp: float, gamma: float, tail_mean: float) -> dict:
-    """The ThresholdParams fields at the threshold gamma, given its mass
-    q_comp = P(T >= gamma) and tail_mean = E[T 1{T >= gamma}]: q = 1 - q_comp
-    and m = tail_mean * (p + q - 1) / (q q_comp), rejected unless positive
-    (p + q <= 1, a tail mean that underflowed to 0, or a cap of zero mass)."""
+def _q_and_m(p: float, p_comp: float, q_comp: float, tail_mean: float) -> tuple[float, float]:
+    """q = 1 - q_comp and the normalizer m = tail_mean * (p + q - 1) / (q q_comp)
+    at a threshold of mass q_comp = P(T >= gamma) and tail mean
+    tail_mean = E[T 1{T >= gamma}], rejected unless positive (p + q <= 1, a
+    tail mean that underflowed to 0, or a cap of zero mass)."""
     q = 1.0 - q_comp
     num = tail_mean * (1.0 - (p_comp + q_comp))  # sign-corrected p + q - 1
     if not (num > 0.0 and q_comp > 0.0):
         raise DegenerateParameterError(f"normalizer is not positive at p={p}, q={q}, q_comp={q_comp}")
-    m = num / (q * q_comp)
+    return q, num / (q * q_comp)
+
+
+def _threshold_fields(d: int, p: float, p_comp: float, q_comp: float, gamma: float, tail_mean: float) -> dict:
+    """The ThresholdParams fields at the threshold gamma, given its mass
+    q_comp and tail mean (see ``_q_and_m``)."""
+    q, m = _q_and_m(p, p_comp, q_comp, tail_mean)
     log_hi, log_lo = _two_log_levels(p, q, p_comp, q_comp)
     return dict(d=d, p=p, p_comp=p_comp, q=q, q_comp=q_comp, gamma=gamma, m=m,
                 log_level_hi=log_hi, log_level_lo=log_lo, budget=log_hi - log_lo)
+
+
+def _cap_mass(a: float, gamma: float, q_comp: float | None = None) -> tuple[float, float]:
+    """(q_comp, tail_mean) of the cap {T >= gamma}, with a = (d-1)/2. The cap
+    is {X <= x} for X ~ Beta(a, a) and x = (1 - gamma)/2, so q_comp = I_x(a, a),
+    bit for bit ``sphere.marginal_cdf(-gamma, d)``, and
+    tail_mean = E[T 1{T >= gamma}] = x^a (1-x)^a / (a B(a, a)) is the front
+    factor of that same I_x, evaluated once for both, whose rounding then
+    cancels in m; x is 0 or >= 2^-54. A q_comp the caller gives is kept."""
+    x = 0.5 * (1.0 - gamma)
+    front = math.exp(specfun._ln_front(x, a, a)) if x > 0.0 else 0.0
+    if q_comp is None:
+        q_comp = specfun._reg_inc_beta_front(x, a, a, front)
+    return q_comp, front / a
 
 
 def _build(d: int, p: float, p_comp: float, gamma: float, q_comp: float | None = None) -> CapParams:
     """PrivUnit parameters whose masses and m are those of the sampled
     threshold gamma; q_comp, where given, is the caller's
     ``sphere.marginal_cdf(-gamma, d)``, which is then not evaluated again."""
-    a = 0.5 * (d - 1)
-    # the cap {T >= gamma} is {X <= x} for X ~ Beta(a, a), so q_comp = I_x(a, a),
-    # and E[T 1{T >= gamma}] = x^a (1-x)^a / (a B(a, a)) is the front factor of
-    # that same I_x, whose rounding then cancels in m; x is 0 or >= 2^-54
-    x = 0.5 * (1.0 - gamma)
-    tail_mean = math.exp(specfun._ln_front(x, a, a)) / a if x > 0.0 else 0.0
-    if q_comp is None:
-        q_comp = sphere.marginal_cdf(-gamma, d)
+    q_comp, tail_mean = _cap_mass(0.5 * (d - 1), gamma, q_comp)
     return CapParams(**_threshold_fields(d, p, p_comp, q_comp, gamma, tail_mean))
 
 
@@ -161,7 +174,16 @@ def cap_params(d: int, p: float, gamma: float) -> CapParams:
 
 def analytic_err(params: CapParams) -> ErrorBreakdown:
     """Squared error 1/m^2 - 1 (the output lies on the radius-1/m sphere),
-    evaluated without cancellation as (1 - m)(1 + m)/m^2 with
+    evaluated by ``_cap_err`` without cancellation. alpha_sq is recorded
+    informationally via the closed form
+    E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d."""
+    d, m = params.d, params.m
+    err = _cap_err(d, params.p, params.p_comp, params.q, params.q_comp, params.gamma, m)
+    return ErrorBreakdown(m=m, alpha_sq=(1.0 + params.gamma * (d - 1) * m) / d, err=err, d=d)
+
+
+def _cap_err(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, m: float) -> float:
+    """PrivUnit's squared error 1/m^2 - 1 as (1 - m)(1 + m)/m^2 with
     1 - m = p r + p_comp (1 + tau/q), a sum of positive terms, so a small
     err keeps its relative precision.
 
@@ -171,20 +193,17 @@ def analytic_err(params: CapParams) -> ErrorBreakdown:
     fraction, so tau/q_comp is 1/CF(x; a, a) to rounding. Where it exceeds
     1/2, 1 - tau/q_comp would cancel, and r = I_x(a+1, a)/I_x(a, a) is
     taken as (2ax/(a+1)) CF(x; a+1, a)/CF(x; a, a) instead, whose front
-    factors cancel. alpha_sq is recorded informationally via the closed
-    form E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d."""
-    d, m, q = params.d, params.m, params.q
-    tau = m * q * params.q_comp / (1.0 - (params.p_comp + params.q_comp))
-    cap_mean = tau / params.q_comp
+    factors cancel."""
+    tau = m * q * q_comp / (1.0 - (p_comp + q_comp))
+    cap_mean = tau / q_comp
     if cap_mean <= 0.5:
         r = 1.0 - cap_mean
     else:
         a = 0.5 * (d - 1)
-        x = 0.5 * (1.0 - params.gamma)
+        x = 0.5 * (1.0 - gamma)
         r = 2.0 * a * x / (a + 1.0) * specfun._beta_cf(x, a + 1.0, a) * cap_mean
-    one_minus_m = params.p * r + params.p_comp * (1.0 + tau / q)
-    alpha_sq = (1.0 + params.gamma * (d - 1) * m) / d
-    return ErrorBreakdown(m=m, alpha_sq=alpha_sq, err=one_minus_m * (1.0 + m) / (m * m), d=d)
+    one_minus_m = p * r + p_comp * (1.0 + tau / q)
+    return one_minus_m * (1.0 + m) / (m * m)
 
 
 def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None) -> np.ndarray:

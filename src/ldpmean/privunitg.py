@@ -49,17 +49,32 @@ class GaussParams(ThresholdParams):
     alpha_sq: float
 
 
+def _gauss_mass(sigma: float, g_std: float, q_comp: float | None = None) -> tuple[float, float, float]:
+    """(gamma, q_comp, tail_mean) of the threshold g_std in standard units:
+    gamma = sigma g_std, q_comp = P(T >= gamma) = Phi(-g_std) (a q_comp the
+    caller gives is kept) and tail_mean = E[T 1{T >= gamma}] = sigma phi(g_std)."""
+    if q_comp is None:
+        q_comp = specfun.std_normal_cdf(-g_std)
+    return sigma * g_std, q_comp, sigma * specfun.std_normal_pdf(g_std)
+
+
+def _gauss_err(d: int, sigma: float, gamma: float, m: float) -> tuple[float, float]:
+    """(alpha_sq, err): the second moment E[alpha^2] = sigma^2 + gamma m and the
+    exact squared error (E[alpha^2] + (d-1)/d)/m^2 - 1 of the unbiased
+    estimator, whose orthogonal part contributes sigma^2 per coordinate."""
+    alpha_sq = sigma * sigma + gamma * m
+    return alpha_sq, (alpha_sq + (d - 1.0) / d) / (m * m) - 1.0
+
+
 def _build_gauss(d: int, p: float, p_comp: float, g_std: float, q_comp: float | None = None) -> GaussParams:
     """PrivUnitG parameters whose masses and m are those of the sampled
     threshold g_std; q_comp, where given, is the caller's
     ``specfun.std_normal_cdf(-g_std)``, which is then not evaluated again."""
     sigma = 1.0 / math.sqrt(d)
-    gamma = sigma * g_std
-    tail_mean = sigma * specfun.std_normal_pdf(g_std)
-    if q_comp is None:
-        q_comp = specfun.std_normal_cdf(-g_std)
+    gamma, q_comp, tail_mean = _gauss_mass(sigma, g_std, q_comp)
     base = _threshold_fields(d, p, p_comp, q_comp, gamma, tail_mean)
-    return GaussParams(**base, sigma=sigma, g_std=g_std, alpha_sq=sigma * sigma + gamma * base["m"])
+    alpha_sq, _ = _gauss_err(d, sigma, gamma, base["m"])
+    return GaussParams(**base, sigma=sigma, g_std=g_std, alpha_sq=alpha_sq)
 
 
 def gauss_params(d: int, p: float, q: float) -> GaussParams:
@@ -74,11 +89,9 @@ def gauss_params(d: int, p: float, q: float) -> GaussParams:
 
 
 def analytic_err_g(params: GaussParams) -> ErrorBreakdown:
-    """Exact squared error (E[alpha^2] + (d-1)/d)/m^2 - 1 of the unbiased
-    estimator: the orthogonal part contributes sigma^2 per coordinate."""
-    m = params.m
-    err = (params.alpha_sq + (params.d - 1.0) / params.d) / (m * m) - 1.0
-    return ErrorBreakdown(m=m, alpha_sq=params.alpha_sq, err=err, d=params.d)
+    """Exact squared error of the unbiased estimator (see ``_gauss_err``)."""
+    alpha_sq, err = _gauss_err(params.d, params.sigma, params.gamma, params.m)
+    return ErrorBreakdown(m=params.m, alpha_sq=alpha_sq, err=err, d=params.d)
 
 
 def randomize_g(v, params: GaussParams, rng: RngStream) -> np.ndarray:

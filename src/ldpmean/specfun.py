@@ -138,22 +138,34 @@ def _ln_front(x: float, a: float, b: float) -> float:
     return a * math.log(x) + b * math.log1p(-x) - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1], a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
+def _check_shapes(a: float, b: float) -> None:
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+
+
+def reg_inc_beta(x: float, a: float, b: float) -> float:
+    """Regularized incomplete beta I_x(a, b) for x in [0, 1], finite a, b > 0."""
+    _check_shapes(a, b)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
+    return _reg_inc_beta_front(x, a, b, math.exp(_ln_front(x, a, b)))
+
+
+def _reg_inc_beta_front(x: float, a: float, b: float, front: float) -> float:
+    """I_x(a, b) for 0 <= x < 1, given its front factor
+    front = exp(_ln_front(x, a, b)), which is 0 at x = 0: the fraction on the side of the switch
+    point x = (a + 1)/(a + b + 2) where it converges, the complement on the
+    other, and 1/2 exactly at x = 1/2 when a = b, by symmetry. Callers that
+    need the front factor themselves evaluate it once for both."""
     if x == 0.5 and a == b:
-        return 0.5  # exact by symmetry
-    ln_front = _ln_front(x, a, b)
+        return 0.5
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_cf(x, a, b) / a
-    return 1.0 - math.exp(ln_front) * _beta_cf(1.0 - x, b, a) / b
+        return front * _beta_cf(x, a, b) / a
+    return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
 
 
 def _beta_start(y: float, a: float, b: float) -> float:
@@ -188,8 +200,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     taken from |ln I_x - ln y| <= 1e-7 is returned without evaluating I again:
     it leaves a residual near 1e-14, and callers evaluate I where they need it.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
+    _check_shapes(a, b)
     if not (0.0 <= y <= 1.0):
         raise ValueError(f"y must lie in [0, 1], got {y!r}")
     if y == 0.0:

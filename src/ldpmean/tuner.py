@@ -10,7 +10,11 @@ draws with: -ln x with x = (1 - gamma)/2 for PrivUnit, g_std for PrivUnitG.
 A probe evaluates its threshold's mass q_comp once, takes
 eps1 = ln(q/q_comp) from it and gives the rest of eps to p, so every probe
 spends the whole budget and needs no quantile inversion; one inversion, at
-mass sigmoid(-eps), fixes the end of the bracket. The error is smooth in
+mass sigmoid(-eps), fixes the end of the bracket. A probe evaluates
+scalars only, through the private helpers that the builders and the
+analytic errors wrap (mass and tail mean, then q and m, then the error),
+so it builds no parameter object; one is built for the winner, and again
+at each step of the budget trim. The error is smooth in
 the threshold with a single minimum. PrivUnit's error is evaluated without
 cancellation, and PrivUnitG's stays above 7e-4 on the envelope, far above
 its rounding, so Brent's method over the whole bracket finds the minimum:
@@ -198,9 +202,13 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     float gamma expresses no x below 2^-54: where PrivUnit's bracket end
     lies beyond it, the bracket stops there and that smallest cap is
     probed once, so the search cannot settle on a stair of the float-gamma
-    staircase above the lowest. Returns the best probe seen anywhere, with
-    the excess of its budget (rounding) taken back from eps0 at the same
-    threshold so that budget <= eps exactly, and the split its stored
+    staircase above the lowest. A probe evaluates scalars, not a parameter
+    object: its threshold's mass and tail mean, q and m, and the error, by
+    the same helpers as the builders and ``analytic_err``/``analytic_err_g``,
+    so its error is the built parameters' bit for bit. Returns the best
+    probe seen anywhere, built once, with the excess of its budget
+    (rounding) taken back from eps0 at the same threshold so that
+    budget <= eps exactly, one build per step, and the split its stored
     parameters spend. Raises NumericsError when its error is not positive
     or its budget stays above eps.
     """
@@ -210,44 +218,60 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
     y = _sigmoid(-eps)  # the mass at which eps1 = eps
     edge = None
+    # per law: at(s) -> (the builder's threshold, gamma, q_comp, tail_mean)
+    # at the search variable s, and err(p, p_comp, q, q_comp, gamma, m), the
+    # scalar error that the law's analytic error wraps
     if alg == "privunit":
         build, error = privunit._build, privunit.analytic_err
+        a = 0.5 * (d - 1)
+        cap_mass, cap_err = privunit._cap_mass, privunit._cap_err
 
-        def at(s: float) -> tuple[float, float]:
-            gamma = 1.0 - 2.0 * math.exp(-s)
-            return gamma, sphere.marginal_cdf(-gamma, d)
+        def at_gamma(gamma: float) -> tuple:
+            return (gamma, gamma, *cap_mass(a, gamma))
+
+        def at(s: float) -> tuple:
+            return at_gamma(1.0 - 2.0 * math.exp(-s))
+
+        def err(p, p_comp, q, q_comp, gamma, m) -> float:
+            return cap_err(d, p, p_comp, q, q_comp, gamma, m)
 
         lo = _LN2
-        edge = (_GAMMA_EDGE, sphere.marginal_cdf(-_GAMMA_EDGE, d))
-        if edge[1] >= y:  # the threshold of mass y lies at or past the smallest cap
+        edge = at_gamma(_GAMMA_EDGE)
+        if edge[2] >= y:  # the threshold of mass y lies at or past the smallest cap
             hi = _S_EDGE
         else:
-            a = 0.5 * (d - 1)
             hi, edge = -math.log(specfun.inv_reg_inc_beta(y, a, a)), None
     else:
         build, error = privunitg._build_gauss, privunitg.analytic_err_g
+        sigma = 1.0 / math.sqrt(d)
+        gauss_mass, gauss_err = privunitg._gauss_mass, privunitg._gauss_err
 
-        def at(s: float) -> tuple[float, float]:
-            return s, specfun.std_normal_cdf(-s)
+        def at(s: float) -> tuple:
+            return (s, *gauss_mass(sigma, s))
+
+        def err(p, p_comp, q, q_comp, gamma, m) -> float:
+            return gauss_err(d, sigma, gamma, m)[1]
 
         lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
 
-    best: list = [math.inf, None]  # err, (eps0, threshold, mass, params)
+    q_and_m = privunit._q_and_m
+    best: list = [math.inf, None]  # err, (eps0, threshold, mass)
 
-    def probe(t: float, q_comp: float) -> float:
+    def probe(t: float, gamma: float, q_comp: float, tail_mean: float) -> float:
         if not q_comp > 0.0:
             return math.inf
         eps0 = eps - (math.log(1.0 - q_comp) - math.log(q_comp))
         if not eps0 >= 0.0:
             return math.inf
+        p, p_comp = _sigmoid(eps0), _sigmoid(-eps0)
         try:
-            params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
-            err = error(params).err
+            q, m = q_and_m(p, p_comp, q_comp, tail_mean)
         except DegenerateParameterError:
             return math.inf
-        if err < best[0]:
-            best[0], best[1] = err, (eps0, t, q_comp, params)
-        return err
+        e = err(p, p_comp, q, q_comp, gamma, m)
+        if e < best[0]:
+            best[0], best[1] = e, (eps0, t, q_comp)
+        return e
 
     if edge is not None:
         probe(*edge)
@@ -256,10 +280,12 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     err_star, found = best
     if found is None:
         raise DegenerateParameterError(f"no valid split found for eps={eps}, d={d}")
-    eps0, t, q_comp, params = found
-    # rounding may put the budget above eps; take the excess back from
-    # eps0 at the same threshold, doubling the step until the budget drops,
-    # and give up before eps0 turns negative
+    eps0, t, q_comp = found
+    # the probes evaluated the parameters' scalars; the winner's object is
+    # built once. Rounding may put its budget above eps: take the excess
+    # back from eps0 at the same threshold, doubling the step until the
+    # budget drops, and give up before eps0 turns negative
+    params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
     step = params.budget - eps
     while params.budget > eps:
         if step > eps0:

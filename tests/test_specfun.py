@@ -100,6 +100,11 @@ def test_reg_inc_beta_domain():
         sf.reg_inc_beta(0.5, 0.0, 2.0)
     with pytest.raises(ValueError):
         sf.reg_inc_beta(0.5, 2.0, -1.0)
+    # an infinite or NaN shape is refused up front, not by the fraction's
+    # iteration budget (an OverflowError from int(inf) before)
+    for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="shape parameters"):
+            sf.reg_inc_beta(0.3, a, b)
 
 
 def test_inv_reg_inc_beta_round_trip_moderate():
@@ -129,6 +134,10 @@ def test_inv_reg_inc_beta_endpoints_and_midpoint():
     for y, a, b in ((0.5, 0.0, 2.0), (0.5, 2.0, -1.0), (-0.1, 2.0, 2.0), (1.1, 2.0, 2.0)):
         with pytest.raises(ValueError):
             sf.inv_reg_inc_beta(y, a, b)
+    # refused by the kernel's own check, not from inside log_gamma
+    for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="shape parameters"):
+            sf.inv_reg_inc_beta(0.3, a, b)
 
 
 def test_inv_reg_inc_beta_monotone():

@@ -214,12 +214,14 @@ def test_one_quantile_inversion_per_tune(monkeypatch):
 
 def test_error_evaluations_per_tune(monkeypatch):
     # the benchmark's envelope grid: Brent's method over the stored
-    # threshold needs at most 20 error evaluations per tune on average
+    # threshold needs at most 20 error evaluations per tune on average; the
+    # probes evaluate the scalar errors, which analytic_err and
+    # analytic_err_g wrap, so every evaluation is counted here
     calls = [0]
-    for mod, name in ((privunit, "analytic_err"), (privunitg, "analytic_err_g")):
-        def counted(params, _f=getattr(mod, name)):
+    for mod, name in ((privunit, "_cap_err"), (privunitg, "_gauss_err")):
+        def counted(*args, _f=getattr(mod, name)):
             calls[0] += 1
-            return _f(params)
+            return _f(*args)
         monkeypatch.setattr(mod, name, counted)
     grid = [(alg, eps, d) for alg in ("privunit", "privunitg")
             for eps in (1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0)
@@ -227,6 +229,51 @@ def test_error_evaluations_per_tune(monkeypatch):
     for alg, eps, d in grid:
         tuner.tune(eps, d, alg)
     assert calls[0] / len(grid) <= 20.0
+
+
+def test_tune_builds_parameters_once(monkeypatch):
+    # the probes build no parameter object: a tune builds the winner's once,
+    # then once per step of its budget trim, each at the winner's threshold
+    # with a smaller eps0, and every build but the last is over budget
+    built = []
+    for mod, name in ((privunit, "_build"), (privunitg, "_build_gauss")):
+        def counted(*args, _f=getattr(mod, name)):
+            built.append(_f(*args))
+            return built[-1]
+        monkeypatch.setattr(mod, name, counted)
+    counts = []
+    for alg in ("privunit", "privunitg"):
+        for eps in _ENVELOPE_EPS:
+            for d in _ENVELOPE_D:
+                built.clear()
+                res = tuner.tune(eps, d, alg)
+                assert built and built[-1] is res.params, (alg, eps, d)
+                assert all(b.budget > eps for b in built[:-1]), (alg, eps, d)
+                assert len({(b.gamma, b.q_comp) for b in built}) == 1, (alg, eps, d)
+                assert all(b.p >= c.p for b, c in zip(built, built[1:])), (alg, eps, d)
+                counts.append(len(built))
+    # most tunes need no trim step at all
+    assert counts.count(1) > len(counts) // 2
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+@pytest.mark.parametrize("d", _ENVELOPE_D)
+@pytest.mark.parametrize("eps", _ENVELOPE_EPS)
+def test_probe_scalars_match_the_built_parameters(eps, d, alg):
+    # a probe evaluates the scalars its parameter object would hold, so the
+    # winning probe's error is the built winner's analytic error bit for bit
+    # (a trimmed winner's error comes from the trimmed object)
+    a = 0.5 * (d - 1)
+    if alg == "privunit":
+        # the cap helper's mass is marginal_cdf's, at x = 1/2 and the edge cap
+        for gamma in (0.0, 1.0 - 2.0**-53):
+            assert privunit._cap_mass(a, gamma)[0] == sphere.marginal_cdf(-gamma, d)
+    res = tuner.tune(eps, d, alg)
+    if alg == "privunit":
+        assert res.err_star == privunit.analytic_err(res.params).err
+        assert privunit._cap_mass(a, res.params.gamma)[0] == sphere.marginal_cdf(-res.params.gamma, d)
+    else:
+        assert res.err_star == privunitg.analytic_err_g(res.params).err
 
 
 def test_interior_budgets_never_win():
