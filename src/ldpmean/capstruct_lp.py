@@ -83,7 +83,11 @@ def solve_greedy(instance: LpInstance) -> LpSolution:
     whose density maximizes the mean x-coordinate."""
     K, eps, w = instance.K, instance.eps, instance.arc_measure
     xbar = instance.arc_mean_x
-    hi_f = math.exp(0.5 * eps)
+    overflow = f"the circle objective overflows at eps={eps}, K={K}"
+    try:
+        hi_f = math.exp(0.5 * eps)
+    except OverflowError:  # past eps of about 1419.6
+        raise NumericsError(overflow) from None
     lo_f = math.exp(-0.5 * eps)
     half = K // 2
 
@@ -91,14 +95,15 @@ def solve_greedy(instance: LpInstance) -> LpSolution:
     # sum of xbar over all arcs vanishes by symmetry, so alpha(k) only sees
     # the high-pair partial sum; argmax keeps the first of equal maxima
     n_hi = 2 * np.arange(half + 1)
-    base = 1.0 / (w * (n_hi * hi_f + (K - n_hi) * lo_f))
     cum = np.concatenate(([0.0], np.cumsum(xbar[:half])))
     with np.errstate(over="ignore", invalid="ignore"):
+        base = 1.0 / (w * (n_hi * hi_f + (K - n_hi) * lo_f))
         gain = w * base * (hi_f - lo_f) * (2.0 * cum)
     # past eps of about 711 the uniform vertex's w * base * hi_f overflows
-    # and inf * 0 is NaN, where argmax would pick it
+    # and inf * 0 is NaN, where argmax would pick it (from about 1408 the
+    # high pairs' n_hi * hi_f overflows too, and their base is 0)
     if not np.all(np.isfinite(gain)):
-        raise NumericsError(f"the circle objective overflows at eps={eps}, K={K}")
+        raise NumericsError(overflow)
     best_k = int(np.argmax(gain))
     base_p = float(base[best_k])
     j = np.arange(K)

@@ -11,6 +11,7 @@ point, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -90,27 +91,45 @@ def cmd_simulate(args) -> list[str]:
     ]
 
 
-def cmd_randomize(args) -> list[str]:
-    if args.infile and args.infile != "-":
-        with open(args.infile) as fh:
+def _read_vectors(infile: str | None, d: int) -> tuple[np.ndarray, list[int]]:
+    """The input's vectors, one per non-blank line, each coordinate equal bit
+    for bit to Python's float of its token, and their line numbers.
+    numpy's text reader parses the usual input in one pass; where it raises
+    or finds other than d columns, the per-line loop reads the tokens it
+    refuses (1_0, full-width digits) or names the first bad line. The input
+    text dies on return, before the output's text is built."""
+    if infile and infile != "-":
+        with open(infile) as fh:
             raw = fh.read()
     else:
         raw = sys.stdin.read()
-    rows, line_nos = [], []
+    lines, line_nos = [], []
     for ln, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
+        if line.strip():
+            lines.append(line)
+            line_nos.append(ln)
+    if not lines:  # checked first: np.loadtxt warns on no lines
+        raise SupportError("no input vectors given")
+    try:
+        vectors = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+        if vectors.shape[1] == d:
+            return vectors, line_nos
+    except ValueError:
+        pass
+    rows = []
+    for ln, line in zip(line_nos, lines):
         try:
             row = np.array(line.split(), dtype=float)
         except ValueError as exc:
             raise SupportError(f"line {ln}: not a vector of reals: {exc}") from None
-        if row.size != args.d:
-            raise SupportError(f"line {ln}: expected {args.d} coordinates, got {row.size}")
+        if row.size != d:
+            raise SupportError(f"line {ln}: expected {d} coordinates, got {row.size}")
         rows.append(row)
-        line_nos.append(ln)
-    if not rows:
-        raise SupportError("no input vectors given")
-    vectors = np.array(rows)
+    return np.array(rows), line_nos
+
+
+def cmd_randomize(args) -> list[str]:
+    vectors, line_nos = _read_vectors(args.infile, args.d)
     nrm = sphere._row_norms(vectors)
     off = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-6))  # NaN norms are off too
     if off.size:
@@ -132,6 +151,7 @@ def cmd_lp_verify(args) -> list[str]:
     ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ldpmean",
@@ -143,10 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
         if alg:
             p.add_argument("--alg", choices=tuner._ALGS, default="privunitg")
         if seed:
-            # argparse converts a string default only where --seed is absent, so a
-            # malformed $LDPMEAN_SEED is a usage error of just the commands that read it
-            p.add_argument("--seed", type=int, default=os.environ.get("LDPMEAN_SEED") or "0",
-                           help="defaults to $LDPMEAN_SEED or 0")
+            # an absent --seed stays None: main reads $LDPMEAN_SEED at each call and
+            # reports a malformed value as this command's usage error
+            p.add_argument("--seed", type=int, default=None, help="defaults to $LDPMEAN_SEED or 0")
+            p.set_defaults(usage_error=p.error)
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("tune", help="optimal split for one (eps, d)")
@@ -193,8 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        text = os.environ.get("LDPMEAN_SEED") or "0"
+        try:
+            args.seed = int(text)
+        except ValueError:
+            args.usage_error(f"argument --seed: invalid int value: {text!r}")
     try:
         _emit(args.func(args), args.out)
     except (DegenerateParameterError, ArithmeticError, SupportError) as exc:

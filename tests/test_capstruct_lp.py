@@ -10,6 +10,7 @@ import pytest
 
 from ldpmean import capstruct_lp, tuner
 from ldpmean.capstruct_lp import lp_instance, solve_greedy, verify_cap_structure
+from ldpmean.errors import NumericsError
 
 
 def _brute_force(inst):
@@ -75,6 +76,15 @@ def test_greedy_solution_certified(eps):
     # below the low level at large eps
     for K in (36, 360):
         assert verify_cap_structure(solve_greedy(lp_instance(K, eps)))
+
+
+@pytest.mark.parametrize("eps", [720.0, 1415.0, 1500.0, 1e300])
+def test_greedy_refuses_overflowing_budgets(eps):
+    # past about 711 nats the low level is subnormal and the objective
+    # overflows; past 1419.6 exp(eps / 2) itself does, with the same error
+    with pytest.raises(NumericsError) as exc:
+        solve_greedy(lp_instance(360, eps))
+    assert type(exc.value) is NumericsError and "overflows" in str(exc.value)
 
 
 def test_solution_respects_box_and_mass():

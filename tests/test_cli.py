@@ -4,6 +4,7 @@ numeric/data)."""
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -205,8 +206,8 @@ def test_data_error_exit_code(capsys, monkeypatch):
     assert rc == 3
 
     # an overflow inside the solver is a numeric failure, not a traceback
-    rc, out, _ = run_cli(capsys, "lp_verify", "--eps", "1500")
-    assert rc == 3 and out == ""
+    rc, out, err = run_cli(capsys, "lp_verify", "--eps", "1500")
+    assert rc == 3 and out == "" and "overflows" in err
     # and so is an objective that overflows to inf * 0 = NaN
     rc, out, err = run_cli(capsys, "lp_verify", "--eps", "800", "--k", "36")
     assert rc == 3 and out == "" and "overflows" in err
@@ -233,3 +234,136 @@ def test_lp_verify_usage_error(capsys):
     rc, _, err = run_cli(capsys, "lp_verify", "--eps", "4", "--k", "7")
     assert rc == 2
     assert "usage error" in err
+
+
+# --- input parsing ------------------------------------------------------------
+
+def randomize_stdin(capsys, monkeypatch, text, d, *extra):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run_cli(capsys, "randomize", "--eps", "4", "--d", str(d), "--seed", "3", *extra)
+
+
+def test_randomize_uniform_wrong_column_count_names_first_vector(capsys, monkeypatch):
+    # every row has d + 1 columns, so the whole input parses in one pass with
+    # the wrong shape; the error names the first vector's line, after blanks
+    text = "\n  \n1 0 0\n\n0 1 0\n0 0 1\n"
+    rc, out, err = randomize_stdin(capsys, monkeypatch, text, 2)
+    assert (rc, out) == (3, "") and err == "error: line 3: expected 2 coordinates, got 3\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    # ragged rows, after blank and whitespace-only lines
+    ("\n \t\n1 0\n\n   \n0 1\n0.6 0 0.8\n1 0\n", "line 7: expected 2 coordinates, got 3"),
+    # every row parses, the fourth vector is off unit
+    ("\n \t\n1 0\n\n   \n0 1\n1 0\n0.6 0.6\n", "line 8: vector norm"),
+    # a token no reader takes
+    ("\n\n1 0\n \n0 x\n", "line 5: not a vector of reals"),
+])
+def test_randomize_errors_count_blank_lines(capsys, monkeypatch, text, message):
+    rc, out, err = randomize_stdin(capsys, monkeypatch, text, 2)
+    assert (rc, out) == (3, "") and err.startswith(f"error: {message}")
+
+
+def test_randomize_reads_tokens_only_python_float_takes(capsys, monkeypatch):
+    # numpy's text reader refuses digit separators and full-width digits;
+    # the per-line reading takes them with float()'s values
+    plain = "0.6 0.8\n1 0\n"
+    exotic = "0.6 0.8\n1_0e-1 \uff10\n"
+    assert float("1_0e-1") == 1.0 and float("\uff10") == 0.0
+    _, out_plain, _ = randomize_stdin(capsys, monkeypatch, plain, 2)
+    rc, out, err = randomize_stdin(capsys, monkeypatch, exotic, 2)
+    assert rc == 0 and err == "" and out == out_plain
+    monkeypatch.setattr("sys.stdin", io.StringIO(exotic))
+    V, line_nos = cli._read_vectors(None, 2)
+    assert V.tolist() == [[0.6, 0.8], [1.0, 0.0]] and line_nos == [1, 2]
+
+
+def test_randomize_crlf_and_single_vector(capsys, monkeypatch):
+    _, out_lf, _ = randomize_stdin(capsys, monkeypatch, "0.6 0.8\n\n0 1\n", 2)
+    rc, out, err = randomize_stdin(capsys, monkeypatch, "0.6 0.8\r\n\r\n0 1\r\n", 2)
+    assert rc == 0 and err == "" and out == out_lf
+    # one vector without a final newline is one (1, d) row
+    rc, out, err = randomize_stdin(capsys, monkeypatch, "0 1", 2)
+    assert rc == 0 and err == "" and len(out.splitlines()) == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1"))
+    assert cli._read_vectors("-", 2)[0].shape == (1, 2)
+    # and one column is n rows of one coordinate
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n-1\n \n1\n"))
+    V, line_nos = cli._read_vectors("-", 1)
+    assert V.tolist() == [[-1.0], [1.0]] and line_nos == [2, 4]
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\r\n"])
+def test_randomize_no_vectors(capsys, monkeypatch, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on no lines
+        rc, out, err = randomize_stdin(capsys, monkeypatch, text, 2)
+    assert (rc, out, err) == (3, "", "error: no input vectors given\n")
+
+
+def test_read_vectors_equals_float_of_each_token(tmp_path):
+    g = np.random.default_rng(18).standard_normal((200, 64))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    lines = [" ".join("%.17g" % x for x in row) for row in g.tolist()]
+    src = tmp_path / "vectors.txt"
+    src.write_text("\n".join(lines) + "\n")
+    V, line_nos = cli._read_vectors(str(src), 64)
+    assert line_nos == list(range(1, 201))
+    expected = np.array([[float(t) for t in line.split()] for line in lines])
+    assert V.shape == (200, 64) and V.tobytes() == expected.tobytes()
+    assert V.tobytes() == g.tobytes()  # %.17g round-trips every double
+
+
+# --- one parser per process ---------------------------------------------------
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_seed_environment_is_read_at_each_call(capsys, monkeypatch):
+    args = ["simulate", "--eps", "4", "--d", "8", "--n", "2", "--trials", "4"]
+    outs = {s: run_cli(capsys, *args, "--seed", s)[1] for s in ("0", "7", "9")}
+    assert len(set(outs.values())) == 3
+    for env, seed in (("7", "7"), ("9", "9"), (None, "0"), ("", "0"), ("7", "7")):
+        if env is None:
+            monkeypatch.delenv("LDPMEAN_SEED", raising=False)
+        else:
+            monkeypatch.setenv("LDPMEAN_SEED", env)
+        rc, out, _ = run_cli(capsys, *args)
+        assert rc == 0 and out == outs[seed]
+    # an explicit --seed wins over the environment
+    rc, out, _ = run_cli(capsys, *args, "--seed", "9")
+    assert rc == 0 and out == outs["9"]
+
+
+def test_malformed_seed_environment_after_a_successful_call(capsys, monkeypatch, tmp_path):
+    sim = ["simulate", "--eps", "4", "--d", "8", "--n", "2", "--trials", "4"]
+    src = tmp_path / "v.txt"
+    src.write_text("1 0\n")
+    rnd = ["randomize", "--eps", "4", "--d", "2", "--in", str(src)]
+    for argv in (sim, rnd):
+        monkeypatch.setenv("LDPMEAN_SEED", "5")
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setenv("LDPMEAN_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ldpmean {argv[0]} ")
+        assert err.endswith(f"ldpmean {argv[0]}: error: argument --seed: invalid int value: 'abc'\n")
+        # the commands that read no seed ignore it, before and after
+        assert run_cli(capsys, "tune", "--eps", "1", "--d", "4")[0] == 0
+        assert run_cli(capsys, *argv, "--seed", "5")[0] == 0
+
+
+def test_no_option_carries_over_between_calls(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("LDPMEAN_SEED", raising=False)
+    args = ["simulate", "--eps", "4", "--d", "8", "--n", "2", "--trials", "4"]
+    target = tmp_path / "sim.csv"
+    rc, out, _ = run_cli(capsys, *args, "--seed", "7", "--out", str(target))
+    assert rc == 0 and out == ""
+    seeded = target.read_text()
+    rc, out, _ = run_cli(capsys, *args)  # neither --out nor --seed 7 again
+    assert rc == 0 and out != "" and out != seeded
+    assert out == run_cli(capsys, *args, "--seed", "0")[1]
+    assert target.read_text() == seeded
