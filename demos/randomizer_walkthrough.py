@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from ldpmean import privunit, privunitg, tuner
+from ldpmean import privunit, tuner
 from ldpmean.sphere import RngStream, sample_uniform_sphere
 
 
@@ -57,8 +57,8 @@ def main():
     lo = privunit.log_density(u, -v, pp)
     print(f"  cap:   log ratio = {hi - lo:.12f}  (target eps = {eps})")
     u_g = (pg.gamma + pg.sigma) / pg.m * v
-    hi_g = privunitg.log_density_g(u_g, v, pg)
-    lo_g = privunitg.log_density_g(u_g, -v, pg)
+    hi_g = privunit.log_density(u_g, v, pg)
+    lo_g = privunit.log_density(u_g, -v, pg)
     print(f"  gauss: log ratio = {hi_g - lo_g:.12f}  (target eps = {eps})")
     cert = privunit.privacy_eps(pp.p, pp.q, pp.p_comp, pp.q_comp)
     print(f"  certificate ln(p/(1-p)) + ln(q/(1-q)) = {cert:.12f}")

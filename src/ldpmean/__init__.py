@@ -22,7 +22,6 @@ from .privunitg import (
     GaussParams,
     analytic_err_g,
     gauss_params,
-    log_density_g,
     randomize_g,
     randomize_g_batch,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "gauss_params",
     "inv_marginal_cdf",
     "log_density",
-    "log_density_g",
     "lp_instance",
     "marginal_cdf",
     "privacy_eps",

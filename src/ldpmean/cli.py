@@ -32,12 +32,19 @@ def _row(*values) -> str:
     return ",".join(v if isinstance(v, str) else _fmt(v) for v in values)
 
 
+def _list(text: str, kind) -> list:
+    items = [kind(t) for t in text.split(",") if t]
+    if not items:
+        raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+    return items
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+    return _list(text, int)
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t]
+    return _list(text, float)
 
 
 def _emit(lines: list[str], out: str | None) -> None:

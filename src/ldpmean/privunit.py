@@ -8,7 +8,8 @@ extend :class:`ThresholdParams` and draws go through
 ``sphere._threshold_rows``, with the coordinate along v following the first
 coordinate W_1 of a uniform point of S^{d-1} and the orthogonal part
 uniform with norm sqrt(1 - alpha^2), so every report lies on the
-radius-1/m sphere.
+radius-1/m sphere. ``randomize``, ``randomize_batch`` and ``log_density``
+serve both laws: they read the law from the parameters.
 
 The normalizer combines the two reciprocal cap masses with a minus sign on
 the complement term: unbiasedness forces it, since E[W_1] = 0 splits the
@@ -85,7 +86,7 @@ class CapParams(ThresholdParams):
     T is the first coordinate of a uniform point of S^{d-1}, whose law is
     2B - 1 with B ~ Beta((d-1)/2, (d-1)/2)."""
 
-    sigma = None  # not a field: names this law to the sampler, as GaussParams.sigma does its own
+    sigma = None  # not a field: names this law to the sampler and log_density, as GaussParams.sigma does its own
 
 
 def _ln(x: float) -> float:
@@ -247,17 +248,31 @@ def randomize_batch(v, params: CapParams, size: int, rng: RngStream) -> np.ndarr
     return _reports(v, params, rng, size)
 
 
-def log_density(u, v, params: CapParams) -> float:
-    """Log density of the output at u w.r.t. the uniform probability measure
-    on the radius-1/m sphere: one of two levels, the boundary
-    <u, v> * m = gamma counting as inside the cap."""
+def log_density(u, v, params: ThresholdParams) -> float:
+    """Log density at u of a report of the unit vector v, for the law that
+    ``params.sigma`` names: log_level_hi where m <u, v> >= gamma (the
+    boundary is on the closed side), else log_level_lo, w.r.t. the uniform
+    probability measure on the radius-1/m sphere for PrivUnit; PrivUnitG
+    adds the N(0, sigma^2 I) log density at m u and d ln m.
+
+    The side is that of the float m * np.dot(u, v), not of the draw: a
+    report drawn in the cap can read below gamma by at most
+    2 * np.spacing(gamma), as at tuned PrivUnit points where the cap is all
+    but certain. This reads the mechanism in real arithmetic and claims
+    nothing of the privacy of rounded reports."""
     u = np.asarray(u, dtype=float)
     v = as_unit_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: u {u.shape} vs v {v.shape}")
-    radius = 1.0 / params.m
-    norm = float(np.linalg.norm(u))
-    if not (abs(norm - radius) <= 1e-6):  # a NaN norm is off too
-        raise SupportError(f"u has norm {norm!r}, support sphere has radius {radius!r}")
-    t = params.m * float(np.dot(u, v))
-    return params.log_level_hi if t >= params.gamma else params.log_level_lo
+    if u.shape != v.shape or v.size != params.d:
+        raise ValueError(f"shape mismatch: u {u.shape} vs v {v.shape}, params dimension {params.d}")
+    if not np.all(np.isfinite(u)):
+        raise SupportError("u has a non-finite coordinate")
+    level = params.log_level_hi if params.m * float(np.dot(u, v)) >= params.gamma else params.log_level_lo
+    if params.sigma is None:
+        norm = float(np.linalg.norm(u))
+        if not abs(norm - 1.0 / params.m) <= 1e-6:
+            raise SupportError(f"u has norm {norm!r}, support sphere has radius {1.0 / params.m!r}")
+        return level
+    s2 = params.sigma * params.sigma
+    w = params.m * u
+    base = -0.5 * float(np.dot(w, w)) / s2 - 0.5 * params.d * (math.log(2.0 * math.pi) + math.log(s2))
+    return base + params.d * math.log(params.m) + level

@@ -6,6 +6,7 @@ independent N(0, sigma^2) coordinates, and the sum is scaled by 1/m.
 This is the threshold construction shared with ``privunit``: parameters
 extend ``privunit.ThresholdParams`` and draws go through
 ``sphere._threshold_rows``, with T ~ N(0, sigma^2) as the law of alpha.
+The density is ``privunit.log_density``, which serves both laws.
 
 Same two-level density structure as the cap randomizer, so privacy is the
 same product condition on (p, q); here q = Phi(gamma/sigma) and the
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere, specfun
-from .errors import SupportError
 from .privunit import ErrorBreakdown, ThresholdParams, _reports, _threshold_fields
-from .sphere import RngStream, as_unit_vector
+from .sphere import RngStream
 
 __all__ = [
     "GaussParams",
@@ -31,11 +31,7 @@ __all__ = [
     "analytic_err_g",
     "randomize_g",
     "randomize_g_batch",
-    "log_density_g",
 ]
-
-_LN2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class GaussParams(ThresholdParams):
@@ -107,21 +103,3 @@ def randomize_g_batch(v, params: GaussParams, size: int, rng: RngStream) -> np.n
     input v, bit for bit the :func:`randomize_g` reports of the matrix of
     size copies of v on the same stream, with the same row blocks."""
     return _reports(v, params, rng, size)
-
-
-def log_density_g(u, v, params: GaussParams) -> float:
-    """Log density of the scaled output at u: the N(0, sigma^2 I) log
-    density at w = m*u, plus the level ln(p/(1-q)) if <w,v> >= gamma else
-    ln((1-p)/q), plus d*ln(m) for the change of variables."""
-    u = np.asarray(u, dtype=float)
-    v = as_unit_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch: u {u.shape} vs v {v.shape}")
-    if not np.all(np.isfinite(u)):
-        raise SupportError("u has a non-finite coordinate")
-    w = params.m * u
-    s2 = params.sigma * params.sigma
-    base = -0.5 * float(np.dot(w, w)) / s2 - 0.5 * params.d * (_LN2PI + math.log(s2))
-    base += params.d * math.log(params.m)
-    level = params.log_level_hi if float(np.dot(w, v)) >= params.gamma else params.log_level_lo
-    return base + level

@@ -1,6 +1,6 @@
-"""Special-function kernel: log-gamma, regularized incomplete beta and its
-inverse, the standard normal pdf/cdf/quantile, and truncated-Gaussian
-moments.
+"""Special-function kernel: the regularized incomplete beta and its inverse,
+the standard normal pdf/cdf/quantile, and truncated-Gaussian moments.
+ln Gamma comes from ``math.lgamma``.
 
 All public functions are scalar and pure. The continued-fraction incomplete
 beta is evaluated in log space so that shape parameters of order 10^5 (half
@@ -28,8 +28,6 @@ import numpy as np
 from .errors import NumericsError
 
 __all__ = [
-    "log_gamma",
-    "log_beta",
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "std_normal_pdf",
@@ -47,18 +45,6 @@ _CF_EPS = 1e-15
 _FPMIN = 1e-300
 # iteration cap of the inverse's Newton loop
 _MAX_ITER = 200
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 def _cf_budget(a: float, b: float) -> int:
@@ -214,7 +200,7 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
         # and the kernel evaluations then carry full relative precision
         # instead of cancelling against 1
         return 1.0 - inv_reg_inc_beta(1.0 - y, b, a)
-    ln_b = log_beta(a, b)
+    ln_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
     x = min(max(_beta_start(y, a, b), _FPMIN), 1.0 - 1e-16)
     lo, hi = 0.0, 1.0
     for _ in range(_MAX_ITER):

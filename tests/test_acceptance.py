@@ -109,7 +109,7 @@ def test_empirical_error_matches_analytic():
 
 
 def test_density_ratio_certificates():
-    # the sup density ratio read off log_density(_g) reproduces the exact
+    # the sup density ratio read off log_density reproduces the exact
     # two-level certificate and never exceeds the configured e^eps
     d = 16
     v = np.zeros(d)
@@ -124,7 +124,7 @@ def test_density_ratio_certificates():
 
         pg = tuner.tune(eps, d, "privunitg").params
         u_g = (pg.gamma + pg.sigma) / pg.m * v
-        sup_log_g = privunitg.log_density_g(u_g, v, pg) - privunitg.log_density_g(u_g, -v, pg)
+        sup_log_g = privunit.log_density(u_g, v, pg) - privunit.log_density(u_g, -v, pg)
         certificate_g = privunit.privacy_eps(pg.p, pg.q, pg.p_comp, pg.q_comp)
         assert math.exp(pg.budget) == math.exp(certificate_g)
         # the Gaussian base term cancels up to the rounding of two sums

@@ -50,10 +50,10 @@ def test_ratio_command(capsys):
 
 
 def test_c_curve_command(capsys):
-    rc, out, _ = run_cli(capsys, "c_curve", "--eps", "4,8,16", "--d", "2048")
+    rc, out, _ = run_cli(capsys, "c_curve", "--eps", "4,8,16,", "--d", "2048")  # a trailing comma adds no item
     assert rc == 0
     lines = out.splitlines()
-    assert lines[0] == "eps,c_const"
+    assert lines[0] == "eps,c_const" and len(lines) == 4
     cs = [float(line.split(",")[1]) for line in lines[1:]]
     assert cs == sorted(cs, reverse=True)  # scaled constant shrinks with eps
 
@@ -173,6 +173,19 @@ def test_argparse_missing_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["tune", "--d", "64"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ratio", "--eps", "8", "--d", ","], ["ratio", "--eps", "8", "--d", ""], ["c_curve", "--eps", ""], ["c_curve", "--eps", ",,"]],
+)
+def test_empty_list_argument_exits_2(capsys, argv):
+    # a required list option with no items is a usage error, not a header-only CSV
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs at least one value" in captured.err
 
 
 def test_data_error_exit_code(capsys, monkeypatch):

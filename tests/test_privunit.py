@@ -455,23 +455,34 @@ def test_log_density_boundary_is_inside_cap():
     assert privunit.log_density(u, v, params) == params.log_level_hi
 
 
-@pytest.mark.parametrize(
-    "params,log_density",
-    [
-        (privunit.cap_params(4, 0.8, 0.3), privunit.log_density),
-        (privunitg.gauss_params(4, 0.8, 0.7), privunitg.log_density_g),
-    ],
+_BOTH_LAWS = pytest.mark.parametrize(
+    "params",
+    [privunit.cap_params(4, 0.8, 0.3), privunitg.gauss_params(4, 0.8, 0.7)],
     ids=["privunit", "privunitg"],
 )
+
+
+@_BOTH_LAWS
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_log_density_rejects_non_finite_point(params, log_density, bad):
+def test_log_density_rejects_non_finite_point(params, bad):
     # a NaN compares false against every bound, so without a check it lands
     # on one of the levels, or gives nan
     v = np.array([1.0, 0.0, 0.0, 0.0])
     u = v / params.m
     u[1] = bad
     with pytest.raises(SupportError):
-        log_density(u, v, params)
+        privunit.log_density(u, v, params)
+
+
+@_BOTH_LAWS
+@pytest.mark.parametrize("d", [3, 5])
+def test_log_density_rejects_wrong_dimension(params, d):
+    # a point and input that agree with each other but not with params.d
+    # are refused, as randomize refuses them
+    v = np.zeros(d)
+    v[0] = 1.0
+    with pytest.raises(ValueError, match="params dimension 4"):
+        privunit.log_density(v / params.m, v, params)
 
 
 def test_density_levels_integrate_to_one():

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import privunitg, specfun, tuner
+from ldpmean import privunit, privunitg, specfun, tuner
 from ldpmean.errors import DegenerateParameterError
 from ldpmean.sphere import RngStream
 
@@ -171,18 +171,18 @@ def test_randomize_g_batch_validation():
 
 # --- density ----------------------------------------------------------------
 
-def test_log_density_g_level_difference():
+def test_log_density_level_difference():
     params = privunitg.gauss_params(6, 0.9, 0.8)
     v = np.zeros(6)
     v[0] = 1.0
     u = (params.gamma + params.sigma) / params.m * v
-    delta = privunitg.log_density_g(u, v, params) - privunitg.log_density_g(u, -v, params)
+    delta = privunit.log_density(u, v, params) - privunit.log_density(u, -v, params)
     assert abs(delta - params.budget) <= 1e-13 * max(1.0, abs(params.budget))
     with pytest.raises(ValueError):
-        privunitg.log_density_g(np.zeros(5), v, params)
+        privunit.log_density(np.zeros(5), v, params)
 
 
-def test_log_density_g_integrates_to_one_d2():
+def test_log_density_integrates_to_one_d2():
     # explicit normalization check: Gauss-Legendre panels split at the
     # level discontinuity x = gamma/m, well past the Gaussian tails
     params = privunitg.gauss_params(2, 0.9, 0.8)
@@ -201,7 +201,7 @@ def test_log_density_g_integrates_to_one_d2():
     for xa, wx in (seg(-L, split), seg(split, L)):
         for x, wxi in zip(xa, wx):
             row = sum(
-                wyi * math.exp(privunitg.log_density_g(np.array([x, y]), v, params))
+                wyi * math.exp(privunit.log_density(np.array([x, y]), v, params))
                 for y, wyi in zip(ys, wy)
             )
             mass += wxi * row

@@ -135,7 +135,12 @@ def test_tune_envelope_contract(eps, d, alg):
 @pytest.mark.parametrize("eps", _ENVELOPE_EPS)
 def test_sampler_envelope_contract(eps, d, alg):
     # every tuned envelope point draws finite reports around a general v and
-    # around e_1, and PrivUnit's reports lie on the radius-1/m sphere
+    # around e_1; PrivUnit's lie on the radius-1/m sphere and read at one of
+    # its two density levels. The count of reports with m <u, v> >= gamma
+    # lies within 4 binomial standard errors of n p, except where the cap is
+    # all but certain (n p_comp < 1e-6): there rounding may read a report
+    # drawn in the cap below gamma, by at most 2 * np.spacing(gamma), the
+    # band that log_density states
     try:
         params = tuner.tune(eps, d, alg).params
     except (NumericsError, DegenerateParameterError):
@@ -143,12 +148,25 @@ def test_sampler_envelope_contract(eps, d, alg):
     n = max(1, 2**14 // d)
     e1 = np.zeros(d)
     e1[0] = 1.0
+    band = params.gamma - 2.0 * np.spacing(params.gamma)
     for v in (sphere.sample_uniform_sphere(d, RngStream(16, d)), e1):
         out = privunit.randomize_batch(v, params, n, RngStream(17, d))
         assert out.shape == (n, d) and np.all(np.isfinite(out))
+        reads = [privunit.log_density(u, v, params) for u in out[:16]]
         if alg == "privunit":
             norms = np.linalg.norm(out, axis=1)
             assert np.all(np.abs(norms - 1.0 / params.m) <= 1e-14 / params.m)
+            assert set(reads) <= {params.log_level_hi, params.log_level_lo}
+        else:
+            assert np.all(np.isfinite(reads))
+        along = params.m * (out @ v)
+        if n * params.p_comp >= 1e-6:
+            closed = np.count_nonzero(along >= params.gamma)
+            assert abs(closed - n * params.p) <= 4.0 * math.sqrt(n * params.p * params.p_comp)
+        else:
+            # log_density's np.dot sums in another order than out @ v
+            along_dot = params.m * np.array([float(np.dot(u, v)) for u in out])
+            assert np.all(along >= band) and np.all(along_dot >= band)
 
 
 @pytest.mark.parametrize("eps,d", [(64.0, 2), (512.0, 2), (700.0, 2), (256.0, 3), (512.0, 3), (700.0, 3)])
