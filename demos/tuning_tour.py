@@ -8,7 +8,7 @@ Run:  python3 demos/tuning_tour.py
 
 import math
 
-from ldpmean import privunit, tuner
+from ldpmean import tuner
 
 
 def main():
@@ -27,8 +27,7 @@ def main():
     print(f"  {'d':>6}  {'err (gauss)':>12}  {'err (cap)':>12}  {'ratio':>7}")
     for d in (64, 256, 1024, 4096):
         res_g = tuner.tune(eps, d, "privunitg")
-        pu_params = tuner._params_at(res_g.split, d, "privunit")
-        err_pu = privunit.analytic_err(pu_params).err
+        err_pu, _ = tuner._err_at(res_g.split, d, "privunit")
         print(f"  {d:6d}  {res_g.err_star:12.3f}  {err_pu:12.3f}  {res_g.err_star / err_pu:7.4f}")
     print("  The Gaussian variant costs a few percent at small d and almost")
     print("  nothing at large d, while its formulas stay closed-form.")

@@ -33,7 +33,12 @@ def _row(*values) -> str:
 
 
 def _list(text: str, kind) -> list:
-    items = [kind(t) for t in text.split(",") if t]
+    items = []
+    for t in filter(None, text.split(",")):
+        try:
+            items.append(kind(t))
+        except ValueError:  # argparse's own text for a bad type=int or type=float value
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {t!r}") from None
     if not items:
         raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
     return items
@@ -70,8 +75,7 @@ def cmd_ratio(args) -> list[str]:
     for d in args.d:
         tuned = tuner.tune(args.eps, d, "privunitg")
         err_pug = tuned.err_star
-        pu_params = tuner._params_at(tuned.split, d, "privunit")
-        err_pu = privunit.analytic_err(pu_params).err
+        err_pu, _ = tuner._err_at(tuned.split, d, "privunit")
         lines.append(_row(float(d), err_pu, err_pug, err_pug / err_pu))
     return lines
 
@@ -136,6 +140,7 @@ def _read_vectors(infile: str | None, d: int) -> tuple[np.ndarray, list[int]]:
 
 
 def cmd_randomize(args) -> list[str]:
+    tuned = tuner.tune(args.eps, args.d, args.alg)  # checks the arguments before the input is read
     vectors, line_nos = _read_vectors(args.infile, args.d)
     nrm = sphere._row_norms(vectors)
     off = np.flatnonzero(~(np.abs(nrm - 1.0) <= 1e-6))  # NaN norms are off too
@@ -143,7 +148,6 @@ def cmd_randomize(args) -> list[str]:
         j = off[0]
         raise SupportError(f"line {line_nos[j]}: vector norm {float(nrm[j])!r} is off unit by more than 1e-6")
     vectors /= nrm[:, None]
-    tuned = tuner.tune(args.eps, args.d, args.alg)
     line_fmt = " ".join(["%.12g"] * args.d)  # _fmt's text for every coordinate at once
     reports = privunit.randomize(vectors, tuned.params, RngStream(args.seed, 0))
     return [line_fmt % tuple(row.tolist()) for row in reports]  # one row of Python floats at a time

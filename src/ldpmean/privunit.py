@@ -105,7 +105,9 @@ def privacy_eps(p: float, q: float, p_comp: float | None = None, q_comp: float |
 
     Endpoint p or q in {0, 1} signals an infinite budget (returns inf).
     Exact complements may be supplied to avoid 1-p cancellation; the result
-    is then bit-identical to the difference of the stored log levels.
+    is then bit-identical to the difference of the stored log levels. A
+    complement outside [0, 1], or one whose sum with its level is more than
+    a few float steps from 1, is rejected: it would misstate the budget.
     """
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         raise ValueError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
@@ -113,6 +115,9 @@ def privacy_eps(p: float, q: float, p_comp: float | None = None, q_comp: float |
         p_comp = 1.0 - p
     if q_comp is None:
         q_comp = 1.0 - q
+    for name, x, x_comp in (("p", p, p_comp), ("q", q, q_comp)):
+        if not (0.0 <= x_comp <= 1.0 and abs(x + x_comp - 1.0) <= 2.0**-50):  # four float steps
+            raise ValueError(f"{name}_comp={x_comp!r} is not the complement of {name}={x!r}")
     if p == 0.0 or p_comp == 0.0 or q == 0.0 or q_comp == 0.0:
         return math.inf
     log_hi, log_lo = _two_log_levels(p, q, p_comp, q_comp)
@@ -131,35 +136,36 @@ def _q_and_m(p: float, p_comp: float, q_comp: float, tail_mean: float) -> tuple[
     return q, num / (q * q_comp)
 
 
-def _threshold_fields(d: int, p: float, p_comp: float, q_comp: float, gamma: float, tail_mean: float) -> dict:
+def _threshold_fields(d: int, p: float, p_comp: float, gamma: float, q_comp: float, tail_mean: float) -> dict:
     """The ThresholdParams fields at the threshold gamma, given its mass
-    q_comp and tail mean (see ``_q_and_m``)."""
+    q_comp and tail mean (see ``_q_and_m``): the last three arguments are a
+    law's mass result."""
     q, m = _q_and_m(p, p_comp, q_comp, tail_mean)
     log_hi, log_lo = _two_log_levels(p, q, p_comp, q_comp)
     return dict(d=d, p=p, p_comp=p_comp, q=q, q_comp=q_comp, gamma=gamma, m=m,
                 log_level_hi=log_hi, log_level_lo=log_lo, budget=log_hi - log_lo)
 
 
-def _cap_mass(a: float, gamma: float, q_comp: float | None = None) -> tuple[float, float]:
-    """(q_comp, tail_mean) of the cap {T >= gamma}, with a = (d-1)/2. The cap
-    is {X <= x} for X ~ Beta(a, a) and x = (1 - gamma)/2, so q_comp = I_x(a, a),
-    bit for bit ``sphere.marginal_cdf(-gamma, d)``, and
+def _cap_mass(d: int, gamma: float, q_comp: float | None = None) -> tuple[float, float, float]:
+    """(gamma, q_comp, tail_mean) of the cap {T >= gamma}. With a = (d-1)/2
+    the cap is {X <= x} for X ~ Beta(a, a) and x = (1 - gamma)/2, so
+    q_comp = I_x(a, a), bit for bit ``sphere.marginal_cdf(-gamma, d)``, and
     tail_mean = E[T 1{T >= gamma}] = x^a (1-x)^a / (a B(a, a)) is the front
     factor of that same I_x, evaluated once for both, whose rounding then
     cancels in m; x is 0 or >= 2^-54. A q_comp the caller gives is kept."""
+    a = 0.5 * (d - 1)
     x = 0.5 * (1.0 - gamma)
     front = math.exp(specfun._ln_front(x, a, a)) if x > 0.0 else 0.0
     if q_comp is None:
         q_comp = specfun._reg_inc_beta_front(x, a, a, front)
-    return q_comp, front / a
+    return gamma, q_comp, front / a
 
 
 def _build(d: int, p: float, p_comp: float, gamma: float, q_comp: float | None = None) -> CapParams:
     """PrivUnit parameters whose masses and m are those of the sampled
     threshold gamma; q_comp, where given, is the caller's
     ``sphere.marginal_cdf(-gamma, d)``, which is then not evaluated again."""
-    q_comp, tail_mean = _cap_mass(0.5 * (d - 1), gamma, q_comp)
-    return CapParams(**_threshold_fields(d, p, p_comp, q_comp, gamma, tail_mean))
+    return CapParams(**_threshold_fields(d, p, p_comp, *_cap_mass(d, gamma, q_comp)))
 
 
 def cap_params(d: int, p: float, gamma: float) -> CapParams:

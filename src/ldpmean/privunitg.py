@@ -1,12 +1,15 @@
 """The Gaussian-based randomizer: the inner-product coordinate alpha is a
-N(0, sigma^2) draw (sigma = 1/sqrt(d)) truncated above the threshold gamma
-with probability p and below it otherwise; the orthogonal component keeps
-independent N(0, sigma^2) coordinates, and the sum is scaled by 1/m.
+N(0, sigma^2) draw (sigma = 1/sqrt(d)) conditioned on alpha >= gamma with
+probability p and on alpha < gamma otherwise; the orthogonal component
+keeps independent N(0, sigma^2) coordinates, and the sum is scaled by 1/m.
 
 This is the threshold construction shared with ``privunit``: parameters
 extend ``privunit.ThresholdParams`` and draws go through
 ``sphere._threshold_rows``, with T ~ N(0, sigma^2) as the law of alpha.
-The density is ``privunit.log_density``, which serves both laws.
+The density is ``privunit.log_density``, which serves both laws, and the
+mass and error helpers ``_gauss_mass`` and ``_gauss_err`` take and return
+what PrivUnit's ``_cap_mass`` and ``_cap_err`` do, so the tuner probes
+both laws alike.
 
 Same two-level density structure as the cap randomizer, so privacy is the
 same product condition on (p, q); here q = Phi(gamma/sigma) and the
@@ -45,21 +48,24 @@ class GaussParams(ThresholdParams):
     alpha_sq: float
 
 
-def _gauss_mass(sigma: float, g_std: float, q_comp: float | None = None) -> tuple[float, float, float]:
+def _gauss_mass(d: int, g_std: float, q_comp: float | None = None) -> tuple[float, float, float]:
     """(gamma, q_comp, tail_mean) of the threshold g_std in standard units:
     gamma = sigma g_std, q_comp = P(T >= gamma) = Phi(-g_std) (a q_comp the
     caller gives is kept) and tail_mean = E[T 1{T >= gamma}] = sigma phi(g_std)."""
+    sigma = 1.0 / math.sqrt(d)
     if q_comp is None:
         q_comp = specfun.std_normal_cdf(-g_std)
     return sigma * g_std, q_comp, sigma * specfun.std_normal_pdf(g_std)
 
 
-def _gauss_err(d: int, sigma: float, gamma: float, m: float) -> tuple[float, float]:
-    """(alpha_sq, err): the second moment E[alpha^2] = sigma^2 + gamma m and the
-    exact squared error (E[alpha^2] + (d-1)/d)/m^2 - 1 of the unbiased
-    estimator, whose orthogonal part contributes sigma^2 per coordinate."""
-    alpha_sq = sigma * sigma + gamma * m
-    return alpha_sq, (alpha_sq + (d - 1.0) / d) / (m * m) - 1.0
+def _gauss_err(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, m: float) -> float:
+    """The exact squared error (E[alpha^2] + (d-1)/d)/m^2 - 1 of the unbiased
+    estimator, with E[alpha^2] = sigma^2 + gamma m and sigma^2 per
+    coordinate of the orthogonal part. It takes ``privunit._cap_err``'s
+    arguments, so a caller evaluates either law's error alike; p, p_comp,
+    q and q_comp are unused."""
+    sigma = 1.0 / math.sqrt(d)
+    return (sigma * sigma + gamma * m + (d - 1.0) / d) / (m * m) - 1.0
 
 
 def _build_gauss(d: int, p: float, p_comp: float, g_std: float, q_comp: float | None = None) -> GaussParams:
@@ -67,10 +73,8 @@ def _build_gauss(d: int, p: float, p_comp: float, g_std: float, q_comp: float | 
     threshold g_std; q_comp, where given, is the caller's
     ``specfun.std_normal_cdf(-g_std)``, which is then not evaluated again."""
     sigma = 1.0 / math.sqrt(d)
-    gamma, q_comp, tail_mean = _gauss_mass(sigma, g_std, q_comp)
-    base = _threshold_fields(d, p, p_comp, q_comp, gamma, tail_mean)
-    alpha_sq, _ = _gauss_err(d, sigma, gamma, base["m"])
-    return GaussParams(**base, sigma=sigma, g_std=g_std, alpha_sq=alpha_sq)
+    base = _threshold_fields(d, p, p_comp, *_gauss_mass(d, g_std, q_comp))
+    return GaussParams(**base, sigma=sigma, g_std=g_std, alpha_sq=sigma * sigma + base["gamma"] * base["m"])
 
 
 def gauss_params(d: int, p: float, q: float) -> GaussParams:
@@ -85,9 +89,10 @@ def gauss_params(d: int, p: float, q: float) -> GaussParams:
 
 
 def analytic_err_g(params: GaussParams) -> ErrorBreakdown:
-    """Exact squared error of the unbiased estimator (see ``_gauss_err``)."""
-    alpha_sq, err = _gauss_err(params.d, params.sigma, params.gamma, params.m)
-    return ErrorBreakdown(m=params.m, alpha_sq=alpha_sq, err=err, d=params.d)
+    """Exact squared error of the unbiased estimator (see ``_gauss_err``),
+    with the second moment alpha_sq that the parameters hold."""
+    err = _gauss_err(params.d, params.p, params.p_comp, params.q, params.q_comp, params.gamma, params.m)
+    return ErrorBreakdown(m=params.m, alpha_sq=params.alpha_sq, err=err, d=params.d)
 
 
 def randomize_g(v, params: GaussParams, rng: RngStream) -> np.ndarray:

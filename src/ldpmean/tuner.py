@@ -4,27 +4,16 @@ product constraint saturated, p = sigmoid(eps0) and q = sigmoid(eps1), and
 minimize the analytic error over the split.
 
 Error is monotone improving toward the constraint boundary for both
-randomizers, so the 2-D constrained problem reduces to a 1-D search. The
-search runs over the threshold that the builders take and the sampler
-draws with: -ln x with x = (1 - gamma)/2 for PrivUnit, g_std for PrivUnitG.
-A probe evaluates its threshold's mass q_comp once, takes
-eps1 = ln(q/q_comp) from it and gives the rest of eps to p, so every probe
-spends the whole budget and needs no quantile inversion; one inversion, at
-mass sigmoid(-eps), fixes the end of the bracket. A probe evaluates
-scalars only, through the private helpers that the builders and the
-analytic errors wrap (mass and tail mean, then q and m, then the error),
-so it builds no parameter object; one is built for the winner, and again
-at each step of the budget trim. The error is smooth in
-the threshold with a single minimum. PrivUnit's error is evaluated without
-cancellation, and PrivUnitG's stays above 7e-4 on the envelope, far above
-its rounding, so Brent's method over the whole bracket finds the minimum:
-parabolic steps, with golden-section steps where a parabola is not trusted
-or a split is degenerate (+inf). Where a float gamma quantizes PrivUnit's
-cap (d <= 16 at large eps) the error is a staircase; the bracket then ends
-at the smallest cap a float gamma expresses, x = 2^-54, which is probed
-once, so the lowest stair is never missed. The scaled constant eps*err/d
-converges (in d, then in eps) to roughly 0.614, which is what c_eps
-exposes.
+randomizers, so the 2-D constrained problem reduces to a 1-D search over
+the threshold, which :func:`tune` runs by Brent's method. The two laws
+differ only in their private helpers, which share one interface
+(``_law``): a mass helper (gamma, q_comp, tail_mean) at a threshold, and
+a scalar error of (d, p, p_comp, q, q_comp, gamma, m). The error is smooth
+in the threshold with a single minimum. PrivUnit's error is evaluated
+without cancellation, and PrivUnitG's stays above 7e-4 on the envelope,
+far above its rounding, so the search over the whole bracket finds it.
+The scaled constant eps*err/d converges (in d, then in eps) to roughly
+0.614, which is what c_eps exposes.
 """
 
 from __future__ import annotations
@@ -114,20 +103,30 @@ class TunedResult:
     alg: str
 
 
+def _law(alg: str) -> tuple:
+    """(builder, analytic error, mass, scalar error) of the law: the mass
+    helper maps (d, threshold[, q_comp]) to (gamma, q_comp, tail_mean), the
+    scalar error takes (d, p, p_comp, q, q_comp, gamma, m). Looked up at
+    each call, so a wrapped or patched module function is the one called."""
+    if alg == "privunit":
+        return privunit._build, privunit.analytic_err, privunit._cap_mass, privunit._cap_err
+    return privunitg._build_gauss, privunitg.analytic_err_g, privunitg._gauss_mass, privunitg._gauss_err
+
+
 def _params_at(split: BudgetSplit, d: int, alg: str):
     # the threshold whose upper mass is the budgeted q_comp; the builder
     # evaluates the masses at that threshold, so the budget it certifies is
     # that of the mechanism sampled (0.0 - t keeps gamma = +0.0 at q_comp = 1/2)
     if alg == "privunit":
-        return privunit._build(d, split.p, split.p_comp, 0.0 - sphere.inv_marginal_cdf(split.q_comp, d))
-    return privunitg._build_gauss(d, split.p, split.p_comp, 0.0 - specfun.inv_std_normal_cdf(split.q_comp))
+        t = sphere.inv_marginal_cdf(split.q_comp, d)
+    else:
+        t = specfun.inv_std_normal_cdf(split.q_comp)
+    return _law(alg)[0](d, split.p, split.p_comp, 0.0 - t)
 
 
 def _err_at(split: BudgetSplit, d: int, alg: str):
     params = _params_at(split, d, alg)
-    if alg == "privunit":
-        return privunit.analytic_err(params).err, params
-    return privunitg.analytic_err_g(params).err, params
+    return _law(alg)[1](params).err, params
 
 
 def _rank(u: float, fu: float) -> tuple[float, float]:
@@ -190,74 +189,42 @@ def _brent_min(f, a: float, b: float, tol: float) -> None:
 def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
-    One Brent search (``_brent_min``) over the stored threshold: s = -ln x
-    with x = (1 - gamma)/2 for PrivUnit, s = g_std for PrivUnitG. A probe
-    evaluates the mass q_comp of its threshold once, takes
-    eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1; a threshold
-    whose eps1 exceeds eps, or a degenerate split, counts as +inf. The
-    bracket runs from eps1 = 0 (x = 1/2, g_std = 0) to the threshold of
-    mass sigmoid(-eps), the one quantile inversion of a tune, and the
-    tolerance is 2^-26 of the bracket, over eps where eps < 1 (the error
-    is unimodal in the threshold, so nothing needs bracketing first). A
-    float gamma expresses no x below 2^-54: where PrivUnit's bracket end
+    One Brent search (``_brent_min``) over the threshold that the builders
+    take and the sampler draws with: s = -ln x with x = (1 - gamma)/2 for
+    PrivUnit, s = g_std for PrivUnitG. A probe evaluates its threshold's
+    mass q_comp once, takes eps1 = ln(q/q_comp) from it and sets
+    eps0 = eps - eps1, so it spends the whole budget and needs no quantile
+    inversion; a threshold whose eps1 exceeds eps, or a degenerate split,
+    counts as +inf, and Brent's method takes a golden-section step where a
+    parabola passes through one. A probe evaluates scalars by the law's
+    mass and error helpers, which the builders and
+    ``analytic_err``/``analytic_err_g`` wrap, so it builds no parameter
+    object and its error is the built parameters' bit for bit. The bracket
+    runs from eps1 = 0 (x = 1/2, g_std = 0) to the threshold of mass
+    sigmoid(-eps), the one quantile inversion of a tune, and the tolerance
+    is 2^-26 of the bracket, over eps where eps < 1. A float gamma
+    expresses no x below 2^-54, so PrivUnit's error is a staircase where
+    its cap is that small (d <= 16 at large eps): where the bracket end
     lies beyond it, the bracket stops there and that smallest cap is
-    probed once, so the search cannot settle on a stair of the float-gamma
-    staircase above the lowest. A probe evaluates scalars, not a parameter
-    object: its threshold's mass and tail mean, q and m, and the error, by
-    the same helpers as the builders and ``analytic_err``/``analytic_err_g``,
-    so its error is the built parameters' bit for bit. Returns the best
-    probe seen anywhere, built once, with the excess of its budget
-    (rounding) taken back from eps0 at the same threshold so that
-    budget <= eps exactly, one build per step, and the split its stored
-    parameters spend. Raises NumericsError when its error is not positive
-    or its budget stays above eps.
+    probed once, so the search cannot settle on a stair above the lowest.
+
+    Returns the best probe seen anywhere, built once, with the excess of
+    its budget (rounding) taken back from eps0 at the same threshold so
+    that budget <= eps exactly, one build per step, and the split its
+    stored parameters spend. Raises NumericsError when its error is not
+    positive or its budget stays above eps.
     """
     budget_split(eps, eps)  # validates eps
     d = sphere._check_dim(d)
     if alg not in _ALGS:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
-    y = _sigmoid(-eps)  # the mass at which eps1 = eps
-    edge = None
-    # per law: at(s) -> (the builder's threshold, gamma, q_comp, tail_mean)
-    # at the search variable s, and err(p, p_comp, q, q_comp, gamma, m), the
-    # scalar error that the law's analytic error wraps
-    if alg == "privunit":
-        build, error = privunit._build, privunit.analytic_err
-        a = 0.5 * (d - 1)
-        cap_mass, cap_err = privunit._cap_mass, privunit._cap_err
-
-        def at_gamma(gamma: float) -> tuple:
-            return (gamma, gamma, *cap_mass(a, gamma))
-
-        def at(s: float) -> tuple:
-            return at_gamma(1.0 - 2.0 * math.exp(-s))
-
-        def err(p, p_comp, q, q_comp, gamma, m) -> float:
-            return cap_err(d, p, p_comp, q, q_comp, gamma, m)
-
-        lo = _LN2
-        edge = at_gamma(_GAMMA_EDGE)
-        if edge[2] >= y:  # the threshold of mass y lies at or past the smallest cap
-            hi = _S_EDGE
-        else:
-            hi, edge = -math.log(specfun.inv_reg_inc_beta(y, a, a)), None
-    else:
-        build, error = privunitg._build_gauss, privunitg.analytic_err_g
-        sigma = 1.0 / math.sqrt(d)
-        gauss_mass, gauss_err = privunitg._gauss_mass, privunitg._gauss_err
-
-        def at(s: float) -> tuple:
-            return (s, *gauss_mass(sigma, s))
-
-        def err(p, p_comp, q, q_comp, gamma, m) -> float:
-            return gauss_err(d, sigma, gamma, m)[1]
-
-        lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
-
+    build, error, mass, err = _law(alg)
     q_and_m = privunit._q_and_m
     best: list = [math.inf, None]  # err, (eps0, threshold, mass)
 
-    def probe(t: float, gamma: float, q_comp: float, tail_mean: float) -> float:
+    def probe(t: float, q_comp: float | None = None) -> float:
+        # t is the builder's threshold: gamma for PrivUnit, g_std for PrivUnitG
+        gamma, q_comp, tail_mean = mass(d, t, q_comp)
         if not q_comp > 0.0:
             return math.inf
         eps0 = eps - (math.log(1.0 - q_comp) - math.log(q_comp))
@@ -268,14 +235,24 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
             q, m = q_and_m(p, p_comp, q_comp, tail_mean)
         except DegenerateParameterError:
             return math.inf
-        e = err(p, p_comp, q, q_comp, gamma, m)
+        e = err(d, p, p_comp, q, q_comp, gamma, m)
         if e < best[0]:
             best[0], best[1] = e, (eps0, t, q_comp)
         return e
 
-    if edge is not None:
-        probe(*edge)
-    _brent_min(lambda s: probe(*at(s)), lo, hi, _TOL * (hi - lo) / min(1.0, eps))
+    y = _sigmoid(-eps)  # the mass at which eps1 = eps
+    if alg == "privunit":
+        lo, f = _LN2, lambda s: probe(1.0 - 2.0 * math.exp(-s))
+        edge_mass = mass(d, _GAMMA_EDGE)[1]
+        if edge_mass >= y:  # the threshold of mass y lies at or past the smallest cap
+            hi = _S_EDGE
+            probe(_GAMMA_EDGE, edge_mass)
+        else:
+            a = 0.5 * (d - 1)
+            hi = -math.log(specfun.inv_reg_inc_beta(y, a, a))
+    else:
+        lo, hi, f = 0.0, -specfun.inv_std_normal_cdf(y), probe
+    _brent_min(f, lo, hi, _TOL * (hi - lo) / min(1.0, eps))
 
     err_star, found = best
     if found is None:

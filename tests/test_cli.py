@@ -155,7 +155,7 @@ def test_lp_verify_command(capsys):
 
 # --- exit codes ---------------------------------------------------------------
 
-def test_usage_error_exit_code(capsys, tmp_path):
+def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
     rc, out, err = run_cli(capsys, "tune", "--eps", "-3", "--d", "64")
     assert rc == 2 and out == ""
     assert "usage error" in err
@@ -167,6 +167,12 @@ def test_usage_error_exit_code(capsys, tmp_path):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == ""
         assert "usage error" in err and name in err
+    # randomize checks its arguments before it reads the input, whatever the input is
+    for argv in (["--eps", "0", "--d", "2"], ["--eps", "4", "--d", "1"]):
+        for text in ("1.0\n", "", "0.6 0.8\n"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            rc, out, err = run_cli(capsys, "randomize", *argv)
+            assert rc == 2 and out == "" and "usage error" in err, (argv, text)
 
 
 def test_argparse_missing_argument_exits_2(capsys):
@@ -177,15 +183,19 @@ def test_argparse_missing_argument_exits_2(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["ratio", "--eps", "8", "--d", ","], ["ratio", "--eps", "8", "--d", ""], ["c_curve", "--eps", ""], ["c_curve", "--eps", ",,"]],
+    [["ratio", "--eps", "8", "--d", ","], ["ratio", "--eps", "8", "--d", ""], ["c_curve", "--eps", ""], ["c_curve", "--eps", ",,"],
+     ["ratio", "--eps", "8", "--d", "x"], ["ratio", "--eps", "8", "--d", "2,3.5"], ["c_curve", "--eps", "4,y"]],
 )
 def test_empty_list_argument_exits_2(capsys, argv):
-    # a required list option with no items is a usage error, not a header-only CSV
+    # a required list option with no items is a usage error, not a header-only
+    # CSV; a bad item is named in argparse's own words for type=int or float
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "needs at least one value" in captured.err
+    bad = {"x": "invalid int value: 'x'", "2,3.5": "invalid int value: '3.5'", "4,y": "invalid float value: 'y'"}
+    assert captured.out == "" and bad.get(argv[-1], "needs at least one value") in captured.err
+    assert "_list" not in captured.err
 
 
 def test_data_error_exit_code(capsys, monkeypatch):

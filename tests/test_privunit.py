@@ -81,6 +81,13 @@ def test_privacy_eps_values_and_endpoints():
         privunit.privacy_eps(1.2, 0.5)
     with pytest.raises(ValueError):
         privunit.privacy_eps(0.5, -0.1)
+    # a complement outside [0, 1] or off 1 - level would understate the budget
+    for args in ((0.9, 0.8, 2.0, 0.2), (0.9, 0.8, 0.5, 0.5), (0.9, 0.8, 0.1, -0.2),
+                 (0.9, 0.8, 0.1, 0.3), (0.9, 0.8, math.nan, 0.2)):
+        with pytest.raises(ValueError, match="complement"):
+            privunit.privacy_eps(*args)
+    # a complement whose sum with its level is a float step off 1 is accepted
+    assert privunit.privacy_eps(0.9, 0.5, 0.1 + 2.0**-52, 0.5) == pytest.approx(math.log(9.0), rel=1e-12)
 
 
 def test_budget_is_bitwise_privacy_eps():

@@ -281,17 +281,24 @@ def test_probe_scalars_match_the_built_parameters(eps, d, alg):
     # a probe evaluates the scalars its parameter object would hold, so the
     # winning probe's error is the built winner's analytic error bit for bit
     # (a trimmed winner's error comes from the trimmed object)
-    a = 0.5 * (d - 1)
     if alg == "privunit":
         # the cap helper's mass is marginal_cdf's, at x = 1/2 and the edge cap
         for gamma in (0.0, 1.0 - 2.0**-53):
-            assert privunit._cap_mass(a, gamma)[0] == sphere.marginal_cdf(-gamma, d)
+            assert privunit._cap_mass(d, gamma)[1] == sphere.marginal_cdf(-gamma, d)
     res = tuner.tune(eps, d, alg)
+    pr = res.params
     if alg == "privunit":
-        assert res.err_star == privunit.analytic_err(res.params).err
-        assert privunit._cap_mass(a, res.params.gamma)[0] == sphere.marginal_cdf(-res.params.gamma, d)
+        mass, err, error, t = privunit._cap_mass, privunit._cap_err, privunit.analytic_err, pr.gamma
+        assert privunit._cap_mass(d, pr.gamma)[1] == sphere.marginal_cdf(-pr.gamma, d)
     else:
-        assert res.err_star == privunitg.analytic_err_g(res.params).err
+        mass, err, error, t = privunitg._gauss_mass, privunitg._gauss_err, privunitg.analytic_err_g, pr.g_std
+    assert res.err_star == error(pr).err
+    # both laws' helpers share one interface: the mass at the built
+    # threshold and the scalar error are the parameters' bit for bit
+    assert mass(d, t)[:2] == (pr.gamma, pr.q_comp)
+    assert err(d, pr.p, pr.p_comp, pr.q, pr.q_comp, pr.gamma, pr.m) == error(pr).err
+    e, params = tuner._err_at(res.split, d, alg)
+    assert e == error(tuner._params_at(res.split, d, alg)).err == error(params).err
 
 
 def test_interior_budgets_never_win():
