@@ -1,9 +1,8 @@
 """Command line driver: deterministic CSV experiment runners plus a
 single-shot randomizer for scripting.
 
-Exit codes: 0 success, 2 usage error (bad arguments, a malformed
-$LDPMEAN_SEED where --seed is read, an input or output path that cannot be
-opened), 3 numeric or data-validation error.
+Exit codes: 0 success, 2 usage error (bad arguments, an input or output
+path that cannot be opened), 3 numeric or data-validation error.
 All numeric output uses 12 significant digits with a C-locale decimal
 point, so repeated runs are byte-identical.
 """
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -75,7 +73,10 @@ def cmd_ratio(args) -> list[str]:
     for d in args.d:
         tuned = tuner.tune(args.eps, d, "privunitg")
         err_pug = tuned.err_star
-        err_pu, _ = tuner._err_at(tuned.split, d, "privunit")
+        try:
+            err_pu, _ = tuner._err_at(tuned.split, d, "privunit")
+        except DegenerateParameterError:  # the split's cap is below the smallest a float gamma expresses
+            err_pu = float("inf")
         lines.append(_row(float(d), err_pu, err_pug, err_pug / err_pu))
     return lines
 
@@ -174,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         if alg:
             p.add_argument("--alg", choices=tuner._ALGS, default="privunitg")
         if seed:
-            # an absent --seed stays None: main reads $LDPMEAN_SEED at each call and
-            # reports a malformed value as this command's usage error
-            p.add_argument("--seed", type=int, default=None, help="defaults to $LDPMEAN_SEED or 0")
-            p.set_defaults(usage_error=p.error)
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("tune", help="optimal split for one (eps, d)")
@@ -225,12 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) is None:
-        text = os.environ.get("LDPMEAN_SEED") or "0"
-        try:
-            args.seed = int(text)
-        except ValueError:
-            args.usage_error(f"argument --seed: invalid int value: {text!r}")
     try:
         _emit(args.func(args), args.out)
     except (DegenerateParameterError, ArithmeticError, SupportError) as exc:

@@ -1,6 +1,6 @@
 """Special-function kernel: the regularized incomplete beta and its inverse,
-the standard normal pdf/cdf/quantile, and truncated-Gaussian moments.
-ln Gamma comes from ``math.lgamma``.
+and the standard normal pdf/cdf/quantile. ln Gamma comes from
+``math.lgamma``.
 
 All public functions are scalar and pure. The continued-fraction incomplete
 beta is evaluated in log space so that shape parameters of order 10^5 (half
@@ -33,7 +33,6 @@ __all__ = [
     "std_normal_pdf",
     "std_normal_cdf",
     "inv_std_normal_cdf",
-    "trunc_gauss_moments",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -299,36 +298,6 @@ def _as241(p: float) -> float:
     r = math.sqrt(-float(np.log(p if q < 0.0 else 1.0 - p)))
     x = _rational7(r - 1.6, *_AS241_NEAR) if r <= 5.0 else _rational7(r - 5.0, *_AS241_FAR)
     return -x if q < 0.0 else x
-
-
-def trunc_gauss_moments(gamma: float, sigma: float) -> tuple[float, float, float, float]:
-    """First and second moments of U ~ N(0, sigma^2) conditioned on each
-    side of gamma.
-
-    Returns (m_above, s_above, m_below, s_below) =
-    (E[U | U >= gamma], E[U^2 | U >= gamma], E[U | U < gamma], E[U^2 | U < gamma]),
-    computed from the inverse Mills ratio:
-    m_above = sigma*phi(g)/(1 - Phi(g)), s_above = sigma^2*(1 + g*phi(g)/(1 - Phi(g)))
-    with g = gamma/sigma, and the sign-mirrored forms below.
-    """
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
-    g = gamma / sigma
-    mass_above, mass_below = std_normal_cdf(-g), std_normal_cdf(g)
-    if mass_above < 1e-300 or mass_below < 1e-300:
-        raise NumericsError(
-            f"conditioning tail mass saturated below 1e-300 at gamma/sigma={g}"
-        )
-    pdf = std_normal_pdf(g)
-    haz_above = pdf / mass_above
-    haz_below = pdf / mass_below
-    m_above = sigma * haz_above
-    s_above = sigma * sigma * (1.0 + g * haz_above)
-    m_below = -sigma * haz_below
-    s_below = sigma * sigma * (1.0 - g * haz_below)
-    return m_above, s_above, m_below, s_below
 
 
 # ---------------------------------------------------------------------------

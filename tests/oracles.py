@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately primitive: adaptive Simpson quadrature over
-log-space integrands and nothing from the package's own kernels beyond
+log-space integrands, one closed form (the truncated Gaussian moments, by
+the inverse Mills ratio), and nothing from the package's own kernels beyond
 math.lgamma. Slow and simple beats fast and shared-bug.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+_SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
@@ -112,6 +114,19 @@ def trunc_gauss_moment_quad(gamma: float, sigma: float, power: int, above: bool)
     mass = panelled_quad(pdf, lo, hi, panels=96)
     mom = panelled_quad(lambda t: (t**power) * pdf(t), lo, hi, panels=96)
     return mom / mass
+
+
+def trunc_gauss_moments(gamma: float, sigma: float) -> tuple[float, float, float, float]:
+    """(E[U | U >= gamma], E[U^2 | U >= gamma], E[U | U < gamma], E[U^2 | U < gamma])
+    for U ~ N(0, sigma^2), in closed form by the inverse Mills ratio:
+    m_above = sigma phi(g)/(1 - Phi(g)), s_above = sigma^2 (1 + g phi(g)/(1 - Phi(g)))
+    with g = gamma/sigma, and the sign-mirrored forms below."""
+    g = gamma / sigma
+    pdf = math.exp(-0.5 * g * g) / _SQRT2PI
+    haz_above = pdf / (0.5 * math.erfc(g / _SQRT2))
+    haz_below = pdf / (0.5 * math.erfc(-g / _SQRT2))
+    return (sigma * haz_above, sigma * sigma * (1.0 + g * haz_above),
+            -sigma * haz_below, sigma * sigma * (1.0 - g * haz_below))
 
 
 def sphere_first_coord_moment_quad(d: int, gamma: float, power: int, above: bool) -> float:

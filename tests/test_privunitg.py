@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import privunit, privunitg, specfun, tuner
+from ldpmean import privunit, privunitg, tuner
 from ldpmean.errors import DegenerateParameterError
 from ldpmean.sphere import RngStream
 
-from oracles import trunc_gauss_moment_quad
+from oracles import trunc_gauss_moment_quad, trunc_gauss_moments
 
 
 # --- normalizer and error ---------------------------------------------------
@@ -35,7 +35,7 @@ def test_analytic_err_closed_form():
 def test_second_moment_identity(d, p, q):
     # closed form sigma^2 + gamma m vs the p-weighted truncated moments
     params = privunitg.gauss_params(d, p, q)
-    _, s_above, _, s_below = specfun.trunc_gauss_moments(params.gamma, params.sigma)
+    _, s_above, _, s_below = trunc_gauss_moments(params.gamma, params.sigma)
     assembled = params.p * s_above + params.p_comp * s_below
     assert abs(params.alpha_sq - assembled) <= 1e-12
 

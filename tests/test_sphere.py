@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ldpmean import specfun, sphere
+from ldpmean import specfun, sphere, tuner
 from ldpmean.errors import NumericsError
 from ldpmean.sphere import RngStream, as_unit_vector
 
@@ -196,6 +196,30 @@ def test_draw_above_matches_conditioned_normal(mass):
     assert np.all(draws >= t)
     stat = _sqrt_n_ks(draws, lambda s: 1.0 - specfun.std_normal_cdf(-s / sigma) / mass)
     assert stat < KS_CRIT_1PCT
+
+
+@pytest.mark.parametrize("side", ["cap", "open"])
+@pytest.mark.parametrize(
+    "alg, d, eps",
+    [("privunit", 16, 8.0), ("privunit", 1024, 8.0),  # the tangent exponential, a > 1
+     ("privunit", 3, 8.0), ("privunit", 2, 4.0),  # the power law, a <= 1
+     ("privunitg", 1024, 8.0)],  # the normal tail
+)
+def test_draw_above_conditional_mean_at_tuned_points(alg, d, eps, side):
+    # each branch's conditional mean against its closed form at a tuned
+    # point: the cap side (mass below 1/4) takes the branch named, the open
+    # side (mass >= 1/4) the unrestricted draw. E[T 1{T >= gamma}] is the
+    # law's tail_mean, and E[-T | T < gamma] = tail_mean/q since E[T] = 0;
+    # 2^20 draws resolve a one-line change of an acceptance rule
+    params = tuner.tune(eps, d, alg).params
+    sigma = getattr(params, "sigma", None)
+    threshold = params.gamma if sigma is None else params.g_std
+    tail_mean = tuner._law(alg)[2](d, threshold, params.q_comp)[2]
+    t, mass = (params.gamma, params.q_comp) if side == "cap" else (-params.gamma, params.q)
+    assert (mass < 0.25) == (side == "cap")
+    draws = sphere._draw_above(t, mass, 2**20, d, sigma, RngStream(66, 2 * d + (side == "open")))
+    z = (draws.mean() - tail_mean / mass) / (draws.std() / math.sqrt(draws.size))
+    assert abs(z) < 4.0
 
 
 def test_sample_cap_negative_gamma_matches_marginal():

@@ -316,9 +316,12 @@ def test_interior_budgets_never_win():
 # --- scaled constant and repetition ------------------------------------------
 
 def test_c_eps_nonincreasing():
-    values = [tuner.c_eps(e) for e in (4.0, 8.0, 16.0, 32.0)]
+    values = [tuner.c_eps(e) for e in (4.0, 8.0, 16.0, 32.0, 35.0, 40.0, 100.0, 700.0)]
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo <= hi + 1e-12
+    # the constant does not settle near 0.614: it passes it near eps 38.5
+    # and keeps falling, to 0.548 at eps 100 and 0.509 at 700
+    assert values[-2] < 0.56 and values[-1] < 0.52
 
 
 def test_repetition_identity_at_k1():
