@@ -7,11 +7,11 @@ laws, as it reads the law from the parameters: ``estimate_mean`` draws them
 by the sampler's row-block rule (``sphere._row_blocks``), sums each block
 on the thread that drew it and adds the block sums in block order, so it
 holds one block of reports per thread, never all n. It runs at most
-``_THREADS`` block threads, as each holds about three blocks of scratch
-(1.5 MB): its memory beyond the inputs stays near 3 MB whatever the core
-count, and its reports never depend on the thread count. Trial t of
-``run_trials`` draws its n inputs and then its reports on its own stream,
-``RngStream(seed, t + 1)``.
+``_THREADS`` block threads, as each holds its reports and its Gaussian
+draw, two blocks (2 MiB): its memory beyond the inputs stays near 4.5 MB
+whatever the core count, and its reports never depend on the thread
+count. Trial t of ``run_trials`` draws its n inputs and then its reports
+on its own stream, ``RngStream(seed, t + 1)``.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ Both randomizers and ``sample_cap`` draw through one sampler,
 ``_threshold_rows``: a two-level threshold on the coordinate alpha along the
 input v, drawn from its 1-D law conditioned on one side of the threshold by
 exact rejection (``_draw_above``, which stays fast for caps of any mass),
-plus an isotropic part orthogonal to v made by projecting v out of a
-Gaussian row, so no rotation is needed. The sampler takes an (n, d) matrix
+plus an isotropic part orthogonal to v, a Gaussian row with its component
+along v taken out, so no rotation is needed. The sampler takes an (n, d) matrix
 of unit inputs, one per row; n reports of one shared input are the rows of
 a broadcast view of it. ``rotate_from_e1`` is a standalone utility that no
 sampler uses.
@@ -19,7 +19,7 @@ The package names its streams by id (see ``RngStream``): stream 0 for CLI
 ``randomize`` and stream t + 1 for trial t of ``estimator.run_trials``.
 Inside one call, streams derive by block jump only: ``_row_blocks`` splits
 every multi-row draw, the sampler's and the protocol's, into fixed blocks
-of max(1, 2**16 // d) rows. A call of one block draws on the caller's
+of max(1, 2**17 // d) rows. A call of one block draws on the caller's
 stream. A longer call draws block b on the caller's stream jumped b + 1
 times, each block on its own thread, up to one thread per core (the
 protocol caps its threads lower); its reports depend on the seed and this
@@ -50,9 +50,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# values in one row block of a sampler call: 2**16 doubles are 512 KiB, so a
-# block's arrays stay in a core's cache from its Gaussian draw to its output
-_BLOCK_VALUES = 1 << 16
+# values in one row block of a sampler call (1 MiB): a block pays a Philox
+# jump and dozens of small numpy calls at any size, and 2**17 to 2**19 all ran
+# faster than 2**16; 2**18 lifts a trial's traced peak past 1.5 input copies
+_BLOCK_VALUES = 1 << 17
 # rounds of ``_draw_above`` before it gives up: every proposal is accepted
 # with probability at least 1/4, so one lane survives 1000 rounds with
 # probability (3/4)^1000, about 1e-125
@@ -240,30 +241,23 @@ def _draw_above(t: float, mass: float, size: int, d: int, sigma: float | None, r
     )
 
 
-def _project_out(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Remove from each row g_j of g, in place, its component along row v_j
-    of v, with the one-row product ``g_j @ v_j``, so a row's report does not
-    depend on the other rows; returns the components removed."""
-    along = (g[:, None, :] @ v[:, :, None])[:, 0, 0]
-    g -= along[:, None] * v
-    return along
-
-
-def _orthogonal_sq_norms(g: np.ndarray, v: np.ndarray, along: np.ndarray) -> np.ndarray:
-    """The squared norms of the rows of g, which ``_project_out`` has just
-    taken the components ``along`` out of. A row that lay within 1/8 of its
-    v (|g_perp|^2 < |g|^2/64, |g|^2 = along^2 + |g_perp|^2) keeps a
-    rounding residual along v that dividing by |g_perp| would magnify, so
-    it is projected a second time, in place; two passes suffice (Giraud,
-    Langou & Rozloznik 2005). Only d <= 3 meets such rows often."""
+def _orthogonal_split(g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(along, sq) of the rows g_j of g: along_j = g_j . v_j by a one-row
+    einsum, so a row's values do not depend on the other rows, and sq_j =
+    |g_j|^2 - along_j^2, the squared norm of g_j - along_j v_j, which cancels
+    at most a factor 2 beyond 45 degrees of +-v_j. Nearer rows are projected
+    in place, twice (Giraud, Langou & Rozloznik 2005), with along_j = 0."""
+    along = np.einsum("ij,ij->i", g, v)
     sq = np.einsum("ij,ij->i", g, g)
-    again = 64.0 * sq < along * along + sq
-    if again.any():
-        rows = g[again]
-        _project_out(rows, v[again])
-        g[again] = rows
-        sq[again] = np.einsum("ij,ij->i", rows, rows)
-    return sq
+    near = 2.0 * along * along > sq
+    sq -= along * along
+    if near.any():
+        rows, vr = g[near], v[near]
+        for _ in range(2):
+            rows -= np.einsum("ij,ij->i", rows, vr)[:, None] * vr
+        g[near], along[near] = rows, 0.0
+        sq[near] = np.einsum("ij,ij->i", rows, rows)
+    return along, sq
 
 
 def _cores() -> int:
@@ -275,7 +269,7 @@ def _row_blocks(n: int, d: int, fn, rng: RngStream, threads: float = math.inf) -
     """fn(rows, stream) for each row block of an n-row call at dimension d,
     rows the block's slice, and the results in block order.
 
-    Blocks hold max(1, 2**16 // d) rows. One block runs on rng. More blocks
+    Blocks hold max(1, 2**17 // d) rows. One block runs on rng. More blocks
     run on a pool of up to one thread per core, and at most threads, block
     b on rng jumped b + 1 times (``RngStream._block_streams``), so the
     results depend on the seed and this rule only, never on the number of
@@ -309,9 +303,12 @@ def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out) -> None:
     None, else N(0, sigma^2); q = P(T < gamma) and q_comp = P(T >= gamma).
     Each row takes the closed side T >= gamma with probability p, draws
     alpha from T conditioned on that side (``_draw_above``), adds a standard
-    Gaussian row with its component along v projected out, scaled to norm
+    Gaussian row g with its component along v taken out, scaled to norm
     sqrt(1 - alpha^2) (sphere) or by sigma, adds alpha v and divides by m.
     Only the mass of a side that is drawn is read.
+
+    The report is scale g + (alpha/m - scale g . v) v, written into out with
+    g's buffer for the v term: the block's one scratch array of its size.
     """
     size, d = v.shape
     above = rng.uniform(size) < p
@@ -325,18 +322,19 @@ def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out) -> None:
         open_side = -_draw_above(-gamma, q, size - n_above, d, sigma, rng)
         alpha[~above] = np.minimum(open_side, np.nextafter(gamma, -2.0))
     g = rng.normal((size, d))
-    along = _project_out(g, v)
     if sigma is None:
-        sq = _orthogonal_sq_norms(g, v, along)
+        along, sq = _orthogonal_split(g, v)
         while not sq.all():  # probability zero; keeps the norm contract airtight
             redo = sq == 0.0
-            rows, vr = rng.normal((np.count_nonzero(redo), d)), v[redo]
-            sq[redo] = _orthogonal_sq_norms(rows, vr, _project_out(rows, vr))
+            rows = rng.normal((np.count_nonzero(redo), d))
+            along[redo], sq[redo] = _orthogonal_split(rows, v[redo])
             g[redo] = rows
-        np.multiply(g, (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (np.sqrt(sq) * m))[:, None], out=out)
+        scale = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (np.sqrt(sq) * m)
     else:
-        np.multiply(g, sigma / m, out=out)
-    out += (alpha / m)[:, None] * v
+        along, scale = np.einsum("ij,ij->i", g, v), np.full(size, sigma / m)
+    np.multiply(g, scale[:, None], out=out)
+    np.multiply(v, (alpha / m - scale * along)[:, None], out=g)
+    out += g
 
 
 def sample_cap(d: int, gamma: float, above: bool, rng: RngStream) -> np.ndarray:

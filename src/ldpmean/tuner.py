@@ -260,10 +260,11 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     eps0, t, q_comp = found
     # the probes evaluated the parameters' scalars; the winner's object is
     # built once. Rounding may put its budget above eps: take the excess
-    # back from eps0 at the same threshold, doubling the step until the
-    # budget drops, and give up before eps0 turns negative
+    # back from eps0 at the same threshold, doubling the step (2^-52 at
+    # least: less cannot move p near 1/2) until the budget drops, and give
+    # up before eps0 turns negative
     params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
-    step = params.budget - eps
+    step = max(params.budget - eps, 2.0**-52)
     while params.budget > eps:
         if step > eps0:
             raise NumericsError(f"budget {params.budget!r} stays above eps={eps}, d={d}")

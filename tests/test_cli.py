@@ -124,7 +124,7 @@ def test_randomize_deterministic(capsys, monkeypatch):
 def test_randomize_prints_randomize_reports(capsys, tmp_path, alg):
     # the output is privunit.randomize(V, params, RngStream(seed)), one line
     # per input and "%.12g" per coordinate; at d = 1024 the 150 rows make
-    # three row blocks, drawn on threads
+    # two row blocks, drawn on threads
     d, seed = 1024, 12
     g = np.random.default_rng(4).standard_normal((150, d))
     g /= np.linalg.norm(g, axis=1)[:, None]
@@ -235,7 +235,7 @@ def test_data_error_exit_code(capsys, monkeypatch):
 
 
 def test_simulate_exits_3_when_a_block_thread_fails(capsys, monkeypatch):
-    # at d = 1024 the 300 users are drawn in 5 row blocks on threads; one
+    # at d = 1024 the 300 users are drawn in 3 row blocks on threads; one
     # rejection round fails there, and the CLI reports a numeric failure
     monkeypatch.setattr(sphere, "_MAX_ROUNDS", 1)
     rc, out, err = run_cli(capsys, "simulate", "--eps", "4", "--d", "1024", "--n", "300", "--trials", "1")

@@ -31,11 +31,12 @@ def test_estimate_mean_single_user_matches_direct_draw(make_params):
 
 @pytest.mark.parametrize("make_params", _LAWS)
 def test_estimate_mean_equals_block_sums_of_randomize(make_params):
-    # the reports are privunit.randomize(vs, params, rng) bit for bit: at
-    # d = 1024 a row block holds 64 users, so 133 users make two full
-    # blocks and a ragged third, drawn on threads; their sums are added in
-    # block order, and the caller's stream moves as far as randomize moves it
-    rows, d = 2**16 // 1024, 1024
+    # the reports are privunit.randomize(vs, params, rng) bit for bit: two
+    # full row blocks and a ragged third, drawn on threads; their sums are
+    # added in block order, and the caller's stream moves as far as
+    # randomize moves it
+    d = 1024
+    rows = sphere._BLOCK_VALUES // d
     n = 2 * rows + 5
     params = make_params(d)
     g = RngStream(8).normal((n, d))
@@ -81,7 +82,7 @@ def test_run_trials_validation_and_single_trial():
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
 def test_run_trials_draws_trial_0_on_stream_1(alg):
     # trial t draws its inputs and then its reports on RngStream(seed, t + 1);
-    # 300 users at d = 1024 make 5 row blocks, drawn on jumps of that stream
+    # 300 users at d = 1024 make 3 row blocks, drawn on jumps of that stream
     n, d, seed = 300, 1024, 19
     rng = RngStream(seed, 1)
     vecs = rng.normal((n, d))
@@ -102,7 +103,7 @@ def test_run_trials_mse_matches_analytic(alg):
 
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
 def test_run_trials_does_not_depend_on_the_core_count(alg, monkeypatch):
-    # at d = 1024, 300 users make 5 row blocks: on one thread or on two,
+    # at d = 1024, 300 users make 3 row blocks: on one thread or on two,
     # each block draws on its own jump of the trial stream
     reps = []
     for cores in (1, 2):

@@ -260,12 +260,12 @@ def _counter(rng) -> int:
 
 @pytest.mark.parametrize("d", [16, 1024])
 def test_multi_block_draws_follow_the_block_rule(d, monkeypatch):
-    # rows are drawn in blocks of 2**16 // d, block b on the call stream
-    # jumped b + 1 times, whatever the number of block threads: 1, 2 or 8
-    # workers (more threads than cores, under a short switch interval) give
-    # the same reports, and block b, the last one ragged, is the one-block
-    # draw of its rows on the jumped stream
-    rows = 2**16 // d
+    # rows are drawn in blocks of sphere._BLOCK_VALUES // d, block b on the
+    # call stream jumped b + 1 times, whatever the number of block threads:
+    # 1, 2 or 8 workers (more threads than cores, under a short switch
+    # interval) give the same reports, and block b, the last one ragged, is
+    # the one-block draw of its rows on the jumped stream
+    rows = sphere._BLOCK_VALUES // d
     n = 2 * rows + 5
     g = RngStream(9, d).normal((n, d))
     V = g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -305,9 +305,10 @@ def test_consecutive_multi_block_calls_share_no_block_stream(monkeypatch):
     d = 1024
     v = sample_uniform_sphere(d, RngStream(8, d))
     params = privunitg.gauss_params(d, 0.9, 0.8)
+    rows = sphere._BLOCK_VALUES // d
     rng = RngStream(14, 2)
-    privunitg.randomize_g_batch(v, params, 200, rng)  # 4 blocks of at most 64 rows
-    privunit.randomize_batch(v, privunit.cap_params(d, 0.9, 0.3), 130, rng)  # 3 blocks
+    privunitg.randomize_g_batch(v, params, 3 * rows + 8, rng)  # 4 blocks
+    privunit.randomize_batch(v, privunit.cap_params(d, 0.9, 0.3), 2 * rows + 2, rng)  # 3 blocks
     starts.append(_counter(rng))
     assert len(starts) == 4 + 3 + 1
     ordered = sorted(starts)
@@ -346,6 +347,27 @@ def test_batch_draws_hold_one_copy_of_the_output(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * d * 8
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("d", [16, 1024])
+def test_block_threads_hold_little_scratch(d, cores, monkeypatch):
+    # a block writes its reports straight into its slice of the output, so
+    # beyond the output each block thread holds less than 3 blocks of
+    # traced memory: the Gaussian draw and the block's per-row arrays
+    monkeypatch.setattr(sphere, "_cores", lambda: cores)
+    rows = sphere._BLOCK_VALUES // d
+    n = 4 * rows
+    v = np.zeros(d)
+    v[0] = 1.0
+    for params, _, batch in _randomizers(d):
+        tracemalloc.start()
+        try:
+            batch(v, params, n, RngStream(1, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - n * d * 8 < 3 * cores * rows * d * 8
 
 
 def _both_algorithms(d):

@@ -222,6 +222,23 @@ def test_draw_above_conditional_mean_at_tuned_points(alg, d, eps, side):
     assert abs(z) < 4.0
 
 
+@pytest.mark.parametrize("d, chunks", [(3, 1), (2, 4)])
+def test_draw_above_power_law_conditional_mean(d, chunks):
+    # the power-law branch (a <= 1) at a side of mass 0.24, just below the
+    # unrestricted draw's 1/4, where its acceptance rule rejects most; at
+    # tuned points (gamma >= 0.76) it accepts almost every proposal, so
+    # neither their conditional means nor 8-bin chi-squares of 4096 draws
+    # see an acceptance exponent 1.1 - a in place of 1 - a, and this one does
+    a = 0.5 * (d - 1)
+    t = 1.0 - 2.0 * specfun.inv_reg_inc_beta(0.24, a, a)
+    _, mass, tail_mean = tuner._law("privunit")[2](d, t)
+    assert mass < 0.25
+    rng = RngStream(67, d)  # d = 2 needs 2^22 draws, made 2^20 at a time
+    draws = np.concatenate([sphere._draw_above(t, mass, 2**20, d, None, rng) for _ in range(chunks)])
+    z = (draws.mean() - tail_mean / mass) / (draws.std() / math.sqrt(draws.size))
+    assert abs(z) < 4.0
+
+
 def test_sample_cap_negative_gamma_matches_marginal():
     # a negative gamma makes the complement the small side: its draws go
     # through the negated tangent-exponential proposal

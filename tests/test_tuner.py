@@ -274,6 +274,24 @@ def test_tune_builds_parameters_once(monkeypatch):
     assert counts.count(1) > len(counts) // 2
 
 
+def test_budget_trim_builds_at_most_twice(monkeypatch):
+    # the trim's first step is at least 2^-52: an excess of about 1e-18
+    # cannot move p = sigmoid(eps0) near 1/2, so smaller steps rebuild the
+    # same levels; over the envelope every tune builds at most twice
+    builds = [0]
+    for mod, name in ((privunit, "_build"), (privunitg, "_build_gauss")):
+        def counted(*args, _f=getattr(mod, name)):
+            builds[0] += 1
+            return _f(*args)
+        monkeypatch.setattr(mod, name, counted)
+    for alg in ("privunit", "privunitg"):
+        for eps in _ENVELOPE_EPS:
+            for d in _ENVELOPE_D:
+                builds[0] = 0
+                tuner.tune(eps, d, alg)
+                assert builds[0] <= 2, (alg, eps, d, builds[0])
+
+
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
 @pytest.mark.parametrize("d", _ENVELOPE_D)
 @pytest.mark.parametrize("eps", _ENVELOPE_EPS)
