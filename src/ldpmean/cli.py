@@ -150,7 +150,7 @@ def cmd_randomize(args) -> list[str]:
         raise SupportError(f"line {line_nos[j]}: vector norm {float(nrm[j])!r} is off unit by more than 1e-6")
     vectors /= nrm[:, None]
     line_fmt = " ".join(["%.12g"] * args.d)  # _fmt's text for every coordinate at once
-    reports = privunit.randomize(vectors, tuned.params, RngStream(args.seed, 0))
+    reports = privunit._row_reports(vectors, tuned.params, RngStream(args.seed, 0))  # rows checked above
     return [line_fmt % tuple(row.tolist()) for row in reports]  # one row of Python floats at a time
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import privunit, privunitg, specfun, sphere
-from .errors import DegenerateParameterError, NumericsError
+from .errors import NumericsError
 from .privunit import CapParams
 from .privunitg import GaussParams
 
@@ -129,18 +129,12 @@ def _err_at(split: BudgetSplit, d: int, alg: str):
     return _law(alg)[1](params).err, params
 
 
-def _rank(u: float, fu: float) -> tuple[float, float]:
-    # degenerate splits (+inf) lie at the high-eps1 end, so of two the one
-    # at the larger eps1 ranks worse
-    return fu, (u if fu == math.inf else 0.0)
-
-
 def _brent_min(f, a: float, b: float, tol: float) -> None:
     """Brent's localmin (Algorithms for Minimization without Derivatives,
     1973, ch. 5) of f on (a, b), to an absolute tolerance tol in the
     abscissa: parabolic steps through the best three points, a
-    golden-section step whenever the parabola is not trusted or passes
-    through a +inf probe. The caller keeps what it needs from the probes."""
+    golden-section step whenever the parabola is not trusted; every probe
+    lies at least tol inside (a, b), and the caller keeps what it needs."""
     x = w = v = a + _CGOLD * (b - a)
     fx = fw = fv = f(x)
     d = e = 0.0
@@ -150,7 +144,7 @@ def _brent_min(f, a: float, b: float, tol: float) -> None:
         if abs(x - xm) <= tol2 - 0.5 * (b - a):
             return
         golden = True
-        if abs(e) > tol and max(fx, fw, fv) < math.inf:
+        if abs(e) > tol:
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
             p = (x - v) * q - (x - w) * r
@@ -168,8 +162,7 @@ def _brent_min(f, a: float, b: float, tol: float) -> None:
             d = _CGOLD * e
         u = x + (d if abs(d) >= tol else (tol if d > 0.0 else -tol))
         fu = f(u)
-        ru = _rank(u, fu)
-        if ru <= _rank(x, fx):
+        if fu <= fx:
             if u >= x:
                 a = x
             else:
@@ -180,9 +173,9 @@ def _brent_min(f, a: float, b: float, tol: float) -> None:
                 a = u
             else:
                 b = u
-            if ru <= _rank(w, fw) or w == x:
+            if fu <= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
-            elif ru <= _rank(v, fv) or v == x or v == w:
+            elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
 
 
@@ -194,18 +187,19 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     PrivUnit, s = g_std for PrivUnitG. A probe evaluates its threshold's
     mass q_comp once, takes eps1 = ln(q/q_comp) from it and sets
     eps0 = eps - eps1, so it spends the whole budget and needs no quantile
-    inversion; a threshold whose eps1 exceeds eps, or a degenerate split,
-    counts as +inf, and Brent's method takes a golden-section step where a
-    parabola passes through one. A probe evaluates scalars by the law's
-    mass and error helpers, which the builders and
-    ``analytic_err``/``analytic_err_g`` wrap, so it builds no parameter
-    object and its error is the built parameters' bit for bit. The bracket
-    runs from eps1 = 0 (x = 1/2, g_std = 0) to the threshold of mass
-    sigmoid(-eps), the one quantile inversion of a tune, and the tolerance
-    is 2^-26 of the bracket, over eps where eps < 1. A float gamma
-    expresses no x below 2^-54, so PrivUnit's error is a staircase where
-    its cap is that small (d <= 16 at large eps): where the bracket end
-    lies beyond it, the bracket stops there and that smallest cap is
+    inversion. Every probe is feasible: Brent probes at least tol inside
+    the bracket, so its mass is at least sigmoid(-eps) > 0 (a float gamma
+    <= 1 - 2^-53 keeps x >= 2^-54; at the edge every mass is at least the
+    edge mass), and p_comp <= 1/2 and q_comp < 1/2 pass ``_q_and_m``. A
+    probe evaluates scalars by the law's mass and error helpers, which the
+    builders and ``analytic_err``/``analytic_err_g`` wrap, so it builds no
+    parameter object and its error is the built parameters' bit for bit.
+    The bracket runs from eps1 = 0 (x = 1/2, g_std = 0) to the threshold of
+    mass sigmoid(-eps), the one quantile inversion of a tune, and the
+    tolerance is 2^-26 of the bracket, over eps where eps < 1. A float
+    gamma expresses no x below 2^-54, so PrivUnit's error is a staircase
+    where its cap is that small (d <= 16 at large eps): where the bracket
+    end lies beyond it, the bracket stops there and that smallest cap is
     probed once, so the search cannot settle on a stair above the lowest.
 
     Returns the best probe seen anywhere, built once, with the excess of
@@ -225,16 +219,10 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     def probe(t: float, q_comp: float | None = None) -> float:
         # t is the builder's threshold: gamma for PrivUnit, g_std for PrivUnitG
         gamma, q_comp, tail_mean = mass(d, t, q_comp)
-        if not q_comp > 0.0:
-            return math.inf
-        eps0 = eps - (math.log(1.0 - q_comp) - math.log(q_comp))
-        if not eps0 >= 0.0:
-            return math.inf
+        # >= 0 despite float-gamma rounding at PrivUnit's far end (p = 1/2 cannot win)
+        eps0 = max(0.0, eps - (math.log(1.0 - q_comp) - math.log(q_comp)))
         p, p_comp = _sigmoid(eps0), _sigmoid(-eps0)
-        try:
-            q, m = q_and_m(p, p_comp, q_comp, tail_mean)
-        except DegenerateParameterError:
-            return math.inf
+        q, m = q_and_m(p, p_comp, q_comp, tail_mean)
         e = err(d, p, p_comp, q, q_comp, gamma, m)
         if e < best[0]:
             best[0], best[1] = e, (eps0, t, q_comp)
@@ -254,10 +242,7 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
         lo, hi, f = 0.0, -specfun.inv_std_normal_cdf(y), probe
     _brent_min(f, lo, hi, _TOL * (hi - lo) / min(1.0, eps))
 
-    err_star, found = best
-    if found is None:
-        raise DegenerateParameterError(f"no valid split found for eps={eps}, d={d}")
-    eps0, t, q_comp = found
+    err_star, (eps0, t, q_comp) = best
     # the probes evaluated the parameters' scalars; the winner's object is
     # built once. Rounding may put its budget above eps: take the excess
     # back from eps0 at the same threshold, doubling the step (2^-52 at

@@ -152,3 +152,54 @@ def sphere_first_coord_moment_quad(d: int, gamma: float, power: int, above: bool
     mass = panelled_quad(weight, t_lo, t_hi, panels=64)
     mom = panelled_quad(lambda t: (math.sin(t) ** power) * weight(t), t_lo, t_hi, panels=64)
     return mom / mass
+
+
+def gauss_tuned_err_scan(eps: float, d: int, points: int = 2001) -> float:
+    """The least PrivUnitG error d/K^2 + g/K - 1 over saturated splits, with
+    K = phi(g)(p + q - 1)/(q q_comp) at the threshold g in standard units:
+    q_comp = Phi(-g) by math.erfc, eps1 = ln(q/q_comp) and
+    p = sigmoid(eps - eps1). A scan of `points` thresholds from 0 to the one
+    of mass sigmoid(-eps) (found by bisection), then golden-section
+    refinement around the best of them; returns the least error seen."""
+
+    def upper(g: float) -> float:
+        return 0.5 * math.erfc(g / _SQRT2)
+
+    def err(g: float) -> float:
+        q_comp, q = upper(g), upper(-g)
+        eps0 = max(0.0, eps - (math.log(q) - math.log(q_comp)))
+        # p + q - 1 = (p - 1/2) + (q - 1/2), with p - 1/2 = tanh(eps0/2)/2
+        k = math.exp(-0.5 * g * g) / _SQRT2PI * (0.5 * math.tanh(0.5 * eps0) + (0.5 - q_comp)) / (q * q_comp)
+        return d / (k * k) + g / k - 1.0
+
+    y = math.exp(-eps) / (1.0 + math.exp(-eps))
+    lo, hi = 0.0, 1.0
+    while upper(hi) >= y:
+        hi *= 2.0
+    for _ in range(200):  # upper(lo) >= y > upper(hi)
+        mid = 0.5 * (lo + hi)
+        if upper(mid) >= y:
+            lo = mid
+        else:
+            hi = mid
+    grid = [lo * i / (points - 1) for i in range(points)]
+    values = [err(g) for g in grid]
+    i = min(range(points), key=values.__getitem__)
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]
+    best = values[i]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, e = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fe = err(c), err(e)
+    for _ in range(200):
+        if fc <= fe:
+            b, e, fe = e, c, fc
+            c = b - inv_phi * (b - a)
+            fc = err(c)
+        else:
+            a, c, fc = c, e, fe
+            e = a + inv_phi * (b - a)
+            fe = err(e)
+        best = min(best, fc, fe)
+        if b - a <= 1e-15 * max(lo, 1.0):
+            break
+    return best

@@ -3,7 +3,11 @@ default seed, and the exit-code contract (0 ok, 2 usage, 3 numeric/data)."""
 
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,3 +370,21 @@ def test_no_option_carries_over_between_calls(capsys, tmp_path):
     assert rc == 0 and out != "" and out != seeded
     assert out == run_cli(capsys, *args, "--seed", "0")[1]
     assert target.read_text() == seeded
+
+
+def test_module_entry_point_exits_with_main_code():
+    # `python -m ldpmean.cli`, as README shows, exits with main()'s code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "ldpmean.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = run("tune", "--eps", "4", "--d", "64")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines()[0] == "eps0,eps1,p,q,gamma,m,err,c_const"
+    usage = run("tune", "--eps", "-1", "--d", "64")
+    assert usage.returncode == 2 and "usage error" in usage.stderr
+    numeric = run("lp_verify", "--eps", "1500")
+    assert numeric.returncode == 3 and numeric.stderr.startswith("error:")

@@ -155,6 +155,41 @@ def test_sample_cap_validation_and_underflow():
         sphere.sample_cap(64, 1.0 - 1e-15, True, rng)
 
 
+class _FirstNormal(RngStream):
+    """A stream whose first normal draw is `first`, broadcast to the shape
+    asked for; every later draw is its own."""
+
+    def __init__(self, first, seed=0, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.first = first
+        self.normal_calls = 0
+
+    def normal(self, size=None):
+        self.normal_calls += 1
+        if self.normal_calls == 1:
+            return np.broadcast_to(self.first, size).copy()
+        return super().normal(size)
+
+
+def test_sample_uniform_sphere_redraws_a_zero_direction():
+    rng = _FirstNormal(np.zeros(5), 31, 2)
+    u = sphere.sample_uniform_sphere(5, rng)
+    assert rng.normal_calls == 2
+    assert np.all(np.isfinite(u)) and abs(np.linalg.norm(u) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("above", [True, False])
+def test_sample_cap_redraws_a_direction_along_the_pole(above):
+    # a Gaussian row along v = e_1 has no orthogonal part to scale
+    e1 = np.zeros(6)
+    e1[0] = 1.0
+    rng = _FirstNormal(e1, 37, 1)
+    u = sphere.sample_cap(6, 0.3, above, rng)
+    assert rng.normal_calls == 2
+    assert np.all(np.isfinite(u)) and abs(np.linalg.norm(u) - 1.0) <= 1e-12
+    assert (u[0] >= 0.3) if above else (u[0] < 0.3)
+
+
 KS_CRIT_1PCT = 1.63  # sqrt(n) D above this has probability about 1%
 
 
@@ -301,3 +336,8 @@ def test_rotate_from_e1_is_orthogonal():
     # batch agrees with row-by-row application
     for k in range(4):
         np.testing.assert_allclose(sphere.rotate_from_e1(v, u[k]), rot[k], atol=0.0)
+
+
+def test_rotate_from_e1_refuses_mismatched_rows():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        sphere.rotate_from_e1(np.array([1.0, 0.0, 0.0]), np.ones((2, 4)))

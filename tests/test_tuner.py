@@ -13,6 +13,8 @@ from ldpmean.privunit import CapParams
 from ldpmean.privunitg import GaussParams
 from ldpmean.sphere import RngStream
 
+from oracles import gauss_tuned_err_scan
+
 
 # --- budget splits ----------------------------------------------------------
 
@@ -331,6 +333,81 @@ def test_interior_budgets_never_win():
         assert err >= res.err_star - 1e-9 * res.err_star
 
 
+def test_every_probe_is_feasible(monkeypatch):
+    # Brent probes at least tol inside the bracket, so every error evaluated
+    # over the envelope is at a threshold of mass at least sigmoid(-eps)
+    # and a p above 1/2: no probe needs the eps0 >= 0 clamp
+    seen = []
+    for mod, name in ((privunit, "_cap_err"), (privunitg, "_gauss_err")):
+        def recorded(d, p, p_comp, q, q_comp, gamma, m, _f=getattr(mod, name)):
+            seen.append((p, q_comp))
+            return _f(d, p, p_comp, q, q_comp, gamma, m)
+        monkeypatch.setattr(mod, name, recorded)
+    for alg in ("privunit", "privunitg"):
+        for eps in _ENVELOPE_EPS:
+            y = math.exp(-eps) / (1.0 + math.exp(-eps))
+            for d in _ENVELOPE_D:
+                seen.clear()
+                tuner.tune(eps, d, alg)
+                assert seen, (alg, eps, d)
+                for p, q_comp in seen:
+                    assert p > 0.5 and q_comp >= y * (1.0 - 1e-12), (alg, eps, d, p, q_comp)
+
+
+def _brent_probes(f, a, b, tol):
+    probes = []
+
+    def recorded(u):
+        probes.append((f(u), u))
+        return probes[-1][0]
+
+    tuner._brent_min(recorded, a, b, tol)
+    return probes
+
+
+def test_brent_min_finds_an_interior_minimum():
+    tol = 1e-8
+    probes = _brent_probes(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol)
+    assert abs(min(probes)[1] - 0.3) <= 3.0 * tol
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_brent_min_walks_to_a_monotone_end(sign):
+    tol = 1e-8
+    probes = _brent_probes(lambda x: sign * x, 0.0, 1.0, tol)
+    end = 0.0 if sign > 0.0 else 1.0
+    assert abs(min(probes)[1] - end) <= 2.0 * tol
+    assert len(probes) <= 40
+
+
+@pytest.mark.parametrize("f", [lambda x: (x - 0.3) ** 2, lambda x: x, lambda x: -x, lambda x: abs(x - 0.7),
+                               lambda x: math.cos(9.0 * x), lambda x: 1.0])
+def test_brent_min_probes_at_least_tol_inside(f):
+    # the feasibility of tune's probes rests on this: no probe reaches
+    # within tol of either end of the bracket
+    for a, b, tol in ((0.0, 1.0, 1e-8), (0.69, 37.4, 2.0**-26 * 36.7), (-2.0, 5.0, 1e-3)):
+        for _, u in _brent_probes(f, a, b, tol):
+            assert a + tol <= u <= b - tol, (a, b, tol, u)
+
+
+def test_tune_raises_when_the_best_error_is_not_positive(monkeypatch):
+    monkeypatch.setattr(privunitg, "_gauss_err", lambda *args: 0.0)
+    with pytest.raises(NumericsError, match="not positive"):
+        tuner.tune(1.0, 16, "privunitg")
+
+
+def test_tune_raises_when_the_budget_stays_above_eps(monkeypatch):
+    # a high density level 100 nats too high puts every build over budget,
+    # by more than eps0 can give back
+    def inflated(*args, _f=privunit._two_log_levels):
+        hi, lo = _f(*args)
+        return hi + 100.0, lo
+
+    monkeypatch.setattr(privunit, "_two_log_levels", inflated)
+    with pytest.raises(NumericsError, match="stays above eps"):
+        tuner.tune(1.0, 16, "privunit")
+
+
 # --- scaled constant and repetition ------------------------------------------
 
 def test_c_eps_nonincreasing():
@@ -356,3 +433,38 @@ def test_repetition_validation():
         tuner.repetition_err(4.0, 0, 64)
     with pytest.raises(ValueError):
         tuner.repetition_err(4.0, 1.5, 64)
+
+
+# --- PrivUnitG's error through K = m sqrt(d) ---------------------------------
+
+def _k_form(d, g, m):
+    k = m * math.sqrt(d)
+    return d / (k * k) + g / k - 1.0
+
+
+@pytest.mark.parametrize("d", _ENVELOPE_D)
+@pytest.mark.parametrize("eps", _ENVELOPE_EPS)
+def test_gauss_err_is_d_over_k_squared_plus_g_over_k(eps, d):
+    # with K = m sqrt(d) and g = g_std, (sigma^2 + gamma m + (d-1)/d)/m^2 - 1
+    # is d/K^2 + g/K - 1: the d -> infinity constant is eps/max K^2
+    pr = tuner.tune(eps, d, "privunitg").params
+    err = privunitg._gauss_err(d, pr.p, pr.p_comp, pr.q, pr.q_comp, pr.gamma, pr.m)
+    assert err == pytest.approx(_k_form(d, pr.g_std, pr.m), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d, p, q", [(16, 0.51, 0.9), (1024, 0.5001, 0.99), (2, 0.55, 0.7)])
+def test_gauss_err_identity_near_p_one_half(d, p, q):
+    # near p = 1/2 the threshold term g/K - 1 is positive, not a correction
+    pr = privunitg.gauss_params(d, p, q)
+    assert pr.g_std / (pr.m * math.sqrt(d)) - 1.0 > 0.0
+    err = privunitg.analytic_err_g(pr).err
+    assert err == pytest.approx(_k_form(d, pr.g_std, pr.m), rel=1e-12, abs=0.0)
+
+
+def test_tuned_gauss_error_matches_an_independent_scan():
+    # the oracle scans d/K^2 + g/K - 1 over the threshold with math.erfc
+    # alone; Brent's search over the package's kernels must do as well
+    for eps in _ENVELOPE_EPS:
+        for d in _ENVELOPE_D:
+            err_star = tuner.tune(eps, d, "privunitg").err_star
+            assert err_star <= gauss_tuned_err_scan(eps, d) * (1.0 + 1e-9), (eps, d)
