@@ -9,19 +9,20 @@ that show up at large privacy budgets. Near its switch point the fraction
 needs on the order of sqrt(a + b) terms, so its iteration budget,
 200 + 4 sqrt(a + b), comes from the shapes.
 
-Each algorithm is written once. The normal quantile is Wichura's AS241
-(1988), accurate to double precision without refinement. The inverse
-incomplete beta starts from one function for every shape (A&S 26.5.22 for
-shapes >= 1, power-law tails otherwise) and refines by safeguarded Newton.
-No sampler inverts a cdf: the samplers draw by rejection
-(``sphere._draw_above``). The private ``*_vec`` names apply the one-value
-inverses elementwise to an array and are kept for callers that look them
-up by name.
+Each algorithm is written once. The normal quantile is the standard
+library's ``statistics.NormalDist.inv_cdf``, Wichura's AS241 (1988),
+accurate to double precision without refinement. The inverse incomplete
+beta starts from one function for every shape (A&S 26.5.22 for shapes >= 1,
+power-law tails otherwise) and refines by safeguarded Newton. No sampler
+inverts a cdf: the samplers draw by rejection (``sphere._draw_above``). The
+private ``*_vec`` names apply the one-value inverses elementwise to an array
+and are kept for callers that look them up by name; numpy serves only them.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 
@@ -44,6 +45,8 @@ _CF_EPS = 1e-15
 _FPMIN = 1e-300
 # iteration cap of the inverse's Newton loop
 _MAX_ITER = 200
+# the one normal quantile of the package, also A&S 26.5.22's
+_STD_NORMAL = statistics.NormalDist()
 
 
 def _cf_budget(a: float, b: float) -> int:
@@ -159,7 +162,7 @@ def _beta_start(y: float, a: float, b: float) -> float:
     if a >= 1.0 and b >= 1.0:
         # normal approximation to the beta quantile (Abramowitz & Stegun
         # 26.5.22, stated in terms of the upper-tail normal quantile)
-        z = -_as241(y)
+        z = -_STD_NORMAL.inv_cdf(y)
         al = (z * z - 3.0) / 6.0
         h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
         w = z * (al + h) ** 0.5 / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
@@ -248,56 +251,11 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-# Wichura's AS241 (PPND16): numerator coefficients n0..n7 and denominator
-# coefficients d1..d7 (d0 = 1) of the central branch |p - 1/2| <= 0.425 and
-# of the tail branches r = sqrt(-ln min(p, 1 - p)) <= 5 and r > 5
-_AS241_CENTRAL = (
-    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3, 1.3731693765509461125e4,
-     4.5921953931549871457e4, 6.7265770927008700853e4, 3.3430575583588128105e4, 2.5090809287301226727e3),
-    (4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3, 2.1213794301586595867e4,
-     3.9307895800092710610e4, 2.8729085735721942674e4, 5.2264952788528545610e3),
-)
-_AS241_NEAR = (
-    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0, 3.64784832476320460504e0,
-     1.27045825245236838258e0, 2.41780725177450611770e-1, 2.27238449892691845833e-2, 7.74545014278341407640e-4),
-    (2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1, 1.48103976427480074590e-1,
-     1.51986665636164571966e-2, 5.47593808499534494600e-4, 1.05075007164441684324e-9),
-)
-_AS241_FAR = (
-    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0, 2.96560571828504891230e-1,
-     2.65321895265761230930e-2, 1.24266094738807843860e-3, 2.71155556874348757815e-5, 2.01033439929228813265e-7),
-    (5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2, 7.86869131145613259100e-4,
-     1.84631831751005468180e-5, 1.42151175831644588870e-7, 2.04426310338993978564e-15),
-)
-
-
-def _rational7(r: float, n, d) -> float:
-    """(n0 + n1 r + ... + n7 r^7) / (1 + d1 r + ... + d7 r^7) by Horner's
-    rule."""
-    top = ((((((n[7] * r + n[6]) * r + n[5]) * r + n[4]) * r + n[3]) * r + n[2]) * r + n[1]) * r + n[0]
-    bot = ((((((d[6] * r + d[5]) * r + d[4]) * r + d[3]) * r + d[2]) * r + d[1]) * r + d[0]) * r + 1.0
-    return top / bot
-
-
 def inv_std_normal_cdf(p: float) -> float:
-    """Standard normal quantile (AS241), relative error below 1e-15."""
+    """Standard normal quantile, relative error below 1e-15."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly in (0, 1), got {p!r}")
-    return _as241(p)
-
-
-def _as241(p: float) -> float:
-    # the quantile for a p in (0, 1) already checked; ``_beta_start`` takes
-    # its normal approximation from here, so an incomplete-beta inversion
-    # makes no call of the public quantile
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        return q * _rational7(0.180625 - q * q, *_AS241_CENTRAL)
-    # numpy's log: libm's may differ by an ulp, which would move tuned
-    # PrivUnitG thresholds
-    r = math.sqrt(-float(np.log(p if q < 0.0 else 1.0 - p)))
-    x = _rational7(r - 1.6, *_AS241_NEAR) if r <= 5.0 else _rational7(r - 5.0, *_AS241_FAR)
-    return -x if q < 0.0 else x
+    return _STD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------

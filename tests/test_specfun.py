@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ldpmean import cli, tuner
 from ldpmean import specfun as sf
+from ldpmean.errors import NumericsError
 
 from oracles import beta_cdf_quad, normal_cdf_quad, trunc_gauss_moment_quad, trunc_gauss_moments
 
@@ -125,6 +127,33 @@ def test_inv_reg_inc_beta_monotone():
     assert all(x1 < x2 for x1, x2 in zip(xs, xs[1:]))
 
 
+def test_inv_reg_inc_beta_newton_step_where_the_mass_underflows():
+    # the start at y = 1e-300 lies where I_x underflows to 0, so the first
+    # step is Newton's on I itself rather than on ln I
+    x = sf.inv_reg_inc_beta(1e-300, 1.5, 1.5)
+    assert x == pytest.approx(7.02695916600467e-201, rel=1e-12)
+    assert sf.reg_inc_beta(x, 1.5, 1.5) == pytest.approx(1e-300, rel=1e-12)
+
+
+def test_continued_fraction_budget_exhausted_raises(monkeypatch, capsys):
+    # one term leaves the fraction unconverged: the kernel, the tuner and
+    # the CLI each report a numeric failure
+    monkeypatch.setattr(sf, "_cf_budget", lambda a, b: 1)
+    with pytest.raises(NumericsError, match="did not converge in 1 iterations"):
+        sf.reg_inc_beta(0.49, 50.5, 50.5)
+    with pytest.raises(NumericsError):
+        tuner.tune(8.0, 1024, "privunit")
+    assert cli.main(["tune", "--alg", "privunit", "--eps", "8", "--d", "1024"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: incomplete beta continued fraction")
+
+
+def test_inv_reg_inc_beta_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(sf, "_MAX_ITER", 1)
+    with pytest.raises(NumericsError, match="inverse incomplete beta did not converge"):
+        sf.inv_reg_inc_beta(0.3, 7.5, 7.5)
+
+
 def test_std_normal_cdf_reference_and_quadrature():
     assert sf.std_normal_cdf(0.0) == 0.5
     # reference computed with 50-digit arithmetic
@@ -166,6 +195,43 @@ def test_inv_std_normal_cdf_round_trip():
         p = sf.std_normal_cdf(float(x))
         floor = np.spacing(p) / sf.std_normal_pdf(float(x))
         assert abs(sf.inv_std_normal_cdf(p) - x) <= max(1e-9, floor)
+
+
+# Phi^-1(p) at the double p, to 22 digits from 60-digit root finding on
+# Phi: from 1e-300 to 1 - 2^-53, with both sides of AS241's switches at
+# |p - 1/2| = 0.425 and at r = sqrt(-ln min(p, 1 - p)) = 5 (p near e^-25)
+_NORMAL_QUANTILES = [
+    (1e-300, -37.04709629936119923655),
+    (1e-200, -30.20559417957964306312),
+    (1e-100, -21.27345356096532429418),
+    (1e-50, -14.93333753478848898066),
+    (1e-20, -9.262340089798407579572),
+    (1e-12, -7.034483825301131932614),
+    (1.3874055921099057e-11, -6.658051731427321503911),
+    (1.3901831808828983e-11, -6.657757699476796981585),
+    (1e-08, -5.61200124417478872793),
+    (0.0001, -3.719016485455680552288),
+    (0.05, -1.644853626951472687952),
+    (0.07499, -1.439602118239316209159),
+    (0.07501, -1.439460830821625830439),
+    (0.25, -0.6744897501960817432022),
+    (0.4, -0.2533471031357997413247),
+    (0.5 - 2.0**-40, -2.279765135091111462694e-12),
+    (0.5 + 2.0**-30, 2.334479498333298139919e-9),
+    (0.6, 0.2533471031357997413247),
+    (0.92499, 1.439460830821625634383),
+    (0.92501, 1.439602118239316209159),
+    (0.999, 3.090232306167813277758),
+    (1.0 - 1e-9, 5.997807019601637426423),
+    (1.0 - 2.0**-40, 7.047700256664408725351),
+    (1.0 - 2.0**-53, 8.209536151601386855631),
+]
+
+
+@pytest.mark.parametrize("p, ref", _NORMAL_QUANTILES)
+def test_inv_std_normal_cdf_reference_values(p, ref):
+    # the docstring's relative error, with two ulps of slack
+    assert sf.inv_std_normal_cdf(p) == pytest.approx(ref, rel=2e-15, abs=0.0)
 
 
 def test_inv_std_normal_cdf_domain():

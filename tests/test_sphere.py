@@ -9,6 +9,7 @@ from ldpmean.errors import NumericsError
 from ldpmean.sphere import RngStream, as_unit_vector
 
 from oracles import sphere_first_coord_moment_quad
+from test_tuner import _ENVELOPE_D, _ENVELOPE_EPS
 
 
 def test_rng_stream_determinism():
@@ -272,6 +273,47 @@ def test_draw_above_power_law_conditional_mean(d, chunks):
     draws = np.concatenate([sphere._draw_above(t, mass, 2**20, d, None, rng) for _ in range(chunks)])
     z = (draws.mean() - tail_mean / mass) / (draws.std() / math.sqrt(draws.size))
     assert abs(z) < 4.0
+
+
+# the PrivUnit cap sides of the float-gamma staircase: gamma is the largest
+# double below 1, so the 8 bin edges of the side collapse onto it and only
+# the clamp test of the sampler contract applies there
+_COLLAPSED_CAPS = {(64.0, 2), (256.0, 2), (256.0, 3), (512.0, 2), (512.0, 3), (512.0, 16), (700.0, 2), (700.0, 3),
+                   (700.0, 16)}
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+def test_draw_above_chi_square_across_tuned_points(alg):
+    # at every tuned envelope point and on both sides, 4096 draws in 8 bins
+    # of equal conditional mass, whose edges are the law's quantiles at
+    # mass (1 - k/8); 7 degrees of freedom, chi-square 40.5 at p = 1e-6.
+    # This is the cheap check of every branch across the grid: the
+    # per-branch tests above resolve one-line changes of an acceptance rule
+    # that it does not
+    collapsed = set()
+    case = 0
+    for eps in _ENVELOPE_EPS:
+        for d in _ENVELOPE_D:
+            params = tuner.tune(eps, d, alg).params
+            sigma = getattr(params, "sigma", None)
+            a = 0.5 * (d - 1)
+            for side in ("cap", "open"):
+                case += 1
+                t, mass = (params.gamma, params.q_comp) if side == "cap" else (-params.gamma, params.q)
+                ys = [mass * (1.0 - k / 8.0) for k in range(1, 8)]
+                if sigma is None:
+                    edges = [1.0 - 2.0 * specfun.inv_reg_inc_beta(y, a, a) for y in ys]
+                else:
+                    edges = [-sigma * specfun.inv_std_normal_cdf(y) for y in ys]
+                if not all(lo < hi for lo, hi in zip([t] + edges, edges)):
+                    collapsed.add((eps, d, side))
+                    continue
+                draws = sphere._draw_above(t, mass, 4096, d, sigma, RngStream(68, case))
+                assert np.all(draws >= t), (eps, d, side)
+                counts = np.bincount(np.searchsorted(edges, draws, side="right"), minlength=8)
+                chi2 = float(((counts - 512.0) ** 2).sum() / 512.0)
+                assert chi2 <= 40.5, (eps, d, side, chi2)
+    assert collapsed == ({(eps, d, "cap") for eps, d in _COLLAPSED_CAPS} if alg == "privunit" else set())
 
 
 def test_sample_cap_negative_gamma_matches_marginal():
