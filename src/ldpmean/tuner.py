@@ -5,13 +5,13 @@ minimize the analytic error over the split.
 
 Error is monotone improving toward the constraint boundary for both
 randomizers, so the 2-D constrained problem reduces to a 1-D search over
-the threshold, which :func:`tune` runs by Brent's method. The two laws
-differ only in their private helpers, which share one interface
-(``_law``): a mass helper (gamma, q_comp, tail_mean) at a threshold, and
-a scalar error of (d, p, p_comp, q, q_comp, gamma, m). The error is smooth
-in the threshold with a single minimum. PrivUnit's error is evaluated
-without cancellation, and PrivUnitG's stays above 7e-4 on the envelope,
-far above its rounding, so the search over the whole bracket finds it.
+the threshold. The dual of the paper's LP fixes the optimum there:
+gamma = m, the threshold equals the normalizer, and :func:`tune` finds the
+root of that condition by safeguarded Newton steps. The two laws differ
+only in their private helpers, which share one interface (``_law``): a
+mass helper (gamma, q_comp, tail_mean) at a threshold, and a scalar error
+of (d, p, p_comp, q, q_comp, gamma, m). The error is smooth in the
+threshold with a single minimum, the condition's one root in the bracket.
 The scaled constant eps*err/d converges in d (c_eps) and keeps falling in
 eps: at d = 50000 it passes 0.614 near eps 38.5 and reads 0.509 at 700.
 """
@@ -35,14 +35,13 @@ __all__ = [
     "repetition_err",
 ]
 
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # the golden-section fraction
 _ALGS = ("privunit", "privunitg")
 _LN2 = math.log(2.0)
 # the smallest cap of a float gamma: gamma = 1 - 2^-53, x = (1 - gamma)/2 = 2^-54
 _GAMMA_EDGE = 1.0 - 2.0**-53
 _S_EDGE = 54.0 * _LN2
-# Brent's tolerance as a fraction of the bracket: the square root of the
-# double epsilon, below which differences of the error sink into its rounding
+# the tolerance on the root's abscissa as a fraction of the bracket: the square
+# root of the double epsilon, below which the error's differences sink into its rounding
 _TOL = 2.0**-26
 
 
@@ -129,78 +128,71 @@ def _err_at(split: BudgetSplit, d: int, alg: str):
     return _law(alg)[1](params).err, params
 
 
-def _brent_min(f, a: float, b: float, tol: float) -> None:
-    """Brent's localmin (Algorithms for Minimization without Derivatives,
-    1973, ch. 5) of f on (a, b), to an absolute tolerance tol in the
-    abscissa: parabolic steps through the best three points, a
-    golden-section step whenever the parabola is not trusted; every probe
-    lies at least tol inside (a, b), and the caller keeps what it needs."""
-    x = w = v = a + _CGOLD * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    tol2 = 2.0 * tol
+def _root(f, a: float, b: float, tol: float) -> None:
+    """A root in (a, b), to an absolute tolerance tol, of a residual that is
+    positive below it and negative above; f(t) returns (r, dr/dt) and keeps
+    what the caller needs. Newton steps from the midpoint, a bisection where
+    a step leaves the bracket of the root or fails to halve the step before
+    it (Numerical Recipes' rtsafe), until a step is below tol. Probes are
+    clamped to [a + tol, b - tol]: a residual of one sign walks to that end."""
+    lo, hi = a + tol, b - tol
+    t, step = 0.5 * (a + b), b - a
     while True:
-        xm = 0.5 * (a + b)
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+        r, dr = f(t)
+        if r > 0.0:
+            a = t
+        elif r < 0.0:
+            b = t
+        u = t - r / dr if dr < 0.0 else t
+        if not (a < u < b and abs(u - t) <= 0.5 * step):
+            u = 0.5 * (a + b)
+        u = min(max(u, lo), hi)
+        step = abs(u - t)
+        if step < tol:
             return
-        golden = True
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                golden = False
-                if (x + d) - a < tol2 or b - (x + d) < tol2:
-                    d = tol if x <= xm else -tol
-        if golden:
-            e = (a if x >= xm else b) - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol else (tol if d > 0.0 else -tol))
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+        t = u
+
+
+def _residual(alg: str, d: int, t: float, e: float, m: float) -> tuple[float, float]:
+    """The residual of gamma = m, positive while the error falls, and its
+    slope in the search variable, at a probe of threshold t (gamma or g_std),
+    error e and normalizer m. A saturated probe has m = c tau/(1 + c Q), with
+    c = e^eps - 1, Q = q_comp and tau = tail_mean: m'(gamma) = f m (m - gamma)/tau
+    for the law's density f. PrivUnit's residual is m - gamma = 2x - (1 - m)
+    in s = -ln x, 1 - m = e m^2/(1 + m) so that it does not cancel as
+    gamma -> 1, with f = a tau/(2x(1 - x)), a = (d - 1)/2. PrivUnitG's is
+    G = (K - g)(2d + gK) - K in g, K = m sqrt(d): K' = K(K - g), d err/dg = -G/K^2."""
+    if alg == "privunit":
+        a, x = 0.5 * (d - 1), 0.5 * (1.0 - t)
+        r = 2.0 * x - e * m * m / (1.0 + m)
+        return r, a * m * r / (1.0 - x) - 2.0 * x
+    k = m * math.sqrt(d)
+    dk, w = k * (k - t), 2.0 * d + t * k
+    return (k - t) * w - k, (dk - 1.0) * w + (k - t) * (k + t * dk) - dk
 
 
 def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
-    One Brent search (``_brent_min``) over the threshold that the builders
-    take and the sampler draws with: s = -ln x with x = (1 - gamma)/2 for
-    PrivUnit, s = g_std for PrivUnitG. A probe evaluates its threshold's
-    mass q_comp once, takes eps1 = ln(q/q_comp) from it and sets
-    eps0 = eps - eps1, so it spends the whole budget and needs no quantile
-    inversion. Every probe is feasible: Brent probes at least tol inside
-    the bracket, so its mass is at least sigmoid(-eps) > 0 (a float gamma
-    <= 1 - 2^-53 keeps x >= 2^-54; at the edge every mass is at least the
-    edge mass), and p_comp <= 1/2 and q_comp < 1/2 pass ``_q_and_m``. A
-    probe evaluates scalars by the law's mass and error helpers, which the
-    builders and ``analytic_err``/``analytic_err_g`` wrap, so it builds no
-    parameter object and its error is the built parameters' bit for bit.
-    The bracket runs from eps1 = 0 (x = 1/2, g_std = 0) to the threshold of
-    mass sigmoid(-eps), the one quantile inversion of a tune, and the
-    tolerance is 2^-26 of the bracket, over eps where eps < 1. A float
-    gamma expresses no x below 2^-54, so PrivUnit's error is a staircase
-    where its cap is that small (d <= 16 at large eps): where the bracket
-    end lies beyond it, the bracket stops there and that smallest cap is
-    probed once, so the search cannot settle on a stair above the lowest.
+    One root find (``_root``) of the first-order condition (``_residual``)
+    over the threshold that the builders take and the sampler draws with:
+    s = -ln x with x = (1 - gamma)/2 for PrivUnit, g = g_std for PrivUnitG.
+    A probe evaluates its threshold's mass q_comp once, takes
+    eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1, so it spends
+    the whole budget and needs no quantile inversion. Every probe is
+    feasible: ``_root`` probes at least tol inside the bracket, so its mass
+    is at least sigmoid(-eps) > 0 (a float gamma <= 1 - 2^-53 keeps
+    x >= 2^-54; at the edge every mass is at least the edge mass), and
+    p_comp <= 1/2 and q_comp < 1/2 pass ``_q_and_m``. A probe evaluates
+    scalars by the law's mass and error helpers, which the builders and
+    ``analytic_err``/``analytic_err_g`` wrap, so it builds no parameter
+    object and its error is the built parameters' bit for bit. The bracket
+    runs from eps1 = 0 (x = 1/2, g_std = 0) to the threshold of mass
+    sigmoid(-eps), the one quantile inversion of a tune; the tolerance is
+    _TOL of it, over eps where eps < 1. A float gamma expresses no x below
+    2^-54, so PrivUnit's error is a staircase where its cap is that small
+    (d up to about 44 at large eps): where the bracket end lies beyond it,
+    the bracket stops there and that smallest cap is probed once.
 
     Returns the best probe seen anywhere, built once, with the excess of
     its budget (rounding) taken back from eps0 at the same threshold so
@@ -213,34 +205,36 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     if alg not in _ALGS:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
     build, error, mass, err = _law(alg)
-    q_and_m = privunit._q_and_m
     best: list = [math.inf, None]  # err, (eps0, threshold, mass)
 
-    def probe(t: float, q_comp: float | None = None) -> float:
+    def probe(t: float, q_comp: float | None = None) -> tuple[float, float]:
         # t is the builder's threshold: gamma for PrivUnit, g_std for PrivUnitG
         gamma, q_comp, tail_mean = mass(d, t, q_comp)
         # >= 0 despite float-gamma rounding at PrivUnit's far end (p = 1/2 cannot win)
         eps0 = max(0.0, eps - (math.log(1.0 - q_comp) - math.log(q_comp)))
         p, p_comp = _sigmoid(eps0), _sigmoid(-eps0)
-        q, m = q_and_m(p, p_comp, q_comp, tail_mean)
+        q, m = privunit._q_and_m(p, p_comp, q_comp, tail_mean)
         e = err(d, p, p_comp, q, q_comp, gamma, m)
         if e < best[0]:
             best[0], best[1] = e, (eps0, t, q_comp)
-        return e
+        return e, m
+
+    def residual(u: float) -> tuple[float, float]:
+        t = 1.0 - 2.0 * math.exp(-u) if alg == "privunit" else u
+        return _residual(alg, d, t, *probe(t))
 
     y = _sigmoid(-eps)  # the mass at which eps1 = eps
     if alg == "privunit":
-        lo, f = _LN2, lambda s: probe(1.0 - 2.0 * math.exp(-s))
+        a, lo = 0.5 * (d - 1), _LN2
         edge_mass = mass(d, _GAMMA_EDGE)[1]
         if edge_mass >= y:  # the threshold of mass y lies at or past the smallest cap
             hi = _S_EDGE
             probe(_GAMMA_EDGE, edge_mass)
         else:
-            a = 0.5 * (d - 1)
             hi = -math.log(specfun.inv_reg_inc_beta(y, a, a))
     else:
-        lo, hi, f = 0.0, -specfun.inv_std_normal_cdf(y), probe
-    _brent_min(f, lo, hi, _TOL * (hi - lo) / min(1.0, eps))
+        lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
+    _root(residual, lo, hi, _TOL * (hi - lo) / min(1.0, eps))
 
     err_star, (eps0, t, q_comp) = best
     # the probes evaluated the parameters' scalars; the winner's object is

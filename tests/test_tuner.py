@@ -233,8 +233,8 @@ def test_one_quantile_inversion_per_tune(monkeypatch):
 
 
 def test_error_evaluations_per_tune(monkeypatch):
-    # the benchmark's envelope grid: Brent's method over the stored
-    # threshold needs at most 20 error evaluations per tune on average; the
+    # the benchmark's envelope grid: the Newton root find over the stored
+    # threshold needs at most 10 error evaluations per tune on average; the
     # probes evaluate the scalar errors, which analytic_err and
     # analytic_err_g wrap, so every evaluation is counted here
     calls = [0]
@@ -248,7 +248,7 @@ def test_error_evaluations_per_tune(monkeypatch):
             for d in (2, 3, 16, 1024, 50_000, 100_000, 1_000_000)]
     for alg, eps, d in grid:
         tuner.tune(eps, d, alg)
-    assert calls[0] / len(grid) <= 20.0
+    assert calls[0] / len(grid) <= 10.0
 
 
 def test_tune_builds_parameters_once(monkeypatch):
@@ -334,7 +334,7 @@ def test_interior_budgets_never_win():
 
 
 def test_every_probe_is_feasible(monkeypatch):
-    # Brent probes at least tol inside the bracket, so every error evaluated
+    # the root find probes at least tol inside the bracket, so every error evaluated
     # over the envelope is at a threshold of mass at least sigmoid(-eps)
     # and a p above 1/2: no probe needs the eps0 >= 0 clamp
     seen = []
@@ -354,40 +354,186 @@ def test_every_probe_is_feasible(monkeypatch):
                     assert p > 0.5 and q_comp >= y * (1.0 - 1e-12), (alg, eps, d, p, q_comp)
 
 
-def _brent_probes(f, a, b, tol):
+def _root_probes(f, a, b, tol):
     probes = []
 
-    def recorded(u):
-        probes.append((f(u), u))
-        return probes[-1][0]
+    def recorded(t):
+        probes.append(t)
+        return f(t)
 
-    tuner._brent_min(recorded, a, b, tol)
+    tuner._root(recorded, a, b, tol)
     return probes
 
 
-def test_brent_min_finds_an_interior_minimum():
+def test_root_finds_an_interior_root():
     tol = 1e-8
-    probes = _brent_probes(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol)
-    assert abs(min(probes)[1] - 0.3) <= 3.0 * tol
+    probes = _root_probes(lambda t: (math.exp(-t) - 0.5, -math.exp(-t)), 0.0, 3.0, tol)
+    assert abs(probes[-1] - math.log(2.0)) <= tol
+    # Newton's steps converge in a handful of probes; bisection alone
+    # would take log2(3/tol) = 28
+    assert len(probes) <= 8
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_brent_min_walks_to_a_monotone_end(sign):
+def test_root_bisects_where_newton_steps_creep():
+    # a slope 100 times too steep makes each Newton step 1% of the way to
+    # the root; a step that fails to halve the one before it is replaced by
+    # a bisection, so the search ends within about bisection's 27 probes
+    # where the steps alone would creep on for over a thousand. It stops on
+    # a Newton step below tol, which the slope makes 100 times too short
     tol = 1e-8
-    probes = _brent_probes(lambda x: sign * x, 0.0, 1.0, tol)
-    end = 0.0 if sign > 0.0 else 1.0
-    assert abs(min(probes)[1] - end) <= 2.0 * tol
-    assert len(probes) <= 40
+    probes = _root_probes(lambda t: (0.3 - t, -100.0), 0.0, 1.0, tol)
+    assert abs(probes[-1] - 0.3) <= 100.0 * tol
+    assert len(probes) <= 64
 
 
-@pytest.mark.parametrize("f", [lambda x: (x - 0.3) ** 2, lambda x: x, lambda x: -x, lambda x: abs(x - 0.7),
-                               lambda x: math.cos(9.0 * x), lambda x: 1.0])
-def test_brent_min_probes_at_least_tol_inside(f):
+@pytest.mark.parametrize("root,end", [(2.0, 1.0), (-1.0, 0.0), (1.0 - 5e-9, 1.0), (5e-9, 0.0)])
+def test_root_walks_a_residual_of_one_sign_to_its_end(root, end):
+    # a root beyond an end of the bracket, or less than tol inside it,
+    # leaves the last probe within 2 tol of that end; a Newton step onto a
+    # root less than tol inside is clamped to tol inside
+    tol = 1e-8
+    probes = _root_probes(lambda t: (root - t, -1.0), 0.0, 1.0, tol)
+    assert abs(probes[-1] - end) <= 2.0 * tol
+    assert all(tol <= t <= 1.0 - tol for t in probes)
+
+
+@pytest.mark.parametrize("f", [lambda t: (0.3 - t, -1.0), lambda t: (50.0 - t, -1.0), lambda t: (-3.0 - t, -1.0),
+                               lambda t: (math.exp(-t) - 0.5, -math.exp(-t)), lambda t: (0.7 - t, 1.0),
+                               lambda t: (1.0, 0.0), lambda t: (0.0, -1.0),
+                               lambda t: (math.cos(9.0 * t), -9.0 * math.sin(9.0 * t))])
+def test_root_probes_at_least_tol_inside(f):
     # the feasibility of tune's probes rests on this: no probe reaches
-    # within tol of either end of the bracket
+    # within tol of either end of the bracket, whatever the residual,
+    # including an exact zero and a slope that is not negative
     for a, b, tol in ((0.0, 1.0, 1e-8), (0.69, 37.4, 2.0**-26 * 36.7), (-2.0, 5.0, 1e-3)):
-        for _, u in _brent_probes(f, a, b, tol):
-            assert a + tol <= u <= b - tol, (a, b, tol, u)
+        for t in _root_probes(f, a, b, tol):
+            assert a + tol <= t <= b - tol, (a, b, tol, t)
+
+
+def _probe(alg, eps, d, t):
+    """(err, m) of tune's probe at the builder threshold t (gamma or g_std):
+    the law's mass helper, eps0 = eps - ln(q/q_comp), _q_and_m and the
+    law's scalar error, as tune evaluates them."""
+    if alg == "privunit":
+        mass, err = privunit._cap_mass, privunit._cap_err
+    else:
+        mass, err = privunitg._gauss_mass, privunitg._gauss_err
+    gamma, q_comp, tail_mean = mass(d, t)
+    eps0 = eps - (math.log(1.0 - q_comp) - math.log(q_comp))
+    p, p_comp = tuner._sigmoid(eps0), tuner._sigmoid(-eps0)
+    q, m = privunit._q_and_m(p, p_comp, q_comp, tail_mean)
+    return err(d, p, p_comp, q, q_comp, gamma, m), m
+
+
+def _floats_around(t, n):
+    # t and the n floats on either side of it
+    out, below, above = [t], t, t
+    for _ in range(n):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+@pytest.mark.parametrize("eps,d", [(128.0, 6), (448.0, 24), (700.0, 38), (256.0, 14)])
+def test_tune_settles_on_the_lowest_nearby_stair(eps, d):
+    # near gamma = 1 a float gamma resolves x = (1 - gamma)/2 only to its
+    # spacing, so PrivUnit's error is a staircase (at large eps, for d from
+    # about 6 to 44, between the envelope's dimensions); the tuned error is
+    # no higher than a probe's at any float gamma within 64 ulps of its own
+    res = tuner.tune(eps, d, "privunit")
+    near = [g for g in _floats_around(res.params.gamma, 64) if g < 1.0]
+    assert res.err_star <= min(_probe("privunit", eps, d, g)[0] for g in near)
+
+
+def _bracket(alg, eps, d):
+    # tune's bracket in its search variable: s = -ln x for PrivUnit, g_std for PrivUnitG
+    y = tuner._sigmoid(-eps)
+    if alg == "privunitg":
+        return 0.0, -specfun.inv_std_normal_cdf(y)
+    if privunit._cap_mass(d, tuner._GAMMA_EDGE)[1] >= y:
+        return tuner._LN2, tuner._S_EDGE
+    a = 0.5 * (d - 1)
+    return tuner._LN2, -math.log(specfun.inv_reg_inc_beta(y, a, a))
+
+
+def _threshold(alg, u):
+    # the builder's threshold at the search variable u
+    return 1.0 - 2.0 * math.exp(-u) if alg == "privunit" else u
+
+
+def _err_slope_factor(alg, d, t, m):
+    # c > 0 with d err/du = -c r for the residual r of tuner._residual: err =
+    # 1/m^2 - 1 with dm/ds = a m r/(1 - x) for PrivUnit, d err/dg = -r/K^2
+    # with K = m sqrt(d) for PrivUnitG
+    if alg == "privunit":
+        return (d - 1) / (m * m * (1.0 - 0.5 * (1.0 - t)))
+    return 1.0 / (m * m * d)
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+@pytest.mark.parametrize("eps,d", [(0.1, 2), (1.0, 3), (8.0, 16), (32.0, 1024), (64.0, 10**6), (256.0, 50_000)])
+def test_residual_is_the_error_slope(eps, d, alg):
+    # at points across the bracket, -c r is the error's slope and r' the
+    # residual's: central differences with a step h of 1e-5 of the bracket
+    # truncate at about h^2 relative, 1e-10, and 1e-5 leaves room for the
+    # error's rounding over 2h (they agree to 4e-7 or better here)
+    lo, hi = _bracket(alg, eps, d)
+    h = 1e-5 * (hi - lo)
+
+    def at(u):
+        t = _threshold(alg, u)
+        e, m = _probe(alg, eps, d, t)
+        return (e, m) + tuner._residual(alg, d, t, e, m)
+
+    for frac in (0.1, 0.3, 0.6, 0.9):
+        u = lo + frac * (hi - lo)
+        e, m, r, dr = at(u)
+        (e_up, _, r_up, _), (e_down, _, r_down, _) = at(u + h), at(u - h)
+        c = _err_slope_factor(alg, d, _threshold(alg, u), m)
+        assert (e_up - e_down) / (2.0 * h) == pytest.approx(-c * r, rel=1e-5), frac
+        assert (r_up - r_down) / (2.0 * h) == pytest.approx(dr, rel=1e-5), frac
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+@pytest.mark.parametrize("d", _ENVELOPE_D)
+@pytest.mark.parametrize("eps", _ENVELOPE_EPS)
+def test_tuned_threshold_meets_the_first_order_condition(eps, d, alg):
+    # the dual of the paper's LP puts the optimal threshold at gamma = m.
+    # At the stored threshold t the Newton distance |r/r'| to that root
+    # (tuner._residual) is at most 2 tol + res + tie, with tol tune's own
+    # tolerance:
+    # - 2 tol, the stop rule: the search stops once a step is below tol, so
+    #   its last probe lies within 2 tol of the root (a bisection step below
+    #   tol leaves a bracket under 2 tol around it, a Newton step one under tol);
+    # - res, the spacing of the float threshold in the search variable:
+    #   ulp(gamma)/(2x) in s for PrivUnit, ulp(g) for PrivUnitG;
+    # - tie: tune stores the probe of least float error, which need not be
+    #   the last one. A probe Delta from the root has an error E'' Delta^2/2
+    #   above the optimum's (E'' = -c r' at the root), so it can beat the
+    #   last probe only if E'' (Delta^2 - (2 tol)^2)/2 is at most the spread
+    #   rho of the float error's rounding, taken over the 129 floats nearest
+    #   t, where the true error is flat far below rho: then
+    #   Delta <= 2 tol + sqrt(2 rho/E'').
+    # Where the smallest float cap ends the bracket and is stored, the root
+    # lies beyond it: r >= 0 there.
+    pr = tuner.tune(eps, d, alg).params
+    t = pr.gamma if alg == "privunit" else pr.g_std
+    e, m = _probe(alg, eps, d, t)
+    r, dr = tuner._residual(alg, d, t, e, m)
+    if t == tuner._GAMMA_EDGE:
+        assert r >= 0.0
+        return
+    lo, hi = _bracket(alg, eps, d)
+    tol = tuner._TOL * (hi - lo) / min(1.0, eps)
+    if alg == "privunit":
+        res = math.ulp(t) / (1.0 - t)
+        near = [u for u in _floats_around(t, 64) if u < 1.0]
+    else:
+        res = math.ulp(t)
+        near = _floats_around(t, 64)
+    errs = [_probe(alg, eps, d, u)[0] for u in near]
+    tie = math.sqrt(2.0 * (max(errs) - min(errs)) / (-_err_slope_factor(alg, d, t, m) * dr))
+    assert abs(r / dr) <= 2.0 * tol + res + tie, (abs(r / dr) / tol, res / tol, tie / tol)
 
 
 def test_tune_raises_when_the_best_error_is_not_positive(monkeypatch):
@@ -463,7 +609,7 @@ def test_gauss_err_identity_near_p_one_half(d, p, q):
 
 def test_tuned_gauss_error_matches_an_independent_scan():
     # the oracle scans d/K^2 + g/K - 1 over the threshold with math.erfc
-    # alone; Brent's search over the package's kernels must do as well
+    # alone; the root find over the package's kernels must do as well
     for eps in _ENVELOPE_EPS:
         for d in _ENVELOPE_D:
             err_star = tuner.tune(eps, d, "privunitg").err_star
