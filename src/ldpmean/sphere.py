@@ -329,11 +329,11 @@ def _threshold_block(v, rng, p, q, q_comp, gamma, m, sigma, out) -> None:
             rows = rng.normal((np.count_nonzero(redo), d))
             along[redo], sq[redo] = _orthogonal_split(rows, v[redo])
             g[redo] = rows
-        scale = np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (np.sqrt(sq) * m)
+        scale = (np.sqrt(np.maximum(0.0, 1.0 - alpha * alpha)) / (np.sqrt(sq) * m))[:, None]
     else:
-        along, scale = np.einsum("ij,ij->i", g, v), np.full(size, sigma / m)
-    np.multiply(g, scale[:, None], out=out)
-    np.multiply(v, (alpha / m - scale * along)[:, None], out=g)
+        along, scale = np.einsum("ij,ij->i", g, v), sigma / m
+    np.multiply(g, scale, out=out)
+    np.multiply(v, alpha[:, None] / m - scale * along[:, None], out=g)
     out += g
 
 

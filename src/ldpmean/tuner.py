@@ -6,14 +6,17 @@ minimize the analytic error over the split.
 Error is monotone improving toward the constraint boundary for both
 randomizers, so the 2-D constrained problem reduces to a 1-D search over
 the threshold. The dual of the paper's LP fixes the optimum there:
-gamma = m, the threshold equals the normalizer, and :func:`tune` finds the
-root of that condition by safeguarded Newton steps. The two laws differ
-only in their private helpers, which share one interface (``_law``): a
-mass helper (gamma, q_comp, tail_mean) at a threshold, and a scalar error
-of (d, p, p_comp, q, q_comp, gamma, m). The error is smooth in the
-threshold with a single minimum, the condition's one root in the bracket.
-The scaled constant eps*err/d converges in d (c_eps) and keeps falling in
-eps: at d = 50000 it passes 0.614 near eps 38.5 and reads 0.509 at 700.
+gamma = m, the threshold equals the normalizer. ``_residual`` states that
+condition and certifies a tune; :func:`tune` finds its root by safeguarded
+Newton steps on its log form (``_search_residual``), which is linear in
+eps0 where the condition is exponential, in about 4 error evaluations.
+The two laws differ only in their private helpers, which share one
+interface (``_law``): a mass helper (gamma, q_comp, tail_mean) at a
+threshold, and a scalar error of (d, p, p_comp, q, q_comp, gamma, m).
+The error is smooth in the threshold with a single minimum, the
+condition's one root in the bracket. The scaled constant eps*err/d
+converges in d (c_eps) and keeps falling in eps: at d = 50000 it passes
+0.614 near eps 38.5 and reads 0.509 at 700.
 """
 
 from __future__ import annotations
@@ -131,20 +134,31 @@ def _err_at(split: BudgetSplit, d: int, alg: str):
 def _root(f, a: float, b: float, tol: float) -> None:
     """A root in (a, b), to an absolute tolerance tol, of a residual that is
     positive below it and negative above; f(t) returns (r, dr/dt) and keeps
-    what the caller needs. Newton steps from the midpoint, a bisection where
-    a step leaves the bracket of the root or fails to halve the step before
-    it (Numerical Recipes' rtsafe), until a step is below tol. Probes are
-    clamped to [a + tol, b - tol]: a residual of one sign walks to that end."""
-    lo, hi = a + tol, b - tol
+    what the caller needs, or None to end the search. Newton steps from the
+    midpoint, a bisection where a step leaves the bracket of the root or
+    fails to halve the step before it (Numerical Recipes' rtsafe), until a
+    Newton correction or a step is below tol: a correction below tol ends
+    the search also where it rounds onto t. A Newton step past b while no
+    probe has bounded the root from above probes b - tol instead of
+    bisecting, so a root beyond b takes two probes, not a walk. Probes are
+    clamped to [a + tol, b - tol]: a residual of one sign ends at that end."""
+    lo, hi, end = a + tol, b - tol, b
     t, step = 0.5 * (a + b), b - a
     while True:
-        r, dr = f(t)
+        rd = f(t)
+        if rd is None:
+            return
+        r, dr = rd
         if r > 0.0:
             a = t
         elif r < 0.0:
             b = t
+        if dr < 0.0 and abs(r) < -dr * tol:
+            return
         u = t - r / dr if dr < 0.0 else t
-        if not (a < u < b and abs(u - t) <= 0.5 * step):
+        if u >= b == end:
+            u = hi
+        elif not (a < u < b and abs(u - t) <= 0.5 * step):
             u = 0.5 * (a + b)
         u = min(max(u, lo), hi)
         step = abs(u - t)
@@ -171,17 +185,57 @@ def _residual(alg: str, d: int, t: float, e: float, m: float) -> tuple[float, fl
     return (k - t) * w - k, (dk - 1.0) * w + (k - t) * (k + t * dk) - dk
 
 
+def _search_residual(alg: str, d: int, t: float, p: float, p_comp: float, q: float, q_comp: float,
+                     tail_mean: float, e: float, m: float) -> tuple[float, float]:
+    """The residual that ``tune`` searches, R = ln(p_comp*/p_comp), and its
+    slope in the search variable, from a probe's own numbers at threshold t:
+    p = sigmoid(eps0), q, Q = q_comp, tau = tail_mean, error e and m.
+
+    With mu = tau/Q the cap mean, m = mu (q - p_comp)/q falls as p_comp
+    rises, so it meets the condition's m* at p_comp* = q (1 - m*/mu): R has
+    the sign and the root of ``_residual``'s r. R is linear in eps0 where r
+    holds p_comp = sigmoid(-eps0) as an exponential, so Newton's steps on R
+    converge from the midpoint without bisecting toward the bracket's end.
+
+    PrivUnit (s = -ln x, m* = gamma): mu - gamma = (m - gamma) + mu p_comp/q
+    with m - gamma formed as ``_residual`` forms it, so it does not cancel as
+    gamma -> 1; F = a tau/(1 - x) = 2x f(gamma) is the slope of q, mu' =
+    F (mu - gamma)/Q and (ln p_comp)' = p F/(q Q). PrivUnitG (g = g_std):
+    K* = m* sqrt(d) is the positive root of g K^2 + (2d - 1 - g^2) K - 2dg,
+    ``_residual``'s G = 0, taken in the form that does not cancel; with
+    phi = tau sqrt(d), M = phi/Q (M' = M (M - g)) and u = K*/M,
+    R = ln(q (1 - u)/p_comp)."""
+    if alg == "privunit":
+        a, x = 0.5 * (d - 1), 0.5 * (1.0 - t)
+        mu = tail_mean / q_comp
+        excess = 2.0 * x - e * m * m / (1.0 + m) + mu * p_comp / q  # mu - gamma
+        f = a * tail_mean / (1.0 - x)
+        r = math.log(q * excess / mu) - math.log(p_comp)
+        return r, p_comp * f / (q * q_comp) - 2.0 * x / excess - f * excess / (q_comp * mu)
+    phi = tail_mean * math.sqrt(d)
+    big_m = phi / q_comp
+    b = 2.0 * d - 1.0 - t * t
+    root = math.sqrt(b * b + 8.0 * d * t * t)
+    k = 4.0 * d * t / (b + root) if b > 0.0 else (root - b) / (2.0 * t)
+    dk = (2.0 * d + 2.0 * t * k - k * k) / (2.0 * t * k + 2.0 * d - t * t - 1.0)
+    u = k / big_m
+    du = (dk - k * (big_m - t)) / big_m
+    r = math.log(q * (1.0 - u)) - math.log(p_comp)
+    return r, phi / q - du / (1.0 - u) - p * phi / (q * q_comp)
+
+
 def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
-    One root find (``_root``) of the first-order condition (``_residual``)
-    over the threshold that the builders take and the sampler draws with:
-    s = -ln x with x = (1 - gamma)/2 for PrivUnit, g = g_std for PrivUnitG.
-    A probe evaluates its threshold's mass q_comp once, takes
-    eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1, so it spends
-    the whole budget and needs no quantile inversion. Every probe is
-    feasible: ``_root`` probes at least tol inside the bracket, so its mass
-    is at least sigmoid(-eps) > 0 (a float gamma <= 1 - 2^-53 keeps
+    One root find (``_root``) of the first-order condition, gamma = m
+    (``_residual``), in its log form R = ln(p_comp*/p_comp)
+    (``_search_residual``), over the threshold that the builders take and
+    the sampler draws with: s = -ln x with x = (1 - gamma)/2 for PrivUnit,
+    g = g_std for PrivUnitG. A probe evaluates its threshold's mass q_comp
+    once, takes eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1, so
+    it spends the whole budget and needs no quantile inversion. Every probe
+    is feasible: ``_root`` probes at least tol inside the bracket, so its
+    mass is at least sigmoid(-eps) > 0 (a float gamma <= 1 - 2^-53 keeps
     x >= 2^-54; at the edge every mass is at least the edge mass), and
     p_comp <= 1/2 and q_comp < 1/2 pass ``_q_and_m``. A probe evaluates
     scalars by the law's mass and error helpers, which the builders and
@@ -192,36 +246,49 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     _TOL of it, over eps where eps < 1. A float gamma expresses no x below
     2^-54, so PrivUnit's error is a staircase where its cap is that small
     (d up to about 44 at large eps): where the bracket end lies beyond it,
-    the bracket stops there and that smallest cap is probed once.
+    the bracket stops there and that smallest cap is probed once, and a
+    probe that rounds to the float threshold of the probe before it ends
+    the search, since later probes would evaluate the same floats.
 
-    Returns the best probe seen anywhere, built once, with the excess of
-    its budget (rounding) taken back from eps0 at the same threshold so
-    that budget <= eps exactly, one build per step, and the split its
-    stored parameters spend. Raises NumericsError when its error is not
-    positive or its budget stays above eps.
+    The winner is the search's last probe or, where it ended on the stairs,
+    the best probe seen: there the float error decides, not the root. It
+    is built once, with the excess of its budget (rounding) taken
+    back from eps0 at the same threshold so that budget <= eps exactly, one
+    build per step, and the split its stored parameters spend. Raises
+    NumericsError when its error is not positive or its budget stays above
+    eps.
     """
     budget_split(eps, eps)  # validates eps
     d = sphere._check_dim(d)
     if alg not in _ALGS:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
     build, error, mass, err = _law(alg)
-    best: list = [math.inf, None]  # err, (eps0, threshold, mass)
+    # (err, eps0, threshold, mass) of the last probe, the winner, and of the best one seen
+    last = best = (math.inf, None, None, None)
 
-    def probe(t: float, q_comp: float | None = None) -> tuple[float, float]:
+    def probe(t: float, q_comp: float | None = None) -> tuple:
         # t is the builder's threshold: gamma for PrivUnit, g_std for PrivUnitG
+        nonlocal last, best
         gamma, q_comp, tail_mean = mass(d, t, q_comp)
         # >= 0 despite float-gamma rounding at PrivUnit's far end (p = 1/2 cannot win)
         eps0 = max(0.0, eps - (math.log(1.0 - q_comp) - math.log(q_comp)))
         p, p_comp = _sigmoid(eps0), _sigmoid(-eps0)
         q, m = privunit._q_and_m(p, p_comp, q_comp, tail_mean)
         e = err(d, p, p_comp, q, q_comp, gamma, m)
+        last = (e, eps0, t, q_comp)
         if e < best[0]:
-            best[0], best[1] = e, (eps0, t, q_comp)
-        return e, m
+            best = last
+        return p, p_comp, q, q_comp, tail_mean, e, m
 
-    def residual(u: float) -> tuple[float, float]:
+    def residual(u: float) -> tuple[float, float] | None:
+        nonlocal last
         t = 1.0 - 2.0 * math.exp(-u) if alg == "privunit" else u
-        return _residual(alg, d, t, *probe(t))
+        if t == last[2]:
+            # PrivUnit's float-gamma stairs: further probes would evaluate the
+            # same floats, and the float error, not the root, picks the winner
+            last = best
+            return None
+        return _search_residual(alg, d, t, *probe(t))
 
     y = _sigmoid(-eps)  # the mass at which eps1 = eps
     if alg == "privunit":
@@ -236,7 +303,7 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
         lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
     _root(residual, lo, hi, _TOL * (hi - lo) / min(1.0, eps))
 
-    err_star, (eps0, t, q_comp) = best
+    err_star, eps0, t, q_comp = last
     # the probes evaluated the parameters' scalars; the winner's object is
     # built once. Rounding may put its budget above eps: take the excess
     # back from eps0 at the same threshold, doubling the step (2^-52 at

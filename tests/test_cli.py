@@ -58,7 +58,7 @@ def test_ratio_command(capsys):
     rc_alone, out_alone, _ = run_cli(capsys, "ratio", "--eps", "64", "--d", "16,100000")
     assert rc_alone == 0
     lines = out.splitlines()
-    assert lines[1] == "2,inf,0.00968454304594,0"
+    assert lines[1] == "2,inf,0.00968454304593,0"
     assert [lines[0]] + lines[2:] == out_alone.splitlines()
 
 

@@ -233,10 +233,11 @@ def test_one_quantile_inversion_per_tune(monkeypatch):
 
 
 def test_error_evaluations_per_tune(monkeypatch):
-    # the benchmark's envelope grid: the Newton root find over the stored
-    # threshold needs at most 10 error evaluations per tune on average; the
-    # probes evaluate the scalar errors, which analytic_err and
-    # analytic_err_g wrap, so every evaluation is counted here
+    # the benchmark's envelope grid: Newton's steps on the log form of the
+    # condition need at most 6 error evaluations per tune and 4.5 on
+    # average, the budget trim's included; the probes evaluate the scalar
+    # errors, which analytic_err and analytic_err_g wrap, so every
+    # evaluation is counted here
     calls = [0]
     for mod, name in ((privunit, "_cap_err"), (privunitg, "_gauss_err")):
         def counted(*args, _f=getattr(mod, name)):
@@ -246,9 +247,13 @@ def test_error_evaluations_per_tune(monkeypatch):
     grid = [(alg, eps, d) for alg in ("privunit", "privunitg")
             for eps in (1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0)
             for d in (2, 3, 16, 1024, 50_000, 100_000, 1_000_000)]
+    counts = []
     for alg, eps, d in grid:
+        calls[0] = 0
         tuner.tune(eps, d, alg)
-    assert calls[0] / len(grid) <= 10.0
+        counts.append(calls[0])
+    assert max(counts) <= 6
+    assert sum(counts) / len(counts) <= 4.5
 
 
 def test_tune_builds_parameters_once(monkeypatch):
@@ -397,6 +402,41 @@ def test_root_walks_a_residual_of_one_sign_to_its_end(root, end):
     assert all(tol <= t <= 1.0 - tol for t in probes)
 
 
+def test_root_stops_on_a_newton_correction_that_rounds_onto_the_probe():
+    # a correction of 1e-17 at t = 1/2 is below ulp(t): t - r/dr rounds to
+    # t, and the search ends there rather than bisecting away from the root
+    probes = _root_probes(lambda t: (1e-17 - (t - 0.5), -1.0), 0.0, 1.0, 2.0**-26)
+    assert probes == [0.5]
+
+
+@pytest.mark.parametrize("f,root", [(lambda t: (2.0 - t, -1.0), None),
+                                    (lambda t: (0.9**3 - t**3, -3.0 * t * t), 0.9)],
+                         ids=["root-beyond-b", "root-inside"])
+def test_root_probes_the_upper_end_where_a_newton_step_passes_it(f, root):
+    # a Newton step past b, while no probe has bounded the root from above,
+    # probes b - tol in place of a midpoint: a root beyond b ends there after
+    # two probes, and one inside continues from the end by Newton steps
+    tol = 1e-8
+    probes = _root_probes(f, 0.0, 1.0, tol)
+    assert probes[:2] == [0.5, 1.0 - tol]
+    if root is None:
+        assert len(probes) == 2
+    else:
+        assert abs(probes[-1] - root) <= tol and len(probes) <= 6
+
+
+def test_root_ends_when_the_residual_returns_none():
+    # tune's residual returns None for a float threshold it probed just before
+    probes = []
+
+    def f(t):
+        probes.append(t)
+        return (0.3 - t, -1.0) if len(probes) == 1 else None
+
+    tuner._root(f, 0.0, 1.0, 1e-8)
+    assert probes == [0.5, 0.3]
+
+
 @pytest.mark.parametrize("f", [lambda t: (0.3 - t, -1.0), lambda t: (50.0 - t, -1.0), lambda t: (-3.0 - t, -1.0),
                                lambda t: (math.exp(-t) - 0.5, -math.exp(-t)), lambda t: (0.7 - t, 1.0),
                                lambda t: (1.0, 0.0), lambda t: (0.0, -1.0),
@@ -410,10 +450,11 @@ def test_root_probes_at_least_tol_inside(f):
             assert a + tol <= t <= b - tol, (a, b, tol, t)
 
 
-def _probe(alg, eps, d, t):
-    """(err, m) of tune's probe at the builder threshold t (gamma or g_std):
-    the law's mass helper, eps0 = eps - ln(q/q_comp), _q_and_m and the
-    law's scalar error, as tune evaluates them."""
+def _probe_scalars(alg, eps, d, t):
+    """(p, p_comp, q, q_comp, tail_mean, err, m) of tune's probe at the
+    builder threshold t (gamma or g_std): the law's mass helper,
+    eps0 = eps - ln(q/q_comp), _q_and_m and the law's scalar error, as tune
+    evaluates them."""
     if alg == "privunit":
         mass, err = privunit._cap_mass, privunit._cap_err
     else:
@@ -422,7 +463,12 @@ def _probe(alg, eps, d, t):
     eps0 = eps - (math.log(1.0 - q_comp) - math.log(q_comp))
     p, p_comp = tuner._sigmoid(eps0), tuner._sigmoid(-eps0)
     q, m = privunit._q_and_m(p, p_comp, q_comp, tail_mean)
-    return err(d, p, p_comp, q, q_comp, gamma, m), m
+    return p, p_comp, q, q_comp, tail_mean, err(d, p, p_comp, q, q_comp, gamma, m), m
+
+
+def _probe(alg, eps, d, t):
+    """(err, m) of tune's probe at the builder threshold t."""
+    return _probe_scalars(alg, eps, d, t)[-2:]
 
 
 def _floats_around(t, n):
@@ -443,6 +489,22 @@ def test_tune_settles_on_the_lowest_nearby_stair(eps, d):
     res = tuner.tune(eps, d, "privunit")
     near = [g for g in _floats_around(res.params.gamma, 64) if g < 1.0]
     assert res.err_star <= min(_probe("privunit", eps, d, g)[0] for g in near)
+
+
+@pytest.mark.parametrize("eps,d", [(128.0, 6), (448.0, 24), (700.0, 38), (256.0, 14), (64.0, 3), (256.0, 16)])
+def test_tune_probes_no_float_gamma_twice_in_a_row(monkeypatch, eps, d):
+    # on the stairs many search variables round to one float gamma; a probe
+    # whose threshold is the one before it ends the search, which would
+    # evaluate the same floats again, so the search ends within 6 probes
+    seen = []
+
+    def recorded(alg, d, t, *scalars, _f=tuner._search_residual):
+        seen.append(t)
+        return _f(alg, d, t, *scalars)
+
+    monkeypatch.setattr(tuner, "_search_residual", recorded)
+    tuner.tune(eps, d, "privunit")
+    assert all(s != t for s, t in zip(seen, seen[1:])) and len(seen) <= 6
 
 
 def _bracket(alg, eps, d):
@@ -491,6 +553,29 @@ def test_residual_is_the_error_slope(eps, d, alg):
         (e_up, _, r_up, _), (e_down, _, r_down, _) = at(u + h), at(u - h)
         c = _err_slope_factor(alg, d, _threshold(alg, u), m)
         assert (e_up - e_down) / (2.0 * h) == pytest.approx(-c * r, rel=1e-5), frac
+        assert (r_up - r_down) / (2.0 * h) == pytest.approx(dr, rel=1e-5), frac
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+@pytest.mark.parametrize("eps,d", [(0.1, 2), (1.0, 3), (8.0, 16), (32.0, 1024), (64.0, 10**6), (256.0, 50_000)])
+def test_search_residual_has_the_condition_sign_and_slope(eps, d, alg):
+    # tune searches R = ln(p_comp*/p_comp), not the certificate r of
+    # tuner._residual: at the points of test_residual_is_the_error_slope, R
+    # has r's sign, so both have one root, and R' matches central
+    # differences of R to 1e-5 (3e-9 or better here)
+    lo, hi = _bracket(alg, eps, d)
+    h = 1e-5 * (hi - lo)
+
+    def at(u):
+        t = _threshold(alg, u)
+        scalars = _probe_scalars(alg, eps, d, t)
+        return tuner._residual(alg, d, t, *scalars[-2:])[0], tuner._search_residual(alg, d, t, *scalars)
+
+    for frac in (0.1, 0.3, 0.6, 0.9):
+        u = lo + frac * (hi - lo)
+        r, (big_r, dr) = at(u)
+        assert big_r != 0.0 and (big_r > 0.0) == (r > 0.0), frac
+        (_, (r_up, _)), (_, (r_down, _)) = at(u + h), at(u - h)
         assert (r_up - r_down) / (2.0 * h) == pytest.approx(dr, rel=1e-5), frac
 
 
