@@ -8,8 +8,8 @@ extend :class:`ThresholdParams` and draws go through
 ``sphere._threshold_rows``, with the coordinate along v following the first
 coordinate W_1 of a uniform point of S^{d-1} and the orthogonal part
 uniform with norm sqrt(1 - alpha^2), so every report lies on the
-radius-1/m sphere. ``randomize``, ``randomize_batch`` and ``log_density``
-serve both laws: they read the law from the parameters.
+radius-1/m sphere. ``randomize``, ``randomize_batch``, ``log_density`` and
+``analytic_err`` serve both laws: they read the law from the parameters.
 
 The normalizer combines the two reciprocal cap masses with a minus sign on
 the complement term: unbiasedness forces it, since E[W_1] = 0 splits the
@@ -179,14 +179,20 @@ def cap_params(d: int, p: float, gamma: float) -> CapParams:
     return _build(d, p, 1.0 - p, gamma)
 
 
-def analytic_err(params: CapParams) -> ErrorBreakdown:
-    """Squared error 1/m^2 - 1 (the output lies on the radius-1/m sphere),
-    evaluated by ``_cap_err`` without cancellation. alpha_sq is recorded
+def analytic_err(params: ThresholdParams) -> ErrorBreakdown:
+    """Exact squared error of the law that ``params.sigma`` names. PrivUnit's
+    is 1/m^2 - 1 (the output lies on the radius-1/m sphere), evaluated by
+    ``_cap_err`` without cancellation, with alpha_sq recorded
     informationally via the closed form
-    E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d."""
+    E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d. PrivUnitG's is
+    ``privunitg._gauss_err``, looked up at each call so that a wrapped or
+    patched helper is the one called, with the alpha_sq the parameters hold."""
     d, m = params.d, params.m
-    err = _cap_err(d, params.p, params.p_comp, params.q, params.q_comp, params.gamma, m)
-    return ErrorBreakdown(m=m, alpha_sq=(1.0 + params.gamma * (d - 1) * m) / d, err=err, d=d)
+    args = (d, params.p, params.p_comp, params.q, params.q_comp, params.gamma, m)
+    if params.sigma is None:
+        return ErrorBreakdown(m=m, alpha_sq=(1.0 + params.gamma * (d - 1) * m) / d, err=_cap_err(*args), d=d)
+    from . import privunitg  # deferred: privunitg imports this module
+    return ErrorBreakdown(m=m, alpha_sq=params.alpha_sq, err=privunitg._gauss_err(*args), d=d)
 
 
 def _cap_err(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, m: float) -> float:

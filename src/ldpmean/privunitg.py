@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sphere, specfun
+from . import privunit, sphere, specfun
 from .privunit import ErrorBreakdown, ThresholdParams, _reports, _threshold_fields
 from .sphere import RngStream
 
@@ -88,11 +88,11 @@ def gauss_params(d: int, p: float, q: float) -> GaussParams:
     return _build_gauss(d, p, 1.0 - p, 0.0 - specfun.inv_std_normal_cdf(1.0 - q))
 
 
-def analytic_err_g(params: GaussParams) -> ErrorBreakdown:
-    """Exact squared error of the unbiased estimator (see ``_gauss_err``),
-    with the second moment alpha_sq that the parameters hold."""
-    err = _gauss_err(params.d, params.p, params.p_comp, params.q, params.q_comp, params.gamma, params.m)
-    return ErrorBreakdown(m=params.m, alpha_sq=params.alpha_sq, err=err, d=params.d)
+def analytic_err_g(params: ThresholdParams) -> ErrorBreakdown:
+    """The Gaussian name of ``privunit.analytic_err``, which reads the law
+    from ``params.sigma``: for GaussParams, the exact squared error of
+    ``_gauss_err`` with the second moment alpha_sq the parameters hold."""
+    return privunit.analytic_err(params)
 
 
 def randomize_g(v, params: GaussParams, rng: RngStream) -> np.ndarray:

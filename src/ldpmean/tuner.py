@@ -106,13 +106,13 @@ class TunedResult:
 
 
 def _law(alg: str) -> tuple:
-    """(builder, analytic error, mass, scalar error) of the law: the mass
-    helper maps (d, threshold[, q_comp]) to (gamma, q_comp, tail_mean), the
-    scalar error takes (d, p, p_comp, q, q_comp, gamma, m). Looked up at
-    each call, so a wrapped or patched module function is the one called."""
+    """(builder, mass, scalar error) of the law: the mass helper maps
+    (d, threshold[, q_comp]) to (gamma, q_comp, tail_mean), the error takes
+    (d, p, p_comp, q, q_comp, gamma, m). Looked up at each call, so a
+    wrapped or patched module function is the one called."""
     if alg == "privunit":
-        return privunit._build, privunit.analytic_err, privunit._cap_mass, privunit._cap_err
-    return privunitg._build_gauss, privunitg.analytic_err_g, privunitg._gauss_mass, privunitg._gauss_err
+        return privunit._build, privunit._cap_mass, privunit._cap_err
+    return privunitg._build_gauss, privunitg._gauss_mass, privunitg._gauss_err
 
 
 def _params_at(split: BudgetSplit, d: int, alg: str):
@@ -128,7 +128,7 @@ def _params_at(split: BudgetSplit, d: int, alg: str):
 
 def _err_at(split: BudgetSplit, d: int, alg: str):
     params = _params_at(split, d, alg)
-    return _law(alg)[1](params).err, params
+    return privunit.analytic_err(params).err, params
 
 
 def _root(f, a: float, b: float, tol: float) -> None:
@@ -224,6 +224,35 @@ def _search_residual(alg: str, d: int, t: float, p: float, p_comp: float, q: flo
     return r, phi / q - du / (1.0 - u) - p * phi / (q * q_comp)
 
 
+def _bracket(alg: str, eps: float, d: int) -> tuple[float, float, float]:
+    """(lo, hi, tol) of tune's search: from eps1 = 0 (s = ln 2, g_std = 0) to
+    the threshold of mass sigmoid(-eps), or, with no cdf inverted, to the
+    smallest float cap where that lies past it; tol is _TOL of the bracket,
+    over eps where eps < 1."""
+    y = _sigmoid(-eps)  # the mass at which eps1 = eps
+    if alg == "privunitg":
+        lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
+    elif privunit._cap_mass(d, _GAMMA_EDGE)[1] >= y:
+        lo, hi = _LN2, _S_EDGE
+    else:
+        a = 0.5 * (d - 1)
+        lo, hi = _LN2, -math.log(specfun.inv_reg_inc_beta(y, a, a))
+    return lo, hi, _TOL * (hi - lo) / min(1.0, eps)
+
+
+def _probe(alg: str, eps: float, d: int, t: float) -> tuple:
+    """(eps0, p, p_comp, q, q_comp, tail_mean, err, m) of tune's probe at the
+    builder threshold t (gamma or g_std): eps0 spends what the mass of t
+    leaves of eps, and the rest are the scalars its parameters would hold."""
+    _, mass, err = _law(alg)
+    gamma, q_comp, tail_mean = mass(d, t)
+    # >= 0 despite float-gamma rounding at PrivUnit's far end (p = 1/2 cannot win)
+    eps0 = max(0.0, eps - (math.log(1.0 - q_comp) - math.log(q_comp)))
+    p, p_comp = _sigmoid(eps0), _sigmoid(-eps0)
+    q, m = privunit._q_and_m(p, p_comp, q_comp, tail_mean)
+    return eps0, p, p_comp, q, q_comp, tail_mean, err(d, p, p_comp, q, q_comp, gamma, m), m
+
+
 def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
@@ -231,84 +260,55 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     (``_residual``), in its log form R = ln(p_comp*/p_comp)
     (``_search_residual``), over the threshold that the builders take and
     the sampler draws with: s = -ln x with x = (1 - gamma)/2 for PrivUnit,
-    g = g_std for PrivUnitG. A probe evaluates its threshold's mass q_comp
-    once, takes eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1, so
-    it spends the whole budget and needs no quantile inversion. Every probe
-    is feasible: ``_root`` probes at least tol inside the bracket, so its
-    mass is at least sigmoid(-eps) > 0 (a float gamma <= 1 - 2^-53 keeps
-    x >= 2^-54; at the edge every mass is at least the edge mass), and
-    p_comp <= 1/2 and q_comp < 1/2 pass ``_q_and_m``. A probe evaluates
-    scalars by the law's mass and error helpers, which the builders and
-    ``analytic_err``/``analytic_err_g`` wrap, so it builds no parameter
-    object and its error is the built parameters' bit for bit. The bracket
-    runs from eps1 = 0 (x = 1/2, g_std = 0) to the threshold of mass
-    sigmoid(-eps), the one quantile inversion of a tune; the tolerance is
-    _TOL of it, over eps where eps < 1. A float gamma expresses no x below
-    2^-54, so PrivUnit's error is a staircase where its cap is that small
-    (d up to about 44 at large eps): where the bracket end lies beyond it,
-    the bracket stops there and that smallest cap is probed once, and a
-    probe that rounds to the float threshold of the probe before it ends
-    the search, since later probes would evaluate the same floats.
+    g = g_std for PrivUnitG, in the bracket of ``_bracket``. A probe
+    (``_probe``) evaluates its threshold's mass q_comp once, takes
+    eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1, so it spends the
+    whole budget and needs no quantile inversion. Every probe is feasible:
+    ``_root`` probes at least tol inside the bracket, so its mass is at least
+    sigmoid(-eps) > 0, and p_comp <= 1/2 and q_comp < 1/2 pass ``_q_and_m``.
+    A probe evaluates scalars by the law's mass and error helpers, which the
+    builders and ``analytic_err`` wrap, so it builds no parameter object and
+    its error is the built parameters' bit for bit. A float gamma expresses
+    no x below 2^-54, so PrivUnit's error is a staircase where its cap is
+    that small (d up to about 44 at large eps): where the bracket end lies
+    beyond it, the bracket stops there, and a Newton step past that end
+    probes b - tol, which rounds onto the smallest cap; a probe that rounds
+    to the float threshold of the probe before it ends the search.
 
     The winner is the search's last probe or, where it ended on the stairs,
-    the best probe seen: there the float error decides, not the root. It
-    is built once, with the excess of its budget (rounding) taken
-    back from eps0 at the same threshold so that budget <= eps exactly, one
-    build per step, and the split its stored parameters spend. Raises
-    NumericsError when its error is not positive or its budget stays above
-    eps.
+    the best probe seen: there the float error decides, not the root. It is
+    built once, with the excess of its budget (rounding) taken back from
+    eps0 at the same threshold so that budget <= eps exactly, one build per
+    step, and the split its stored parameters spend. Raises NumericsError
+    when its error is not positive or its budget stays above eps.
     """
     budget_split(eps, eps)  # validates eps
     d = sphere._check_dim(d)
     if alg not in _ALGS:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
-    build, error, mass, err = _law(alg)
     # (err, eps0, threshold, mass) of the last probe, the winner, and of the best one seen
     last = best = (math.inf, None, None, None)
 
-    def probe(t: float, q_comp: float | None = None) -> tuple:
-        # t is the builder's threshold: gamma for PrivUnit, g_std for PrivUnitG
-        nonlocal last, best
-        gamma, q_comp, tail_mean = mass(d, t, q_comp)
-        # >= 0 despite float-gamma rounding at PrivUnit's far end (p = 1/2 cannot win)
-        eps0 = max(0.0, eps - (math.log(1.0 - q_comp) - math.log(q_comp)))
-        p, p_comp = _sigmoid(eps0), _sigmoid(-eps0)
-        q, m = privunit._q_and_m(p, p_comp, q_comp, tail_mean)
-        e = err(d, p, p_comp, q, q_comp, gamma, m)
-        last = (e, eps0, t, q_comp)
-        if e < best[0]:
-            best = last
-        return p, p_comp, q, q_comp, tail_mean, e, m
-
     def residual(u: float) -> tuple[float, float] | None:
-        nonlocal last
+        nonlocal last, best
         t = 1.0 - 2.0 * math.exp(-u) if alg == "privunit" else u
         if t == last[2]:
             # PrivUnit's float-gamma stairs: further probes would evaluate the
             # same floats, and the float error, not the root, picks the winner
             last = best
             return None
-        return _search_residual(alg, d, t, *probe(t))
+        eps0, p, p_comp, q, q_comp, tail_mean, e, m = _probe(alg, eps, d, t)
+        last = (e, eps0, t, q_comp)
+        if e < best[0]:
+            best = last
+        return _search_residual(alg, d, t, p, p_comp, q, q_comp, tail_mean, e, m)
 
-    y = _sigmoid(-eps)  # the mass at which eps1 = eps
-    if alg == "privunit":
-        a, lo = 0.5 * (d - 1), _LN2
-        edge_mass = mass(d, _GAMMA_EDGE)[1]
-        if edge_mass >= y:  # the threshold of mass y lies at or past the smallest cap
-            hi = _S_EDGE
-            probe(_GAMMA_EDGE, edge_mass)
-        else:
-            hi = -math.log(specfun.inv_reg_inc_beta(y, a, a))
-    else:
-        lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
-    _root(residual, lo, hi, _TOL * (hi - lo) / min(1.0, eps))
-
+    _root(residual, *_bracket(alg, eps, d))
     err_star, eps0, t, q_comp = last
-    # the probes evaluated the parameters' scalars; the winner's object is
-    # built once. Rounding may put its budget above eps: take the excess
-    # back from eps0 at the same threshold, doubling the step (2^-52 at
-    # least: less cannot move p near 1/2) until the budget drops, and give
-    # up before eps0 turns negative
+    # the winner's object is built once; where rounding puts its budget above
+    # eps, the excess comes back from eps0 in doubling steps (2^-52 at least:
+    # less cannot move p near 1/2), giving up before eps0 turns negative
+    build = _law(alg)[0]
     params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
     step = max(params.budget - eps, 2.0**-52)
     while params.budget > eps:
@@ -316,7 +316,7 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
             raise NumericsError(f"budget {params.budget!r} stays above eps={eps}, d={d}")
         eps0 -= step
         params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
-        err_star = error(params).err
+        err_star = privunit.analytic_err(params).err
         step *= 2.0
     split = BudgetSplit(eps=eps, eps0=eps0, eps1=math.log(params.q) - math.log(params.q_comp))
     if not err_star > 0.0:

@@ -10,6 +10,7 @@ import pytest
 
 from ldpmean import privunit, privunitg, tuner
 from ldpmean.errors import DegenerateParameterError
+from ldpmean.privunit import ErrorBreakdown
 from ldpmean.sphere import RngStream
 
 from oracles import trunc_gauss_moment_quad, trunc_gauss_moments
@@ -27,6 +28,22 @@ def test_analytic_err_closed_form():
     assert params.gamma == 0.0
     assert params.alpha_sq == pytest.approx(0.25, rel=1e-14)
     assert privunitg.analytic_err_g(params).err == pytest.approx(2.0 * math.pi - 1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("eps,d", [(8.0, 1024), (1.0, 3), (256.0, 16)])
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+def test_analytic_err_reads_the_law_from_the_parameters(alg, eps, d):
+    # both names price either law by that law's own error and second
+    # moment, bit for bit, which is the tuned err_star
+    res = tuner.tune(eps, d, alg)
+    pr = res.params
+    args = (d, pr.p, pr.p_comp, pr.q, pr.q_comp, pr.gamma, pr.m)
+    if alg == "privunit":
+        own = ErrorBreakdown(m=pr.m, alpha_sq=(1.0 + pr.gamma * (d - 1) * pr.m) / d, err=privunit._cap_err(*args), d=d)
+    else:
+        own = ErrorBreakdown(m=pr.m, alpha_sq=pr.alpha_sq, err=privunitg._gauss_err(*args), d=d)
+    assert privunit.analytic_err(pr) == privunitg.analytic_err_g(pr) == own
+    assert own.err == res.err_star
 
 
 @pytest.mark.parametrize("d", [2, 8, 64, 1024])

@@ -196,7 +196,7 @@ def test_tiny_privunit_errors_tune(eps, d):
 )
 def test_tune_probes_the_lowest_float_gamma_stair(eps, d, bound, edge):
     # a float gamma expresses no cap below x = (1 - gamma)/2 = 2^-54; where
-    # the search is clipped there, that smallest cap is probed
+    # the bracket stops there, a Newton step past it probes that smallest cap
     res = tuner.tune(eps, d, "privunit")
     if edge:
         assert res.err_star < bound
@@ -217,8 +217,10 @@ def test_tune_spends_the_full_budget(eps, d, alg):
 
 def test_one_quantile_inversion_per_tune(monkeypatch):
     # the search runs over the stored threshold; only the bracket end, the
-    # threshold of mass sigmoid(-eps), is found by inverting a cdf
-    calls = [0]
+    # threshold of mass sigmoid(-eps), is found by inverting a cdf, and none
+    # where the bracket stops at the smallest float cap: over the envelope,
+    # PrivUnit at d = 2 for eps >= 32, d = 3 for eps >= 64, d = 16 for eps >= 512
+    calls, stops = [0], 0
     for name in ("inv_reg_inc_beta", "inv_std_normal_cdf"):
         def counted(*args, _f=getattr(specfun, name)):
             calls[0] += 1
@@ -229,12 +231,16 @@ def test_one_quantile_inversion_per_tune(monkeypatch):
             for d in (2, 3, 16, 1024, 50_000, 100_000, 1_000_000):
                 calls[0] = 0
                 tuner.tune(eps, d, alg)
-                assert calls[0] <= 1, (alg, eps, d)
+                inverted = calls[0]
+                stop = tuner._bracket(alg, eps, d)[1] == tuner._S_EDGE
+                assert inverted == 1 - stop, (alg, eps, d)
+                stops += stop
+    assert stops == 11, stops
 
 
 def test_error_evaluations_per_tune(monkeypatch):
     # the benchmark's envelope grid: Newton's steps on the log form of the
-    # condition need at most 6 error evaluations per tune and 4.5 on
+    # condition need at most 6 error evaluations per tune and 4 on
     # average, the budget trim's included; the probes evaluate the scalar
     # errors, which analytic_err and analytic_err_g wrap, so every
     # evaluation is counted here
@@ -253,7 +259,7 @@ def test_error_evaluations_per_tune(monkeypatch):
         tuner.tune(eps, d, alg)
         counts.append(calls[0])
     assert max(counts) <= 6
-    assert sum(counts) / len(counts) <= 4.5
+    assert sum(counts) / len(counts) <= 4.0
 
 
 def test_tune_builds_parameters_once(monkeypatch):
@@ -450,27 +456,6 @@ def test_root_probes_at_least_tol_inside(f):
             assert a + tol <= t <= b - tol, (a, b, tol, t)
 
 
-def _probe_scalars(alg, eps, d, t):
-    """(p, p_comp, q, q_comp, tail_mean, err, m) of tune's probe at the
-    builder threshold t (gamma or g_std): the law's mass helper,
-    eps0 = eps - ln(q/q_comp), _q_and_m and the law's scalar error, as tune
-    evaluates them."""
-    if alg == "privunit":
-        mass, err = privunit._cap_mass, privunit._cap_err
-    else:
-        mass, err = privunitg._gauss_mass, privunitg._gauss_err
-    gamma, q_comp, tail_mean = mass(d, t)
-    eps0 = eps - (math.log(1.0 - q_comp) - math.log(q_comp))
-    p, p_comp = tuner._sigmoid(eps0), tuner._sigmoid(-eps0)
-    q, m = privunit._q_and_m(p, p_comp, q_comp, tail_mean)
-    return p, p_comp, q, q_comp, tail_mean, err(d, p, p_comp, q, q_comp, gamma, m), m
-
-
-def _probe(alg, eps, d, t):
-    """(err, m) of tune's probe at the builder threshold t."""
-    return _probe_scalars(alg, eps, d, t)[-2:]
-
-
 def _floats_around(t, n):
     # t and the n floats on either side of it
     out, below, above = [t], t, t
@@ -480,7 +465,11 @@ def _floats_around(t, n):
     return out
 
 
-@pytest.mark.parametrize("eps,d", [(128.0, 6), (448.0, 24), (700.0, 38), (256.0, 14)])
+# PrivUnit points on the float-gamma stairs, between the envelope's dimensions
+_STAIRS = [(128.0, 6), (448.0, 24), (700.0, 38), (256.0, 14)]
+
+
+@pytest.mark.parametrize("eps,d", _STAIRS)
 def test_tune_settles_on_the_lowest_nearby_stair(eps, d):
     # near gamma = 1 a float gamma resolves x = (1 - gamma)/2 only to its
     # spacing, so PrivUnit's error is a staircase (at large eps, for d from
@@ -488,10 +477,10 @@ def test_tune_settles_on_the_lowest_nearby_stair(eps, d):
     # no higher than a probe's at any float gamma within 64 ulps of its own
     res = tuner.tune(eps, d, "privunit")
     near = [g for g in _floats_around(res.params.gamma, 64) if g < 1.0]
-    assert res.err_star <= min(_probe("privunit", eps, d, g)[0] for g in near)
+    assert res.err_star <= min(tuner._probe("privunit", eps, d, g)[-2] for g in near)
 
 
-@pytest.mark.parametrize("eps,d", [(128.0, 6), (448.0, 24), (700.0, 38), (256.0, 14), (64.0, 3), (256.0, 16)])
+@pytest.mark.parametrize("eps,d", _STAIRS + [(64.0, 3), (256.0, 16)])
 def test_tune_probes_no_float_gamma_twice_in_a_row(monkeypatch, eps, d):
     # on the stairs many search variables round to one float gamma; a probe
     # whose threshold is the one before it ends the search, which would
@@ -507,15 +496,26 @@ def test_tune_probes_no_float_gamma_twice_in_a_row(monkeypatch, eps, d):
     assert all(s != t for s, t in zip(seen, seen[1:])) and len(seen) <= 6
 
 
-def _bracket(alg, eps, d):
-    # tune's bracket in its search variable: s = -ln x for PrivUnit, g_std for PrivUnitG
-    y = tuner._sigmoid(-eps)
-    if alg == "privunitg":
-        return 0.0, -specfun.inv_std_normal_cdf(y)
-    if privunit._cap_mass(d, tuner._GAMMA_EDGE)[1] >= y:
-        return tuner._LN2, tuner._S_EDGE
-    a = 0.5 * (d - 1)
-    return tuner._LN2, -math.log(specfun.inv_reg_inc_beta(y, a, a))
+def test_tune_evaluates_the_smallest_cap_at_most_once(monkeypatch):
+    # where the bracket stops at the smallest float cap, gamma = 1 - 2^-53,
+    # only the search probes that cap: a Newton step past the end probes
+    # b - tol, which rounds onto it, so no tune evaluates it twice
+    probed = []
+
+    def recorded(alg, eps, d, t, _f=tuner._probe):
+        probed.append(t)
+        return _f(alg, eps, d, t)
+
+    monkeypatch.setattr(tuner, "_probe", recorded)
+    points = [(alg, eps, d) for alg in ("privunit", "privunitg") for eps in _ENVELOPE_EPS for d in _ENVELOPE_D]
+    points += [("privunit", eps, d) for eps, d in _STAIRS]
+    edge = []
+    for alg, eps, d in points:
+        probed.clear()
+        tuner.tune(eps, d, alg)
+        edge.append(probed.count(tuner._GAMMA_EDGE))
+        assert edge[-1] <= 1, (alg, eps, d)
+    assert 1 in edge
 
 
 def _threshold(alg, u):
@@ -539,12 +539,12 @@ def test_residual_is_the_error_slope(eps, d, alg):
     # residual's: central differences with a step h of 1e-5 of the bracket
     # truncate at about h^2 relative, 1e-10, and 1e-5 leaves room for the
     # error's rounding over 2h (they agree to 4e-7 or better here)
-    lo, hi = _bracket(alg, eps, d)
+    lo, hi, _ = tuner._bracket(alg, eps, d)
     h = 1e-5 * (hi - lo)
 
     def at(u):
         t = _threshold(alg, u)
-        e, m = _probe(alg, eps, d, t)
+        e, m = tuner._probe(alg, eps, d, t)[-2:]
         return (e, m) + tuner._residual(alg, d, t, e, m)
 
     for frac in (0.1, 0.3, 0.6, 0.9):
@@ -563,12 +563,12 @@ def test_search_residual_has_the_condition_sign_and_slope(eps, d, alg):
     # tuner._residual: at the points of test_residual_is_the_error_slope, R
     # has r's sign, so both have one root, and R' matches central
     # differences of R to 1e-5 (3e-9 or better here)
-    lo, hi = _bracket(alg, eps, d)
+    lo, hi, _ = tuner._bracket(alg, eps, d)
     h = 1e-5 * (hi - lo)
 
     def at(u):
         t = _threshold(alg, u)
-        scalars = _probe_scalars(alg, eps, d, t)
+        scalars = tuner._probe(alg, eps, d, t)[1:]
         return tuner._residual(alg, d, t, *scalars[-2:])[0], tuner._search_residual(alg, d, t, *scalars)
 
     for frac in (0.1, 0.3, 0.6, 0.9):
@@ -592,31 +592,33 @@ def test_tuned_threshold_meets_the_first_order_condition(eps, d, alg):
     #   tol leaves a bracket under 2 tol around it, a Newton step one under tol);
     # - res, the spacing of the float threshold in the search variable:
     #   ulp(gamma)/(2x) in s for PrivUnit, ulp(g) for PrivUnitG;
-    # - tie: tune stores the probe of least float error, which need not be
-    #   the last one. A probe Delta from the root has an error E'' Delta^2/2
+    # - tie: tune stores its last probe, except where a probe rounds onto the
+    #   float threshold of the one before it (PrivUnit's stairs): there it
+    #   stores the probe of least float error seen, which need not be the
+    #   last one. A probe Delta from the root has an error E'' Delta^2/2
     #   above the optimum's (E'' = -c r' at the root), so it can beat the
     #   last probe only if E'' (Delta^2 - (2 tol)^2)/2 is at most the spread
     #   rho of the float error's rounding, taken over the 129 floats nearest
     #   t, where the true error is flat far below rho: then
-    #   Delta <= 2 tol + sqrt(2 rho/E'').
+    #   Delta <= 2 tol + sqrt(2 rho/E''). Over the envelope every tune not
+    #   stored at the smallest cap lies within half of 2 tol + res.
     # Where the smallest float cap ends the bracket and is stored, the root
     # lies beyond it: r >= 0 there.
     pr = tuner.tune(eps, d, alg).params
     t = pr.gamma if alg == "privunit" else pr.g_std
-    e, m = _probe(alg, eps, d, t)
+    e, m = tuner._probe(alg, eps, d, t)[-2:]
     r, dr = tuner._residual(alg, d, t, e, m)
     if t == tuner._GAMMA_EDGE:
         assert r >= 0.0
         return
-    lo, hi = _bracket(alg, eps, d)
-    tol = tuner._TOL * (hi - lo) / min(1.0, eps)
+    tol = tuner._bracket(alg, eps, d)[2]
     if alg == "privunit":
         res = math.ulp(t) / (1.0 - t)
         near = [u for u in _floats_around(t, 64) if u < 1.0]
     else:
         res = math.ulp(t)
         near = _floats_around(t, 64)
-    errs = [_probe(alg, eps, d, u)[0] for u in near]
+    errs = [tuner._probe(alg, eps, d, u)[-2] for u in near]
     tie = math.sqrt(2.0 * (max(errs) - min(errs)) / (-_err_slope_factor(alg, d, t, m) * dr))
     assert abs(r / dr) <= 2.0 * tol + res + tie, (abs(r / dr) / tol, res / tol, tie / tol)
 
