@@ -28,18 +28,14 @@ __all__ = ["LpInstance", "LpSolution", "lp_instance", "solve_greedy", "verify_ca
 
 @dataclass(frozen=True)
 class LpInstance:
-    """K equal arcs on the circle with midpoints (2j+1)*pi/K, paired by
-    reflection about the x-axis: reflect(j) = K-1-j. arc_measure is the
-    arc length 2*pi/K; arc_mean_x the average of cos over each arc."""
+    """K equal arcs on the circle with midpoints (2j+1)*pi/K; arcs j and
+    K-1-j are mirror images about the x-axis. arc_measure is the arc length
+    2*pi/K; arc_mean_x the average of cos over each arc."""
 
     K: int
     eps: float
-    midpoints: np.ndarray
     arc_measure: float
     arc_mean_x: np.ndarray
-
-    def reflect(self, i: int) -> int:
-        return self.K - 1 - i
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,6 @@ def lp_instance(K: int, eps: float) -> LpInstance:
     return LpInstance(
         K=K,
         eps=float(eps),
-        midpoints=midpoints,
         arc_measure=2.0 * math.pi / K,
         arc_mean_x=np.cos(midpoints) * damp,
     )

@@ -11,12 +11,16 @@ needs on the order of sqrt(a + b) terms, so its iteration budget,
 
 Each algorithm is written once. The normal quantile is the standard
 library's ``statistics.NormalDist.inv_cdf``, Wichura's AS241 (1988),
-accurate to double precision without refinement. The inverse incomplete
-beta starts from one function for every shape (A&S 26.5.22 for shapes >= 1,
-power-law tails otherwise) and refines by safeguarded Newton. No sampler
-inverts a cdf: the samplers draw by rejection (``sphere._draw_above``). The
-private ``*_vec`` names apply the one-value inverses elementwise to an array
-and are kept for callers that look them up by name; numpy serves only them.
+accurate to double precision without refinement. ``_root`` is the
+package's one safeguarded Newton root finder, and the tuner's search runs
+it too. The inverse incomplete beta starts from one function for every
+shape (A&S 26.5.22 for shapes >= 1, power-law tails otherwise) and refines
+by one ``_root`` search on ln I in ln x. Newton solves that exactly where I
+is a power law of x, so a cap mass sigmoid(-eps) of the envelope takes at
+most 4 fraction evaluations. No sampler inverts a cdf: the samplers draw by
+rejection (``sphere._draw_above``). The private ``*_vec`` names apply the
+one-value inverses elementwise to an array and are kept for callers that
+look them up by name; numpy serves only them.
 """
 
 from __future__ import annotations
@@ -43,8 +47,12 @@ _LN_2SQRTPI = math.log(2.0 * math.sqrt(math.pi))
 # public function promises, so the CF never limits it
 _CF_EPS = 1e-15
 _FPMIN = 1e-300
-# iteration cap of the inverse's Newton loop
-_MAX_ITER = 200
+# s = -ln x of the smallest double, the far end of the inverse's search
+_S_MAX = -math.log(5e-324)
+# the tolerance of a root's abscissa, the square root of the double epsilon:
+# absolute in the inverse's s = -ln x, and a fraction of the bracket in the
+# tuner's search, where the error's differences below it sink into rounding
+_TOL = 2.0**-26
 # the one normal quantile of the package, also A&S 26.5.22's
 _STD_NORMAL = statistics.NormalDist()
 
@@ -179,14 +187,54 @@ def _beta_start(y: float, a: float, b: float) -> float:
     return (a * s * y) ** (1.0 / a) if y < t / s else 1.0 - (b * s * (1.0 - y)) ** (1.0 / b)
 
 
+def _root(f, t: float, a: float, b: float, tol: float) -> None:
+    """A root in (a, b), to an absolute tolerance tol, of a residual that is
+    positive below it and negative above; f(t) returns (r, dr/dt) and keeps
+    what the caller needs, or None to end the search. Newton steps from the
+    start t, a bisection where a step leaves the bracket of the root or
+    fails to halve the step before it (Numerical Recipes' rtsafe), until a
+    Newton correction or a step is below tol: a correction below tol ends
+    the search also where it rounds onto t. A Newton step past b while no
+    probe has bounded the root from above probes b - tol instead of
+    bisecting, so a root beyond b takes two probes, not a walk. Probes,
+    the start among them, are clamped to [a + tol, b - tol]: a residual of
+    one sign ends at that end."""
+    lo, hi, end = a + tol, b - tol, b
+    t, step = min(max(t, lo), hi), b - a
+    while True:
+        rd = f(t)
+        if rd is None:
+            return
+        r, dr = rd
+        if r > 0.0:
+            a = t
+        elif r < 0.0:
+            b = t
+        if dr < 0.0 and abs(r) < -dr * tol:
+            return
+        u = t - r / dr if dr < 0.0 else t
+        if u >= b == end:
+            u = hi
+        elif not (a < u < b and abs(u - t) <= 0.5 * step):
+            u = 0.5 * (a + b)
+        u = min(max(u, lo), hi)
+        step = abs(u - t)
+        if step < tol:
+            return
+        t = u
+
+
 def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     """Inverse of ``reg_inc_beta`` in x: returns x with I_x(a, b) = y.
 
-    Starts from ``_beta_start`` and refines by safeguarded Newton; falls
-    back to bisection whenever a step leaves the current bracket, so
-    convergence is guaranteed for monotone I_x. The Newton step on ln I
-    taken from |ln I_x - ln y| <= 1e-7 is returned without evaluating I again:
-    it leaves a residual near 1e-14, and callers evaluate I where they need it.
+    Starts from ``_beta_start`` and refines by one ``_root`` search on
+    r(s) = ln I - ln y in s = -ln x, which Newton solves in one step where I
+    is a power law of x, as in both tails. Below the switch point r is
+    ln front + ln(CF/a), so it does not underflow. The last probe's Newton
+    correction is applied to that probe's own x, x exp(r/(dr/ds)), without
+    evaluating I again. A root below the smallest double comes back as 0.0.
+    Raises NumericsError where the complement 1 - front CF/b cancels to 0 or
+    below, at shapes far past a sphere's (a = 1.3e14, b = 1.9e7).
     """
     _check_shapes(a, b)
     if not (0.0 <= y <= 1.0):
@@ -202,45 +250,33 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
         # and the kernel evaluations then carry full relative precision
         # instead of cancelling against 1
         return 1.0 - inv_reg_inc_beta(1.0 - y, b, a)
-    ln_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    x = min(max(_beta_start(y, a, b), _FPMIN), 1.0 - 1e-16)
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_ITER):
-        cur = reg_inc_beta(x, a, b)
-        f = cur - y
-        if f > 0.0:
-            hi = x
-        elif f < 0.0:
-            lo = x
+    ln_y, switch = math.log(y), (a + 1.0) / (a + b + 2.0)
+    x0 = min(max(_beta_start(y, a, b), _FPMIN), 1.0 - 1e-16)
+    last = None
+
+    def residual(s: float) -> tuple[float, float]:
+        # keeps (x, r, dr/ds): d ln I/ds = -front/((1 - x) I), and below the
+        # switch point I = front CF/a
+        nonlocal last
+        x = math.exp(-s)
+        ln_front = _ln_front(x, a, b)
+        if x < switch:
+            cf = _beta_cf(x, a, b)
+            last = (x, ln_front + math.log(cf / a) - ln_y, -a / ((1.0 - x) * cf))
         else:
-            return x
-        # residual measured relative to the target mass (y <= 1/2 after the
-        # complement reduction, and the CF side evaluates that tail without
-        # cancellation); the bracket test is the fallback where the
-        # edge-singular pdf of sub-1 shapes makes the residual unreachable
-        if abs(f) <= 1e-12 * y or hi - lo <= 1e-15 * min(x, 1.0 - x):
-            return x
-        ln_pdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_b
-        x_new = 0.5 * (lo + hi)
-        if ln_pdf > -700.0:
-            if cur > 0.0:
-                # Newton on ln I: far better conditioned deep in the tail
-                ln_res = math.log(cur) - math.log(y)
-                step = -ln_res * cur * math.exp(-ln_pdf)
-            else:
-                ln_res, step = math.inf, -f * math.exp(-ln_pdf)
-            if lo < x + step < hi:
-                x_new = x + step
-                if abs(ln_res) <= 1e-7:
-                    return x_new
-        if x_new == x or x_new == 0.0:
-            # at float resolution, or at a root below the smallest double;
-            # neither criterion can fire
-            return x_new
-        x = x_new
-    raise NumericsError(
-        f"inverse incomplete beta did not converge (y={y}, a={a}, b={b})"
-    )
+            front = math.exp(ln_front)
+            i = _reg_inc_beta_front(x, a, b, front)
+            if not i > 0.0:
+                raise NumericsError(f"incomplete beta cancelled to {i!r} at x={x} (a={a}, b={b})")
+            last = (x, math.log(i) - ln_y, -front / ((1.0 - x) * i))
+        return last[1:]
+
+    _root(residual, -math.log(x0), 0.0, _S_MAX, _TOL)
+    x, r, dr = last
+    # the slope is 0 only where the front factor underflows above the switch
+    # point; a search that ends there ends within 2 tol of a probe on the
+    # root's other side
+    return x * math.exp(r / dr) if dr < 0.0 else x
 
 
 def std_normal_pdf(x: float) -> float:

@@ -7,9 +7,10 @@ Error is monotone improving toward the constraint boundary for both
 randomizers, so the 2-D constrained problem reduces to a 1-D search over
 the threshold. The dual of the paper's LP fixes the optimum there:
 gamma = m, the threshold equals the normalizer. ``_residual`` states that
-condition and certifies a tune; :func:`tune` finds its root by safeguarded
-Newton steps on its log form (``_search_residual``), which is linear in
-eps0 where the condition is exponential, in about 4 error evaluations.
+condition and certifies a tune; :func:`tune` finds its root by the
+package's one safeguarded Newton search, ``specfun._root``, on its log form
+(``_search_residual``), which is linear in eps0 where the condition is
+exponential, in about 4 error evaluations.
 The two laws differ only in their private helpers, which share one
 interface (``_law``): a mass helper (gamma, q_comp, tail_mean) at a
 threshold, and a scalar error of (d, p, p_comp, q, q_comp, gamma, m).
@@ -43,9 +44,6 @@ _LN2 = math.log(2.0)
 # the smallest cap of a float gamma: gamma = 1 - 2^-53, x = (1 - gamma)/2 = 2^-54
 _GAMMA_EDGE = 1.0 - 2.0**-53
 _S_EDGE = 54.0 * _LN2
-# the tolerance on the root's abscissa as a fraction of the bracket: the square
-# root of the double epsilon, below which the error's differences sink into its rounding
-_TOL = 2.0**-26
 
 
 def _sigmoid(t: float) -> float:
@@ -131,42 +129,6 @@ def _err_at(split: BudgetSplit, d: int, alg: str):
     return privunit.analytic_err(params).err, params
 
 
-def _root(f, a: float, b: float, tol: float) -> None:
-    """A root in (a, b), to an absolute tolerance tol, of a residual that is
-    positive below it and negative above; f(t) returns (r, dr/dt) and keeps
-    what the caller needs, or None to end the search. Newton steps from the
-    midpoint, a bisection where a step leaves the bracket of the root or
-    fails to halve the step before it (Numerical Recipes' rtsafe), until a
-    Newton correction or a step is below tol: a correction below tol ends
-    the search also where it rounds onto t. A Newton step past b while no
-    probe has bounded the root from above probes b - tol instead of
-    bisecting, so a root beyond b takes two probes, not a walk. Probes are
-    clamped to [a + tol, b - tol]: a residual of one sign ends at that end."""
-    lo, hi, end = a + tol, b - tol, b
-    t, step = 0.5 * (a + b), b - a
-    while True:
-        rd = f(t)
-        if rd is None:
-            return
-        r, dr = rd
-        if r > 0.0:
-            a = t
-        elif r < 0.0:
-            b = t
-        if dr < 0.0 and abs(r) < -dr * tol:
-            return
-        u = t - r / dr if dr < 0.0 else t
-        if u >= b == end:
-            u = hi
-        elif not (a < u < b and abs(u - t) <= 0.5 * step):
-            u = 0.5 * (a + b)
-        u = min(max(u, lo), hi)
-        step = abs(u - t)
-        if step < tol:
-            return
-        t = u
-
-
 def _residual(alg: str, d: int, t: float, e: float, m: float) -> tuple[float, float]:
     """The residual of gamma = m, positive while the error falls, and its
     slope in the search variable, at a probe of threshold t (gamma or g_std),
@@ -227,8 +189,8 @@ def _search_residual(alg: str, d: int, t: float, p: float, p_comp: float, q: flo
 def _bracket(alg: str, eps: float, d: int) -> tuple[float, float, float]:
     """(lo, hi, tol) of tune's search: from eps1 = 0 (s = ln 2, g_std = 0) to
     the threshold of mass sigmoid(-eps), or, with no cdf inverted, to the
-    smallest float cap where that lies past it; tol is _TOL of the bracket,
-    over eps where eps < 1."""
+    smallest float cap where that lies past it; tol is ``specfun._TOL`` of
+    the bracket, over eps where eps < 1."""
     y = _sigmoid(-eps)  # the mass at which eps1 = eps
     if alg == "privunitg":
         lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
@@ -237,7 +199,7 @@ def _bracket(alg: str, eps: float, d: int) -> tuple[float, float, float]:
     else:
         a = 0.5 * (d - 1)
         lo, hi = _LN2, -math.log(specfun.inv_reg_inc_beta(y, a, a))
-    return lo, hi, _TOL * (hi - lo) / min(1.0, eps)
+    return lo, hi, specfun._TOL * (hi - lo) / min(1.0, eps)
 
 
 def _probe(alg: str, eps: float, d: int, t: float) -> tuple:
@@ -256,16 +218,17 @@ def _probe(alg: str, eps: float, d: int, t: float) -> tuple:
 def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
-    One root find (``_root``) of the first-order condition, gamma = m
-    (``_residual``), in its log form R = ln(p_comp*/p_comp)
-    (``_search_residual``), over the threshold that the builders take and
-    the sampler draws with: s = -ln x with x = (1 - gamma)/2 for PrivUnit,
-    g = g_std for PrivUnitG, in the bracket of ``_bracket``. A probe
-    (``_probe``) evaluates its threshold's mass q_comp once, takes
-    eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1, so it spends the
-    whole budget and needs no quantile inversion. Every probe is feasible:
-    ``_root`` probes at least tol inside the bracket, so its mass is at least
-    sigmoid(-eps) > 0, and p_comp <= 1/2 and q_comp < 1/2 pass ``_q_and_m``.
+    One root find (``specfun._root``, from the bracket's midpoint) of the
+    first-order condition, gamma = m (``_residual``), in its log form
+    R = ln(p_comp*/p_comp) (``_search_residual``), over the threshold that
+    the builders take and the sampler draws with: s = -ln x with
+    x = (1 - gamma)/2 for PrivUnit, g = g_std for PrivUnitG, in the bracket
+    of ``_bracket``. A probe (``_probe``) evaluates its threshold's mass
+    q_comp once, takes eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1,
+    so it spends the whole budget and needs no quantile inversion. Every
+    probe is feasible: ``_root`` probes at least tol inside the bracket, so
+    its mass is at least sigmoid(-eps) > 0, and p_comp <= 1/2 and
+    q_comp < 1/2 pass ``_q_and_m``.
     A probe evaluates scalars by the law's mass and error helpers, which the
     builders and ``analytic_err`` wrap, so it builds no parameter object and
     its error is the built parameters' bit for bit. A float gamma expresses
@@ -303,7 +266,8 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
             best = last
         return _search_residual(alg, d, t, p, p_comp, q, q_comp, tail_mean, e, m)
 
-    _root(residual, *_bracket(alg, eps, d))
+    lo, hi, tol = _bracket(alg, eps, d)
+    specfun._root(residual, 0.5 * (lo + hi), lo, hi, tol)
     err_star, eps0, t, q_comp = last
     # the winner's object is built once; where rounding puts its budget above
     # eps, the excess comes back from eps0 in doubling steps (2^-52 at least:

@@ -38,9 +38,7 @@ def test_instance_geometry_and_reflection():
     assert inst.arc_measure == pytest.approx(2.0 * math.pi / 36.0, rel=1e-15)
     assert float(np.sum(inst.arc_mean_x)) == pytest.approx(0.0, abs=1e-12)
     for i in range(36):
-        r = inst.reflect(i)
-        assert inst.midpoints[i] + inst.midpoints[r] == pytest.approx(2.0 * math.pi, rel=1e-15)
-        assert inst.arc_mean_x[i] == pytest.approx(inst.arc_mean_x[r], abs=1e-15)
+        assert inst.arc_mean_x[i] == pytest.approx(inst.arc_mean_x[inst.K - 1 - i], abs=1e-15)
     # arc averaging damps cos by sin(pi/K)/(pi/K) < 1
     assert float(np.max(inst.arc_mean_x)) < math.cos(math.pi / 36.0) + 1e-12
 

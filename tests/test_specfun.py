@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldpmean import cli, tuner
+from ldpmean import cli, sphere, tuner
 from ldpmean import specfun as sf
 from ldpmean.errors import NumericsError
 
@@ -128,11 +128,60 @@ def test_inv_reg_inc_beta_monotone():
 
 
 def test_inv_reg_inc_beta_newton_step_where_the_mass_underflows():
-    # the start at y = 1e-300 lies where I_x underflows to 0, so the first
-    # step is Newton's on I itself rather than on ln I
+    # the start at y = 1e-300 lies where I_x underflows to 0 as a double;
+    # the residual ln I - ln y is taken as ln front + ln(CF/a), which does
+    # not, so Newton's steps in s = -ln x start from there
     x = sf.inv_reg_inc_beta(1e-300, 1.5, 1.5)
     assert x == pytest.approx(7.02695916600467e-201, rel=1e-12)
     assert sf.reg_inc_beta(x, 1.5, 1.5) == pytest.approx(1e-300, rel=1e-12)
+
+
+# the cap masses sigmoid(-eps) at the envelope's eps and 128, and y from 1e-300 to 0.45
+_CAP_EPS = (1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 128.0, 256.0, 512.0, 700.0)
+_CAP_TARGETS = [math.exp(-e) / (1.0 + math.exp(-e)) for e in _CAP_EPS] + [10.0**k for k in range(-300, 0, 7)] + [0.2, 0.45]
+
+
+@pytest.mark.parametrize("y", _CAP_TARGETS)
+def test_inv_reg_inc_beta_closed_forms(y):
+    # I_x(1, 1) = x, and I_x(1/2, 1/2) = (2/pi) asin(sqrt x), so x = sin(pi y/2)^2:
+    # to 1e-13 relative, to one step of the subnormal grid where that root
+    # is subnormal, and 0.0 where it underflows
+    assert sf.inv_reg_inc_beta(y, 1.0, 1.0) == pytest.approx(y, rel=1e-13, abs=0.0)
+    ref = math.sin(0.5 * math.pi * y) ** 2
+    x = sf.inv_reg_inc_beta(y, 0.5, 0.5)
+    if ref == 0.0:
+        assert x == 0.0
+    else:
+        assert x == pytest.approx(ref, rel=1e-13, abs=5e-324)
+
+
+def test_inv_reg_inc_beta_fraction_evaluations(monkeypatch):
+    # Newton's steps on ln I in s = -ln x are exact where I is a power law of
+    # x, so every cap threshold of sigmoid(-eps) takes at most 4 fractions;
+    # bisecting x took 79 at d = 2 (eps 512, 700) and d = 4 (eps 700)
+    calls = []
+    cf = sf._beta_cf
+    monkeypatch.setattr(sf, "_beta_cf", lambda *args: calls.append(args) or cf(*args))
+    for d in (2, 3, 4, 5, 6, 16, 44, 1024, 50_000, 1_000_000):
+        for eps in _CAP_EPS:
+            calls.clear()
+            sphere.inv_marginal_cdf(math.exp(-eps) / (1.0 + math.exp(-eps)), d)
+            assert len(calls) <= 4, (d, eps, len(calls))
+
+
+def test_inv_reg_inc_beta_keeps_a_last_probe_of_zero_slope(monkeypatch):
+    # at x = exp(-tol) the front factor of I_x(1e5, 1e5) underflows, so the
+    # slope is 0 and no Newton correction applies: a search that ended there
+    # returns the probe's own x
+    monkeypatch.setattr(sf, "_root", lambda f, t, a, b, tol: f(a + tol))
+    assert sf.inv_reg_inc_beta(0.3, 1e5, 1e5) == math.exp(-sf._TOL)
+
+
+def test_inv_reg_inc_beta_raises_where_the_complement_cancels():
+    # past any sphere's shapes the front factor's lgamma terms carry no
+    # digits, and 1 - front CF/b falls below 0
+    with pytest.raises(NumericsError, match="incomplete beta cancelled"):
+        sf.inv_reg_inc_beta(0.4998853612457457, 130808396737777.1, 19454439.575515486)
 
 
 def test_continued_fraction_budget_exhausted_raises(monkeypatch, capsys):
@@ -146,12 +195,6 @@ def test_continued_fraction_budget_exhausted_raises(monkeypatch, capsys):
     assert cli.main(["tune", "--alg", "privunit", "--eps", "8", "--d", "1024"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: incomplete beta continued fraction")
-
-
-def test_inv_reg_inc_beta_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(sf, "_MAX_ITER", 1)
-    with pytest.raises(NumericsError, match="inverse incomplete beta did not converge"):
-        sf.inv_reg_inc_beta(0.3, 7.5, 7.5)
 
 
 def test_std_normal_cdf_reference_and_quadrature():

@@ -372,7 +372,7 @@ def _root_probes(f, a, b, tol):
         probes.append(t)
         return f(t)
 
-    tuner._root(recorded, a, b, tol)
+    specfun._root(recorded, 0.5 * (a + b), a, b, tol)
     return probes
 
 
@@ -383,6 +383,24 @@ def test_root_finds_an_interior_root():
     # Newton's steps converge in a handful of probes; bisection alone
     # would take log2(3/tol) = 28
     assert len(probes) <= 8
+
+
+def test_root_starts_from_its_clamped_start():
+    # a start on the root ends after one probe; a start outside the bracket
+    # is clamped to tol inside it, like any other probe
+    tol = 1e-8
+    probes = []
+
+    def f(t):
+        probes.append(t)
+        return 0.3 - t, -1.0
+
+    specfun._root(f, 0.3, 0.0, 1.0, tol)
+    assert probes == [0.3]
+    for start, first in ((-5.0, tol), (7.0, 1.0 - tol)):
+        probes.clear()
+        specfun._root(f, start, 0.0, 1.0, tol)
+        assert probes[0] == first and abs(probes[-1] - 0.3) <= tol
 
 
 def test_root_bisects_where_newton_steps_creep():
@@ -439,7 +457,7 @@ def test_root_ends_when_the_residual_returns_none():
         probes.append(t)
         return (0.3 - t, -1.0) if len(probes) == 1 else None
 
-    tuner._root(f, 0.0, 1.0, 1e-8)
+    specfun._root(f, 0.5, 0.0, 1.0, 1e-8)
     assert probes == [0.5, 0.3]
 
 
