@@ -1,6 +1,7 @@
 """Special-function kernel: the regularized incomplete beta and its inverse,
 and the standard normal pdf/cdf/quantile. ln Gamma comes from
-``math.lgamma``.
+``math.lgamma``, and ln B from Stirling's series where a shape is 20 or
+more.
 
 All public functions are scalar and pure. The continued-fraction incomplete
 beta is evaluated in log space so that shape parameters of order 10^5 (half
@@ -9,18 +10,15 @@ that show up at large privacy budgets. Near its switch point the fraction
 needs on the order of sqrt(a + b) terms, so its iteration budget,
 200 + 4 sqrt(a + b), comes from the shapes.
 
-Each algorithm is written once. The normal quantile is the standard
-library's ``statistics.NormalDist.inv_cdf``, Wichura's AS241 (1988),
-accurate to double precision without refinement. ``_root`` is the
-package's one safeguarded Newton root finder, and the tuner's search runs
-it too. The inverse incomplete beta starts from one function for every
-shape (A&S 26.5.22 for shapes >= 1, power-law tails otherwise) and refines
-by one ``_root`` search on ln I in ln x. Newton solves that exactly where I
-is a power law of x, so a cap mass sigmoid(-eps) of the envelope takes at
-most 4 fraction evaluations. No sampler inverts a cdf: the samplers draw by
-rejection (``sphere._draw_above``). The private ``*_vec`` names apply the
-one-value inverses elementwise to an array and are kept for callers that
-look them up by name; numpy serves only them.
+Each algorithm is written once. The normal quantile is
+``statistics.NormalDist.inv_cdf`` (Wichura's AS241), accurate to double
+precision. ``_root`` is the package's one safeguarded Newton root finder,
+run by the tuner and by the inverse incomplete beta, which refines one
+start for every shape (``_beta_start``) in ln x: at most 4 fraction
+evaluations per cap mass sigmoid(-eps) of the envelope. No sampler inverts
+a cdf: the samplers draw by rejection (``sphere._draw_above``). The private
+``*_vec`` names apply the one-value inverses elementwise to an array and
+are kept for callers that look them up by name; numpy serves only them.
 """
 
 from __future__ import annotations
@@ -43,6 +41,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _LN_2SQRTPI = math.log(2.0 * math.sqrt(math.pi))
+_LN_SQRT2PI = 0.5 * math.log(2.0 * math.pi)
 # continued-fraction convergence threshold; tighter than every accuracy a
 # public function promises, so the CF never limits it
 _CF_EPS = 1e-15
@@ -119,9 +118,30 @@ def _ln_4a_beta_aa(a: float) -> float:
     return _LN_2SQRTPI + math.lgamma(a) - math.lgamma(a + 0.5)
 
 
+def _stirling_tail(z: float) -> float:
+    """ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2, z >= 20 (error < 1e-17)."""
+    r = 1.0 / (z * z)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r * (1.0 / 1680.0 - r / 1188.0)))) / z
+
+
+def _ln_beta(a: float, b: float) -> float:
+    """ln B(a, b). From a shape of 20 on, lgamma's values are too large to
+    leave their difference more than a few ulps (1.2e-13 of ln B at
+    a = 0.81, b = 303): each ln Gamma of 20 or more comes from Stirling's
+    series, with (z - 1/2) ln z - z collected into differences of log1p."""
+    a, b = min(a, b), max(a, b)
+    if b < 20.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    c = a + b
+    ln_b = _stirling_tail(b) - _stirling_tail(c) - (b - 0.5) * math.log1p(a / b)
+    if a < 20.0:
+        return ln_b + math.lgamma(a) - a * math.log(c) + a
+    return ln_b + _stirling_tail(a) - (a - 0.5) * math.log1p(b / a) + _LN_SQRT2PI - 0.5 * math.log(c)
+
+
 def _ln_front(x: float, a: float, b: float) -> float:
     """ln(x^a (1-x)^b / B(a, b)), the front factor of I_x(a, b), for 0 < x < 1
-    and shapes the caller has checked (so B comes from math.lgamma directly).
+    and shapes the caller has checked.
 
     For a = b it is a ln(4x(1-x)) - ln(4^a B(a, a)), two terms of moderate
     size: with y = min(x, 1-x) (1 - x is exact above 1/2), ln(4y(1-y)) is
@@ -131,7 +151,7 @@ def _ln_front(x: float, a: float, b: float) -> float:
         y = x if x <= 0.5 else 1.0 - x
         ln4xy = math.log1p(-(1.0 - 2.0 * y) ** 2) if y >= 0.25 else math.log(4.0 * y) + math.log1p(-y)
         return a * ln4xy - _ln_4a_beta_aa(a)
-    return a * math.log(x) + b * math.log1p(-x) - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
 
 
 def _check_shapes(a: float, b: float) -> None:
@@ -151,15 +171,19 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return _reg_inc_beta_front(x, a, b, math.exp(_ln_front(x, a, b)))
 
 
+def _switch(a: float, b: float) -> float:
+    return (a + 1.0) / (a + b + 2.0)
+
+
 def _reg_inc_beta_front(x: float, a: float, b: float, front: float) -> float:
     """I_x(a, b) for 0 <= x < 1, given its front factor
-    front = exp(_ln_front(x, a, b)), which is 0 at x = 0: the fraction on the side of the switch
-    point x = (a + 1)/(a + b + 2) where it converges, the complement on the
-    other, and 1/2 exactly at x = 1/2 when a = b, by symmetry. Callers that
-    need the front factor themselves evaluate it once for both."""
+    front = exp(_ln_front(x, a, b)), 0 at x = 0: the fraction up to the
+    switch point, where it converges, the complement above it, and 1/2
+    exactly at x = 1/2 when a = b. Callers that need the front factor
+    evaluate it once for both."""
     if x == 0.5 and a == b:
         return 0.5
-    if x < (a + 1.0) / (a + b + 2.0):
+    if x <= _switch(a, b):
         return front * _beta_cf(x, a, b) / a
     return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
 
@@ -197,9 +221,12 @@ def _root(f, t: float, a: float, b: float, tol: float) -> None:
     the search also where it rounds onto t. A Newton step past b while no
     probe has bounded the root from above probes b - tol instead of
     bisecting, so a root beyond b takes two probes, not a walk. Probes,
-    the start among them, are clamped to [a + tol, b - tol]: a residual of
-    one sign ends at that end."""
+    the start among them, are clamped to [a + tol, b - tol], or onto the
+    midpoint of a bracket narrower than 2 tol: a residual of one sign ends
+    at that end."""
     lo, hi, end = a + tol, b - tol, b
+    if lo > hi:
+        lo = hi = 0.5 * (a + b)
     t, step = min(max(t, lo), hi), b - a
     while True:
         rd = f(t)
@@ -227,14 +254,14 @@ def _root(f, t: float, a: float, b: float, tol: float) -> None:
 def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
     """Inverse of ``reg_inc_beta`` in x: returns x with I_x(a, b) = y.
 
-    Starts from ``_beta_start`` and refines by one ``_root`` search on
-    r(s) = ln I - ln y in s = -ln x, which Newton solves in one step where I
-    is a power law of x, as in both tails. Below the switch point r is
-    ln front + ln(CF/a), so it does not underflow. The last probe's Newton
-    correction is applied to that probe's own x, x exp(r/(dr/ds)), without
-    evaluating I again. A root below the smallest double comes back as 0.0.
-    Raises NumericsError where the complement 1 - front CF/b cancels to 0 or
-    below, at shapes far past a sphere's (a = 1.3e14, b = 1.9e7).
+    Refines ``_beta_start`` by one ``_root`` search on r(s) = ln I - ln y
+    in s = -ln x below the switch point, where r = ln front + ln(CF/a) does
+    not underflow and Newton is exact where I is a power law of x. A root
+    above it (I_x < y there, never when a = b) is 1 - x of the complement's,
+    I_{1-x}(b, a) = 1 - y. The last probe's Newton correction applies to
+    its own x, x exp(r/(dr/ds)), and stops at the switch point, passed only
+    where I is flat to the last bits of y; a root below the smallest double
+    comes back as 0.0.
     """
     _check_shapes(a, b)
     if not (0.0 <= y <= 1.0):
@@ -250,33 +277,26 @@ def inv_reg_inc_beta(y: float, a: float, b: float) -> float:
         # and the kernel evaluations then carry full relative precision
         # instead of cancelling against 1
         return 1.0 - inv_reg_inc_beta(1.0 - y, b, a)
-    ln_y, switch = math.log(y), (a + 1.0) / (a + b + 2.0)
     x0 = min(max(_beta_start(y, a, b), _FPMIN), 1.0 - 1e-16)
+    flip = a != b and reg_inc_beta(_switch(a, b), a, b) < y
+    if flip:
+        y, a, b, x0 = 1.0 - y, b, a, 1.0 - x0
+    ln_y, s_switch = math.log(y), -math.log(_switch(a, b))
     last = None
 
     def residual(s: float) -> tuple[float, float]:
-        # keeps (x, r, dr/ds): d ln I/ds = -front/((1 - x) I), and below the
-        # switch point I = front CF/a
+        # keeps (x, s, r, dr/ds), with dr/ds = -a/((1 - x) CF)
         nonlocal last
         x = math.exp(-s)
-        ln_front = _ln_front(x, a, b)
-        if x < switch:
-            cf = _beta_cf(x, a, b)
-            last = (x, ln_front + math.log(cf / a) - ln_y, -a / ((1.0 - x) * cf))
-        else:
-            front = math.exp(ln_front)
-            i = _reg_inc_beta_front(x, a, b, front)
-            if not i > 0.0:
-                raise NumericsError(f"incomplete beta cancelled to {i!r} at x={x} (a={a}, b={b})")
-            last = (x, math.log(i) - ln_y, -front / ((1.0 - x) * i))
-        return last[1:]
+        cf = _beta_cf(x, a, b)
+        last = (x, s, _ln_front(x, a, b) + math.log(cf / a) - ln_y, -a / ((1.0 - x) * cf))
+        return last[2:]
 
-    _root(residual, -math.log(x0), 0.0, _S_MAX, _TOL)
-    x, r, dr = last
-    # the slope is 0 only where the front factor underflows above the switch
-    # point; a search that ends there ends within 2 tol of a probe on the
-    # root's other side
-    return x * math.exp(r / dr) if dr < 0.0 else x
+    # _root probes at least tol inside its bracket: this one reaches the switch point
+    _root(residual, -math.log(x0), s_switch - _TOL, _S_MAX, _TOL)
+    x, s, r, dr = last
+    x *= math.exp(min(r / dr, s - s_switch))
+    return 1.0 - x if flip else x
 
 
 def std_normal_pdf(x: float) -> float:

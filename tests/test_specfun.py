@@ -169,19 +169,46 @@ def test_inv_reg_inc_beta_fraction_evaluations(monkeypatch):
             assert len(calls) <= 4, (d, eps, len(calls))
 
 
-def test_inv_reg_inc_beta_keeps_a_last_probe_of_zero_slope(monkeypatch):
-    # at x = exp(-tol) the front factor of I_x(1e5, 1e5) underflows, so the
-    # slope is 0 and no Newton correction applies: a search that ended there
-    # returns the probe's own x
-    monkeypatch.setattr(sf, "_root", lambda f, t, a, b, tol: f(a + tol))
-    assert sf.inv_reg_inc_beta(0.3, 1e5, 1e5) == math.exp(-sf._TOL)
+def test_ln_beta_keeps_its_digits_where_a_shape_is_large():
+    # lgamma(b) - lgamma(a + b) cancels where b is large (1.2e-13 of ln B at
+    # a = 0.8125, b = 302.77); Stirling's series keeps a few ulps. 60-digit references
+    for a, b, ref in ((0.8125, 302.77, -4.5013641333447342428), (435.13, 0.9447, -5.7050960595818696998),
+                      (137.4, 150.8, -200.67117490561326623), (3.5, 7.25, -6.266313171974904698),
+                      (1e6, 3.0, -40.753387493330377006)):
+        assert sf._ln_beta(a, b) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
-def test_inv_reg_inc_beta_raises_where_the_complement_cancels():
-    # past any sphere's shapes the front factor's lgamma terms carry no
-    # digits, and 1 - front CF/b falls below 0
-    with pytest.raises(NumericsError, match="incomplete beta cancelled"):
-        sf.inv_reg_inc_beta(0.4998853612457457, 130808396737777.1, 19454439.575515486)
+@pytest.mark.parametrize("y,a,b,ref", [(1e-100, 0.8125, 302.77, 2.5470523151024055518e-126),
+                                       (1e-10, 0.8125, 302.77, 1.497161444510069777e-15),
+                                       (1e-50, 435.13, 0.9447, 0.76803571696984883462),
+                                       (1e-20, 1e6, 1e-14, 0.99998868923175512128)])
+def test_inv_reg_inc_beta_skewed_shapes(y, a, b, ref):
+    # 60-digit roots. At (1e6, 1e-14) the start lies above the switch point
+    # and the root below it, where the search clamps its first probe
+    assert sf.inv_reg_inc_beta(y, a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("y,a,b,ref", [(0.4, 3.0, 0.03, 0.99999999084624139592),
+                                       (0.3, 3.0, 0.01, 0.99999999999999992738),
+                                       (0.2, 0.5, 0.02, 0.99994470768825150758),
+                                       (0.3, 1e3, 1e-10, 1.0)])
+def test_inv_reg_inc_beta_roots_near_one(y, a, b, ref):
+    # a root above the switch point comes from the complement
+    # I_{1-x}(b, a) = 1 - y in -ln(1 - x), which resolves 1 - x down to
+    # 9e-9 and below, to the last bit of x (60-digit references; the last
+    # root is 1 - 1e-1549019604)
+    assert abs(sf.inv_reg_inc_beta(y, a, b) - ref) <= 2.0**-53
+
+
+def test_inv_reg_inc_beta_stays_in_the_unit_interval_where_i_is_flat():
+    # where I is flat to the last bits of y, the Newton correction of the
+    # last probe would reach far past the switch point (exp overflows): it
+    # stops there, and no result leaves [0, 1]
+    y, a, b = 8.623868925075566e-16, 0.026822453827054643, 8.238098632908878e-18
+    assert sf.inv_reg_inc_beta(y, a, b) == pytest.approx(sf._switch(a, b), rel=1e-14)
+    for y, a, b in ((1.1752513671072511e-138, 524.4236583237968, 1.0046796133255132e-139),
+                    (1.1324863800132929e-153, 15.944523676439754, 7.480465966127058e-154)):
+        assert 0.0 <= sf.inv_reg_inc_beta(y, a, b) <= 1.0
 
 
 def test_continued_fraction_budget_exhausted_raises(monkeypatch, capsys):

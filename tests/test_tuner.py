@@ -403,6 +403,38 @@ def test_root_starts_from_its_clamped_start():
         assert probes[0] == first and abs(probes[-1] - 0.3) <= tol
 
 
+def test_root_probes_the_midpoint_of_a_bracket_narrower_than_2_tol():
+    # no probe lies tol inside a bracket narrower than 2 tol: the clamp
+    # collapses onto the midpoint, which is then the one probe, whatever the start
+    for start in (-5.0, 0.3, 7.0):
+        for tol in (0.75, 3.0):
+            probes = []
+
+            def f(t):
+                probes.append(t)
+                return 0.9 - t, -1.0
+
+            specfun._root(f, start, 0.0, 1.0, tol)
+            assert probes == [0.5], (start, tol)
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+def test_tune_where_tol_exceeds_half_the_bracket(alg):
+    # below eps = 2^-25 the bracket's tol, 2^-26 (hi - lo)/eps, is more than
+    # half of it: the one probe is its midpoint, a feasible split
+    eps, d = 1e-9, 16
+    lo, hi, tol = tuner._bracket(alg, eps, d)
+    assert tol > 0.5 * (hi - lo)
+    res = tuner.tune(eps, d, alg)
+    assert 0.0 <= res.split.eps1 <= eps and 0.0 <= res.split.eps0 <= eps
+    assert res.params.budget <= eps
+    mid = 0.5 * (lo + hi)
+    if alg == "privunit":
+        assert res.params.gamma == 1.0 - 2.0 * math.exp(-mid)
+    else:
+        assert res.params.g_std == mid
+
+
 def test_root_bisects_where_newton_steps_creep():
     # a slope 100 times too steep makes each Newton step 1% of the way to
     # the root; a step that fails to halve the one before it is replaced by
