@@ -155,9 +155,9 @@ def _cap_mass(d: int, gamma: float, q_comp: float | None = None) -> tuple[float,
     cancels in m; x is 0 or >= 2^-54. A q_comp the caller gives is kept."""
     a = 0.5 * (d - 1)
     x = 0.5 * (1.0 - gamma)
-    front = math.exp(specfun._ln_front(x, a, a)) if x > 0.0 else 0.0
+    front = math.exp(specfun._ln_front(x, a)) if x > 0.0 else 0.0
     if q_comp is None:
-        q_comp = specfun._reg_inc_beta_front(x, a, a, front)
+        q_comp = specfun._reg_inc_beta_front(x, a, front)
     return gamma, q_comp, front / a
 
 

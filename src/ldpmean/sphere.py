@@ -173,7 +173,7 @@ def marginal_cdf(t: float, d: int) -> float:
     if not (-1.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [-1, 1], got {t!r}")
     a = 0.5 * (d - 1)
-    return specfun.reg_inc_beta(0.5 * (1.0 + t), a, a)
+    return specfun.reg_inc_beta(0.5 * (1.0 + t), a)
 
 
 def inv_marginal_cdf(q: float, d: int) -> float:
@@ -182,7 +182,7 @@ def inv_marginal_cdf(q: float, d: int) -> float:
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie strictly in (0, 1), got {q!r}")
     a = 0.5 * (d - 1)
-    return 2.0 * specfun.inv_reg_inc_beta(q, a, a) - 1.0
+    return 2.0 * specfun.inv_reg_inc_beta(q, a) - 1.0
 
 
 def _draw_above(t: float, mass: float, size: int, d: int, sigma: float | None, rng: RngStream) -> np.ndarray:

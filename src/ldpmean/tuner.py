@@ -6,11 +6,10 @@ minimize the analytic error over the split.
 Error is monotone improving toward the constraint boundary for both
 randomizers, so the 2-D constrained problem reduces to a 1-D search over
 the threshold. The dual of the paper's LP fixes the optimum there:
-gamma = m, the threshold equals the normalizer. ``_residual`` states that
-condition and certifies a tune; :func:`tune` finds its root by the
-package's one safeguarded Newton search, ``specfun._root``, on its log form
-(``_search_residual``), which is linear in eps0 where the condition is
-exponential, in about 4 error evaluations.
+gamma = m, the threshold equals the normalizer. :func:`tune` finds the
+root of that condition by the package's one safeguarded Newton search,
+``specfun._root``, on its log form (``_search_residual``), which is linear
+in eps0 where the condition is exponential, in about 4 error evaluations.
 The two laws differ only in their private helpers, which share one
 interface (``_law``): a mass helper (gamma, q_comp, tail_mean) at a
 threshold, and a scalar error of (d, p, p_comp, q, q_comp, gamma, m).
@@ -129,24 +128,6 @@ def _err_at(split: BudgetSplit, d: int, alg: str):
     return privunit.analytic_err(params).err, params
 
 
-def _residual(alg: str, d: int, t: float, e: float, m: float) -> tuple[float, float]:
-    """The residual of gamma = m, positive while the error falls, and its
-    slope in the search variable, at a probe of threshold t (gamma or g_std),
-    error e and normalizer m. A saturated probe has m = c tau/(1 + c Q), with
-    c = e^eps - 1, Q = q_comp and tau = tail_mean: m'(gamma) = f m (m - gamma)/tau
-    for the law's density f. PrivUnit's residual is m - gamma = 2x - (1 - m)
-    in s = -ln x, 1 - m = e m^2/(1 + m) so that it does not cancel as
-    gamma -> 1, with f = a tau/(2x(1 - x)), a = (d - 1)/2. PrivUnitG's is
-    G = (K - g)(2d + gK) - K in g, K = m sqrt(d): K' = K(K - g), d err/dg = -G/K^2."""
-    if alg == "privunit":
-        a, x = 0.5 * (d - 1), 0.5 * (1.0 - t)
-        r = 2.0 * x - e * m * m / (1.0 + m)
-        return r, a * m * r / (1.0 - x) - 2.0 * x
-    k = m * math.sqrt(d)
-    dk, w = k * (k - t), 2.0 * d + t * k
-    return (k - t) * w - k, (dk - 1.0) * w + (k - t) * (k + t * dk) - dk
-
-
 def _search_residual(alg: str, d: int, t: float, p: float, p_comp: float, q: float, q_comp: float,
                      tail_mean: float, e: float, m: float) -> tuple[float, float]:
     """The residual that ``tune`` searches, R = ln(p_comp*/p_comp), and its
@@ -155,16 +136,17 @@ def _search_residual(alg: str, d: int, t: float, p: float, p_comp: float, q: flo
 
     With mu = tau/Q the cap mean, m = mu (q - p_comp)/q falls as p_comp
     rises, so it meets the condition's m* at p_comp* = q (1 - m*/mu): R has
-    the sign and the root of ``_residual``'s r. R is linear in eps0 where r
+    the sign and the root of m - gamma. R is linear in eps0 where m - gamma
     holds p_comp = sigmoid(-eps0) as an exponential, so Newton's steps on R
     converge from the midpoint without bisecting toward the bracket's end.
 
     PrivUnit (s = -ln x, m* = gamma): mu - gamma = (m - gamma) + mu p_comp/q
-    with m - gamma formed as ``_residual`` forms it, so it does not cancel as
+    with m - gamma = 2x - e m^2/(1 + m), which does not cancel as
     gamma -> 1; F = a tau/(1 - x) = 2x f(gamma) is the slope of q, mu' =
     F (mu - gamma)/Q and (ln p_comp)' = p F/(q Q). PrivUnitG (g = g_std):
-    K* = m* sqrt(d) is the positive root of g K^2 + (2d - 1 - g^2) K - 2dg,
-    ``_residual``'s G = 0, taken in the form that does not cancel; with
+    K* = m* sqrt(d) is the positive root of g K^2 + (2d - 1 - g^2) K - 2dg
+    = (K - g)(2d + gK) - K, the zero of the error's slope in g, taken in
+    the form that does not cancel; with
     phi = tau sqrt(d), M = phi/Q (M' = M (M - g)) and u = K*/M,
     R = ln(q (1 - u)/p_comp)."""
     if alg == "privunit":
@@ -198,7 +180,7 @@ def _bracket(alg: str, eps: float, d: int) -> tuple[float, float, float]:
         lo, hi = _LN2, _S_EDGE
     else:
         a = 0.5 * (d - 1)
-        lo, hi = _LN2, -math.log(specfun.inv_reg_inc_beta(y, a, a))
+        lo, hi = _LN2, -math.log(specfun.inv_reg_inc_beta(y, a))
     return lo, hi, specfun._TOL * (hi - lo) / min(1.0, eps)
 
 
@@ -219,7 +201,7 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     """Minimize the analytic error over saturated splits eps0 + eps1 = eps.
 
     One root find (``specfun._root``, from the bracket's midpoint) of the
-    first-order condition, gamma = m (``_residual``), in its log form
+    first-order condition, gamma = m, in its log form
     R = ln(p_comp*/p_comp) (``_search_residual``), over the threshold that
     the builders take and the sampler draws with: s = -ln x with
     x = (1 - gamma)/2 for PrivUnit, g = g_std for PrivUnitG, in the bracket
@@ -297,9 +279,11 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
 
 def c_eps(eps: float, d_limit: int = 50000) -> float:
     """The scaled error constant eps*err/d of the Gaussian randomizer, taken
-    at d_limit, within O(eps/d_limit) of its large-d limit. It falls as eps
-    grows: 0.636 at eps 32, 0.625 at 35, 0.610 at 40, 0.548 at 100 and 0.509
-    at 700 (d_limit = 50000)."""
+    at d_limit. It lies below its large-d limit by a gap that shrinks like
+    1/d_limit^2: 1.6e-11 (eps 1) to 1.4e-7 (eps 700) relative at
+    d_limit = 50000, about 400 times less at 10^6. It falls as eps grows:
+    0.636 at eps 32, 0.625 at 35, 0.610 at 40, 0.548 at 100 and 0.509 at
+    700 (d_limit = 50000)."""
     return tune(eps, d_limit, "privunitg").c_const
 
 

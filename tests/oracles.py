@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately primitive: adaptive Simpson quadrature over
-log-space integrands, one closed form (the truncated Gaussian moments, by
-the inverse Mills ratio), and nothing from the package's own kernels beyond
-math.lgamma. Slow and simple beats fast and shared-bug.
+log-space integrands, two closed forms (the truncated Gaussian moments, by
+the inverse Mills ratio, and the residual of the tuner's first-order
+condition at a probe's scalars), and nothing from the package's own kernels
+beyond math.lgamma. Slow and simple beats fast and shared-bug.
 """
 
 from __future__ import annotations
@@ -203,3 +204,23 @@ def gauss_tuned_err_scan(eps: float, d: int, points: int = 2001) -> float:
         if b - a <= 1e-15 * max(lo, 1.0):
             break
     return best
+
+
+def first_order_residual(alg: str, d: int, t: float, e: float, m: float) -> tuple[float, float]:
+    """The residual of the tuner's first-order condition gamma = m, positive
+    while the error falls, and its slope in the search variable, at a probe
+    of threshold t (gamma or g_std), error e and normalizer m; it certifies
+    a tune. A saturated probe has m = c tau/(1 + c Q), with c = e^eps - 1,
+    Q = q_comp and tau = tail_mean: m'(gamma) = f m (m - gamma)/tau for the
+    law's density f. PrivUnit's residual is m - gamma = 2x - (1 - m) in
+    s = -ln x, 1 - m = e m^2/(1 + m) so that it does not cancel as
+    gamma -> 1, with f = a tau/(2x(1 - x)), a = (d - 1)/2. PrivUnitG's is
+    G = (K - g)(2d + gK) - K in g, K = m sqrt(d): K' = K(K - g),
+    d err/dg = -G/K^2."""
+    if alg == "privunit":
+        a, x = 0.5 * (d - 1), 0.5 * (1.0 - t)
+        r = 2.0 * x - e * m * m / (1.0 + m)
+        return r, a * m * r / (1.0 - x) - 2.0 * x
+    k = m * math.sqrt(d)
+    dk, w = k * (k - t), 2.0 * d + t * k
+    return (k - t) * w - k, (dk - 1.0) * w + (k - t) * (k + t * dk) - dk

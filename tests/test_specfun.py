@@ -11,42 +11,39 @@ from oracles import beta_cdf_quad, normal_cdf_quad, trunc_gauss_moment_quad, tru
 
 
 def test_reg_inc_beta_endpoints_and_midpoint():
-    assert sf.reg_inc_beta(0.0, 3.0, 4.0) == 0.0
-    assert sf.reg_inc_beta(1.0, 3.0, 4.0) == 1.0
+    assert sf.reg_inc_beta(0.0, 3.0) == 0.0
+    assert sf.reg_inc_beta(1.0, 3.0) == 1.0
     # exact symmetry value, also for very large shapes
-    assert sf.reg_inc_beta(0.5, 2.0, 2.0) == 0.5
-    assert sf.reg_inc_beta(0.5, 24999.5, 24999.5) == 0.5
+    assert sf.reg_inc_beta(0.5, 2.0) == 0.5
+    assert sf.reg_inc_beta(0.5, 24999.5) == 0.5
 
 
 def test_reg_inc_beta_closed_forms():
     # I_x(2,2) = x^2 (3 - 2x)
     for x in (0.1, 0.25, 0.5, 0.9):
-        assert math.isclose(sf.reg_inc_beta(x, 2.0, 2.0), x * x * (3.0 - 2.0 * x), rel_tol=1e-13)
-    assert math.isclose(sf.reg_inc_beta(0.25, 2.0, 2.0), 0.15625, rel_tol=1e-14)
+        assert math.isclose(sf.reg_inc_beta(x, 2.0), x * x * (3.0 - 2.0 * x), rel_tol=1e-13)
+    assert math.isclose(sf.reg_inc_beta(0.25, 2.0), 0.15625, rel_tol=1e-14)
     # I_x(1,1) = x
-    assert math.isclose(sf.reg_inc_beta(0.37, 1.0, 1.0), 0.37, rel_tol=1e-14)
+    assert math.isclose(sf.reg_inc_beta(0.37, 1.0), 0.37, rel_tol=1e-14)
     # reference computed with 50-digit arithmetic
-    assert math.isclose(sf.reg_inc_beta(0.6, 31.5, 31.5), 0.94490609874570535151, rel_tol=1e-13)
+    assert math.isclose(sf.reg_inc_beta(0.6, 31.5), 0.94490609874570535151, rel_tol=1e-13)
 
 
 def test_reg_inc_beta_complement_symmetry():
+    # Beta(a, a) is symmetric about 1/2: I_x(a, a) = 1 - I_{1-x}(a, a)
     rng = np.random.default_rng(21)
     for _ in range(50):
         a = float(np.exp(rng.uniform(np.log(0.6), np.log(300.0))))
-        b = float(np.exp(rng.uniform(np.log(0.6), np.log(300.0))))
         x = float(rng.uniform(0.02, 0.98))
-        lhs = sf.reg_inc_beta(x, a, b)
-        rhs = 1.0 - sf.reg_inc_beta(1.0 - x, b, a)
-        assert abs(lhs - rhs) <= 1e-14
+        assert abs(sf.reg_inc_beta(x, a) - (1.0 - sf.reg_inc_beta(1.0 - x, a))) <= 1e-14
 
 
 def test_reg_inc_beta_against_quadrature():
     rng = np.random.default_rng(7)
     for _ in range(40):
         a = float(np.exp(rng.uniform(np.log(0.6), np.log(40.0))))
-        b = float(np.exp(rng.uniform(np.log(0.6), np.log(40.0))))
         x = float(rng.uniform(0.02, 0.98))
-        assert abs(sf.reg_inc_beta(x, a, b) - beta_cdf_quad(x, a, b)) <= 1e-10
+        assert abs(sf.reg_inc_beta(x, a) - beta_cdf_quad(x, a, a)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -69,61 +66,60 @@ def test_reg_inc_beta_large_symmetric_shapes(a, x, ref):
     # the front factor of I_x(a, a) is a ln(4x(1-x)) - ln(4^a B(a, a)), two
     # terms of moderate size, so its precision does not fall with the shape
     tol = 2e-13 if a < 1000.0 else 5e-13
-    assert sf.reg_inc_beta(x, a, a) == pytest.approx(ref, rel=tol, abs=0.0)
+    assert sf.reg_inc_beta(x, a) == pytest.approx(ref, rel=tol, abs=0.0)
 
 
 def test_reg_inc_beta_domain():
     with pytest.raises(ValueError):
-        sf.reg_inc_beta(-0.1, 2.0, 2.0)
+        sf.reg_inc_beta(-0.1, 2.0)
     with pytest.raises(ValueError):
-        sf.reg_inc_beta(1.1, 2.0, 2.0)
+        sf.reg_inc_beta(1.1, 2.0)
     with pytest.raises(ValueError):
-        sf.reg_inc_beta(0.5, 0.0, 2.0)
+        sf.reg_inc_beta(0.5, 0.0)
     with pytest.raises(ValueError):
-        sf.reg_inc_beta(0.5, 2.0, -1.0)
+        sf.reg_inc_beta(0.5, -1.0)
     # an infinite or NaN shape is refused up front, not by the fraction's
     # iteration budget (an OverflowError from int(inf) before)
-    for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(ValueError, match="shape parameters"):
-            sf.reg_inc_beta(0.3, a, b)
+    for a in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="shape parameter"):
+            sf.reg_inc_beta(0.3, a)
 
 
 def test_inv_reg_inc_beta_round_trip_moderate():
     rng = np.random.default_rng(3)
     for _ in range(60):
         a = float(np.exp(rng.uniform(np.log(0.6), np.log(200.0))))
-        b = float(np.exp(rng.uniform(np.log(0.6), np.log(200.0))))
         y = float(rng.uniform(1e-4, 1.0 - 1e-4))
-        x = sf.inv_reg_inc_beta(y, a, b)
+        x = sf.inv_reg_inc_beta(y, a)
         assert 0.0 < x < 1.0
-        assert abs(sf.reg_inc_beta(x, a, b) - y) <= 1e-11
+        assert abs(sf.reg_inc_beta(x, a) - y) <= 1e-11
 
 
 def test_inv_reg_inc_beta_deep_tails():
     # tail targets must be hit with small relative residual; y = 0.3455 at
     # d = 10^6 is the cap mass tune(1, 10**6, "privunit") inverts
     for y, a in ((1e-12, 31.5), (6.3e-16, 24999.5), (1e-20, 15.5), (1e-8, 0.5), (0.3455, 499999.5)):
-        x = sf.inv_reg_inc_beta(y, a, a)
-        back = sf.reg_inc_beta(x, a, a)
+        x = sf.inv_reg_inc_beta(y, a)
+        back = sf.reg_inc_beta(x, a)
         assert abs(back - y) <= 1e-10 * y
 
 
 def test_inv_reg_inc_beta_endpoints_and_midpoint():
-    assert sf.inv_reg_inc_beta(0.0, 3.0, 5.0) == 0.0
-    assert sf.inv_reg_inc_beta(1.0, 3.0, 5.0) == 1.0
-    assert sf.inv_reg_inc_beta(0.5, 17.5, 17.5) == 0.5
-    for y, a, b in ((0.5, 0.0, 2.0), (0.5, 2.0, -1.0), (-0.1, 2.0, 2.0), (1.1, 2.0, 2.0)):
+    assert sf.inv_reg_inc_beta(0.0, 3.0) == 0.0
+    assert sf.inv_reg_inc_beta(1.0, 3.0) == 1.0
+    assert sf.inv_reg_inc_beta(0.5, 17.5) == 0.5
+    for y, a in ((0.5, 0.0), (0.5, -1.0), (-0.1, 2.0), (1.1, 2.0)):
         with pytest.raises(ValueError):
-            sf.inv_reg_inc_beta(y, a, b)
+            sf.inv_reg_inc_beta(y, a)
     # refused by the kernel's own shape check, before any math.lgamma call
-    for a, b in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)):
-        with pytest.raises(ValueError, match="shape parameters"):
-            sf.inv_reg_inc_beta(0.3, a, b)
+    for a in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="shape parameter"):
+            sf.inv_reg_inc_beta(0.3, a)
 
 
 def test_inv_reg_inc_beta_monotone():
     ys = np.linspace(0.01, 0.99, 33)
-    xs = [sf.inv_reg_inc_beta(float(y), 4.5, 9.0) for y in ys]
+    xs = [sf.inv_reg_inc_beta(float(y), 4.5) for y in ys]
     assert all(x1 < x2 for x1, x2 in zip(xs, xs[1:]))
 
 
@@ -131,9 +127,9 @@ def test_inv_reg_inc_beta_newton_step_where_the_mass_underflows():
     # the start at y = 1e-300 lies where I_x underflows to 0 as a double;
     # the residual ln I - ln y is taken as ln front + ln(CF/a), which does
     # not, so Newton's steps in s = -ln x start from there
-    x = sf.inv_reg_inc_beta(1e-300, 1.5, 1.5)
+    x = sf.inv_reg_inc_beta(1e-300, 1.5)
     assert x == pytest.approx(7.02695916600467e-201, rel=1e-12)
-    assert sf.reg_inc_beta(x, 1.5, 1.5) == pytest.approx(1e-300, rel=1e-12)
+    assert sf.reg_inc_beta(x, 1.5) == pytest.approx(1e-300, rel=1e-12)
 
 
 # the cap masses sigmoid(-eps) at the envelope's eps and 128, and y from 1e-300 to 0.45
@@ -146,9 +142,9 @@ def test_inv_reg_inc_beta_closed_forms(y):
     # I_x(1, 1) = x, and I_x(1/2, 1/2) = (2/pi) asin(sqrt x), so x = sin(pi y/2)^2:
     # to 1e-13 relative, to one step of the subnormal grid where that root
     # is subnormal, and 0.0 where it underflows
-    assert sf.inv_reg_inc_beta(y, 1.0, 1.0) == pytest.approx(y, rel=1e-13, abs=0.0)
+    assert sf.inv_reg_inc_beta(y, 1.0) == pytest.approx(y, rel=1e-13, abs=0.0)
     ref = math.sin(0.5 * math.pi * y) ** 2
-    x = sf.inv_reg_inc_beta(y, 0.5, 0.5)
+    x = sf.inv_reg_inc_beta(y, 0.5)
     if ref == 0.0:
         assert x == 0.0
     else:
@@ -158,7 +154,11 @@ def test_inv_reg_inc_beta_closed_forms(y):
 def test_inv_reg_inc_beta_fraction_evaluations(monkeypatch):
     # Newton's steps on ln I in s = -ln x are exact where I is a power law of
     # x, so every cap threshold of sigmoid(-eps) takes at most 4 fractions;
-    # bisecting x took 79 at d = 2 (eps 512, 700) and d = 4 (eps 700)
+    # bisecting x took 79 at d = 2 (eps 512, 700) and d = 4 (eps 700). So
+    # does every target of the closed forms at a = 1/2 and 1: the search
+    # ends at the smallest normal double, and the last correction places a
+    # subnormal root (1e-160 at a = 1/2 took 34 where it walked the
+    # subnormals)
     calls = []
     cf = sf._beta_cf
     monkeypatch.setattr(sf, "_beta_cf", lambda *args: calls.append(args) or cf(*args))
@@ -167,48 +167,145 @@ def test_inv_reg_inc_beta_fraction_evaluations(monkeypatch):
             calls.clear()
             sphere.inv_marginal_cdf(math.exp(-eps) / (1.0 + math.exp(-eps)), d)
             assert len(calls) <= 4, (d, eps, len(calls))
-
-
-def test_ln_beta_keeps_its_digits_where_a_shape_is_large():
-    # lgamma(b) - lgamma(a + b) cancels where b is large (1.2e-13 of ln B at
-    # a = 0.8125, b = 302.77); Stirling's series keeps a few ulps. 60-digit references
-    for a, b, ref in ((0.8125, 302.77, -4.5013641333447342428), (435.13, 0.9447, -5.7050960595818696998),
-                      (137.4, 150.8, -200.67117490561326623), (3.5, 7.25, -6.266313171974904698),
-                      (1e6, 3.0, -40.753387493330377006)):
-        assert sf._ln_beta(a, b) == pytest.approx(ref, rel=1e-15, abs=0.0)
-
-
-@pytest.mark.parametrize("y,a,b,ref", [(1e-100, 0.8125, 302.77, 2.5470523151024055518e-126),
-                                       (1e-10, 0.8125, 302.77, 1.497161444510069777e-15),
-                                       (1e-50, 435.13, 0.9447, 0.76803571696984883462),
-                                       (1e-20, 1e6, 1e-14, 0.99998868923175512128)])
-def test_inv_reg_inc_beta_skewed_shapes(y, a, b, ref):
-    # 60-digit roots. At (1e6, 1e-14) the start lies above the switch point
-    # and the root below it, where the search clamps its first probe
-    assert sf.inv_reg_inc_beta(y, a, b) == pytest.approx(ref, rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize("y,a,b,ref", [(0.4, 3.0, 0.03, 0.99999999084624139592),
-                                       (0.3, 3.0, 0.01, 0.99999999999999992738),
-                                       (0.2, 0.5, 0.02, 0.99994470768825150758),
-                                       (0.3, 1e3, 1e-10, 1.0)])
-def test_inv_reg_inc_beta_roots_near_one(y, a, b, ref):
-    # a root above the switch point comes from the complement
-    # I_{1-x}(b, a) = 1 - y in -ln(1 - x), which resolves 1 - x down to
-    # 9e-9 and below, to the last bit of x (60-digit references; the last
-    # root is 1 - 1e-1549019604)
-    assert abs(sf.inv_reg_inc_beta(y, a, b) - ref) <= 2.0**-53
+    for a in (0.5, 1.0):
+        for y in _CAP_TARGETS:
+            calls.clear()
+            sf.inv_reg_inc_beta(y, a)
+            assert len(calls) <= 4, (a, y, len(calls))
 
 
 def test_inv_reg_inc_beta_stays_in_the_unit_interval_where_i_is_flat():
-    # where I is flat to the last bits of y, the Newton correction of the
-    # last probe would reach far past the switch point (exp overflows): it
-    # stops there, and no result leaves [0, 1]
-    y, a, b = 8.623868925075566e-16, 0.026822453827054643, 8.238098632908878e-18
-    assert sf.inv_reg_inc_beta(y, a, b) == pytest.approx(sf._switch(a, b), rel=1e-14)
-    for y, a, b in ((1.1752513671072511e-138, 524.4236583237968, 1.0046796133255132e-139),
-                    (1.1324863800132929e-153, 15.944523676439754, 7.480465966127058e-154)):
-        assert 0.0 <= sf.inv_reg_inc_beta(y, a, b) <= 1.0
+    # at the last double below y = 1/2 the search ends within tol of its
+    # end at x = 1/2, and the last probe's Newton correction would step past
+    # 1/2 where I is flat to the last bits of y (at a = 1/2, r/(dr/ds) is
+    # 1.4e-15 against s - ln 2 = 2.2e-16): the correction stops at 1/2, so
+    # the root stays in the lower half of the unit interval
+    for a in (0.5, 499999.5):
+        assert 0.0 <= sf.inv_reg_inc_beta(math.nextafter(0.5, 0.0), a) <= 0.5
+
+
+def _root_probes(f, a, b, tol):
+    probes = []
+
+    def recorded(t):
+        probes.append(t)
+        return f(t)
+
+    sf._root(recorded, 0.5 * (a + b), a, b, tol)
+    return probes
+
+
+def test_root_finds_an_interior_root():
+    tol = 1e-8
+    probes = _root_probes(lambda t: (math.exp(-t) - 0.5, -math.exp(-t)), 0.0, 3.0, tol)
+    assert abs(probes[-1] - math.log(2.0)) <= tol
+    # Newton's steps converge in a handful of probes; bisection alone
+    # would take log2(3/tol) = 28
+    assert len(probes) <= 8
+
+
+def test_root_starts_from_its_clamped_start():
+    # a start on the root ends after one probe; a start outside the bracket
+    # is clamped to tol inside it, like any other probe
+    tol = 1e-8
+    probes = []
+
+    def f(t):
+        probes.append(t)
+        return 0.3 - t, -1.0
+
+    sf._root(f, 0.3, 0.0, 1.0, tol)
+    assert probes == [0.3]
+    for start, first in ((-5.0, tol), (7.0, 1.0 - tol)):
+        probes.clear()
+        sf._root(f, start, 0.0, 1.0, tol)
+        assert probes[0] == first and abs(probes[-1] - 0.3) <= tol
+
+
+def test_root_probes_the_midpoint_of_a_bracket_narrower_than_2_tol():
+    # no probe lies tol inside a bracket narrower than 2 tol: the clamp
+    # collapses onto the midpoint, which is then the one probe, whatever the start
+    for start in (-5.0, 0.3, 7.0):
+        for tol in (0.75, 3.0):
+            probes = []
+
+            def f(t):
+                probes.append(t)
+                return 0.9 - t, -1.0
+
+            sf._root(f, start, 0.0, 1.0, tol)
+            assert probes == [0.5], (start, tol)
+
+
+def test_root_bisects_where_newton_steps_creep():
+    # a slope 100 times too steep makes each Newton step 1% of the way to
+    # the root; a step that fails to halve the one before it is replaced by
+    # a bisection, so the search ends within about bisection's 27 probes
+    # where the steps alone would creep on for over a thousand. It stops on
+    # a Newton step below tol, which the slope makes 100 times too short
+    tol = 1e-8
+    probes = _root_probes(lambda t: (0.3 - t, -100.0), 0.0, 1.0, tol)
+    assert abs(probes[-1] - 0.3) <= 100.0 * tol
+    assert len(probes) <= 64
+
+
+@pytest.mark.parametrize("root,end", [(2.0, 1.0), (-1.0, 0.0), (1.0 - 5e-9, 1.0), (5e-9, 0.0)])
+def test_root_walks_a_residual_of_one_sign_to_its_end(root, end):
+    # a root beyond an end of the bracket, or less than tol inside it,
+    # leaves the last probe within 2 tol of that end; a Newton step onto a
+    # root less than tol inside is clamped to tol inside
+    tol = 1e-8
+    probes = _root_probes(lambda t: (root - t, -1.0), 0.0, 1.0, tol)
+    assert abs(probes[-1] - end) <= 2.0 * tol
+    assert all(tol <= t <= 1.0 - tol for t in probes)
+
+
+def test_root_stops_on_a_newton_correction_that_rounds_onto_the_probe():
+    # a correction of 1e-17 at t = 1/2 is below ulp(t): t - r/dr rounds to
+    # t, and the search ends there rather than bisecting away from the root
+    probes = _root_probes(lambda t: (1e-17 - (t - 0.5), -1.0), 0.0, 1.0, 2.0**-26)
+    assert probes == [0.5]
+
+
+@pytest.mark.parametrize("f,root", [(lambda t: (2.0 - t, -1.0), None),
+                                    (lambda t: (0.9**3 - t**3, -3.0 * t * t), 0.9)],
+                         ids=["root-beyond-b", "root-inside"])
+def test_root_probes_the_upper_end_where_a_newton_step_passes_it(f, root):
+    # a Newton step past b, while no probe has bounded the root from above,
+    # probes b - tol in place of a midpoint: a root beyond b ends there after
+    # two probes, and one inside continues from the end by Newton steps
+    tol = 1e-8
+    probes = _root_probes(f, 0.0, 1.0, tol)
+    assert probes[:2] == [0.5, 1.0 - tol]
+    if root is None:
+        assert len(probes) == 2
+    else:
+        assert abs(probes[-1] - root) <= tol and len(probes) <= 6
+
+
+def test_root_ends_when_the_residual_returns_none():
+    # tune's residual returns None for a float threshold it probed just before
+    probes = []
+
+    def f(t):
+        probes.append(t)
+        return (0.3 - t, -1.0) if len(probes) == 1 else None
+
+    sf._root(f, 0.5, 0.0, 1.0, 1e-8)
+    assert probes == [0.5, 0.3]
+
+
+@pytest.mark.parametrize("f", [lambda t: (0.3 - t, -1.0), lambda t: (50.0 - t, -1.0), lambda t: (-3.0 - t, -1.0),
+                               lambda t: (math.exp(-t) - 0.5, -math.exp(-t)), lambda t: (0.7 - t, 1.0),
+                               lambda t: (1.0, 0.0), lambda t: (0.0, -1.0),
+                               lambda t: (math.cos(9.0 * t), -9.0 * math.sin(9.0 * t))])
+def test_root_probes_at_least_tol_inside(f):
+    # the feasibility of tune's probes rests on this: no probe reaches
+    # within tol of either end of the bracket, whatever the residual,
+    # including an exact zero and a slope that is not negative
+    for a, b, tol in ((0.0, 1.0, 1e-8), (0.69, 37.4, 2.0**-26 * 36.7), (-2.0, 5.0, 1e-3)):
+        for t in _root_probes(f, a, b, tol):
+            assert a + tol <= t <= b - tol, (a, b, tol, t)
 
 
 def test_continued_fraction_budget_exhausted_raises(monkeypatch, capsys):
@@ -216,7 +313,7 @@ def test_continued_fraction_budget_exhausted_raises(monkeypatch, capsys):
     # the CLI each report a numeric failure
     monkeypatch.setattr(sf, "_cf_budget", lambda a, b: 1)
     with pytest.raises(NumericsError, match="did not converge in 1 iterations"):
-        sf.reg_inc_beta(0.49, 50.5, 50.5)
+        sf.reg_inc_beta(0.49, 50.5)
     with pytest.raises(NumericsError):
         tuner.tune(8.0, 1024, "privunit")
     assert cli.main(["tune", "--alg", "privunit", "--eps", "8", "--d", "1024"]) == 3
@@ -356,16 +453,16 @@ def test_vectorized_kernels_match_scalar():
     rng.uniform(0.001, 0.999, size=200)  # keeps the draws below as they were
     ys = np.concatenate([rng.uniform(1e-6, 1.0 - 1e-6, size=100), [1e-12, 0.5, 1.0 - 1e-10]])
     for a in (31.5, 1023.5, 24999.5, 499999.5):
-        vec = sf._inv_reg_inc_beta_vec(ys, a, a)
-        scal = np.array([sf.inv_reg_inc_beta(float(y), a, a) for y in ys])
+        vec = sf._inv_reg_inc_beta_vec(ys, a)
+        scal = np.array([sf.inv_reg_inc_beta(float(y), a) for y in ys])
         np.testing.assert_allclose(vec, scal, rtol=0, atol=2e-13)
     # small shapes: the vec kernel starts from the same power-law tails
-    vec = sf._inv_reg_inc_beta_vec(ys[:20], 0.5, 0.5)
-    scal = np.array([sf.inv_reg_inc_beta(float(y), 0.5, 0.5) for y in ys[:20]])
+    vec = sf._inv_reg_inc_beta_vec(ys[:20], 0.5)
+    scal = np.array([sf.inv_reg_inc_beta(float(y), 0.5) for y in ys[:20]])
     np.testing.assert_allclose(vec, scal, rtol=0, atol=1e-15)
     # a root below the smallest double rounds to 0 in both kernels
-    assert sf.inv_reg_inc_beta(1.5e-190, 0.5, 0.5) == 0.0
-    assert sf._inv_reg_inc_beta_vec(np.array([1.5e-190]), 0.5, 0.5)[0] == 0.0
+    assert sf.inv_reg_inc_beta(1.5e-190, 0.5) == 0.0
+    assert sf._inv_reg_inc_beta_vec(np.array([1.5e-190]), 0.5)[0] == 0.0
     ps = rng.uniform(1e-12, 1.0 - 1e-12, size=300)
     vq = sf._inv_std_normal_cdf_vec(ps)
     sq = np.array([sf.inv_std_normal_cdf(float(p)) for p in ps])

@@ -213,12 +213,12 @@ def test_draw_above_matches_conditioned_sphere_marginal(d, mass):
     # >= 1/4 draw unrestricted, smaller ones use the d = 2, d = 3 or
     # tangent-exponential proposal; X is tested against I_x(a, a)
     a = 0.5 * (d - 1)
-    t = 1.0 - 2.0 * specfun.inv_reg_inc_beta(mass, a, a)
+    t = 1.0 - 2.0 * specfun.inv_reg_inc_beta(mass, a)
     x0 = 0.5 * (1.0 - t)
-    mass = specfun.reg_inc_beta(x0, a, a)  # P(T >= t) at the rounded t
+    mass = specfun.reg_inc_beta(x0, a)  # P(T >= t) at the rounded t
     draws = sphere._draw_above(t, mass, 2000, d, None, RngStream(61, d))
     assert np.all(draws >= t) and np.all(draws <= 1.0)
-    stat = _sqrt_n_ks(0.5 * (1.0 - draws), lambda x: specfun.reg_inc_beta(x, a, a) / mass)
+    stat = _sqrt_n_ks(0.5 * (1.0 - draws), lambda x: specfun.reg_inc_beta(x, a) / mass)
     assert stat < KS_CRIT_1PCT
 
 
@@ -266,7 +266,7 @@ def test_draw_above_power_law_conditional_mean(d, chunks):
     # neither their conditional means nor 8-bin chi-squares of 4096 draws
     # see an acceptance exponent 1.1 - a in place of 1 - a, and this one does
     a = 0.5 * (d - 1)
-    t = 1.0 - 2.0 * specfun.inv_reg_inc_beta(0.24, a, a)
+    t = 1.0 - 2.0 * specfun.inv_reg_inc_beta(0.24, a)
     _, mass, tail_mean = tuner._law("privunit")[1](d, t)
     assert mass < 0.25
     rng = RngStream(67, d)  # d = 2 needs 2^22 draws, made 2^20 at a time
@@ -302,7 +302,7 @@ def test_draw_above_chi_square_across_tuned_points(alg):
                 t, mass = (params.gamma, params.q_comp) if side == "cap" else (-params.gamma, params.q)
                 ys = [mass * (1.0 - k / 8.0) for k in range(1, 8)]
                 if sigma is None:
-                    edges = [1.0 - 2.0 * specfun.inv_reg_inc_beta(y, a, a) for y in ys]
+                    edges = [1.0 - 2.0 * specfun.inv_reg_inc_beta(y, a) for y in ys]
                 else:
                     edges = [-sigma * specfun.inv_std_normal_cdf(y) for y in ys]
                 if not all(lo < hi for lo, hi in zip([t] + edges, edges)):

@@ -13,7 +13,7 @@ from ldpmean.privunit import CapParams
 from ldpmean.privunitg import GaussParams
 from ldpmean.sphere import RngStream
 
-from oracles import gauss_tuned_err_scan
+from oracles import first_order_residual, gauss_tuned_err_scan
 
 
 # --- budget splits ----------------------------------------------------------
@@ -365,59 +365,6 @@ def test_every_probe_is_feasible(monkeypatch):
                     assert p > 0.5 and q_comp >= y * (1.0 - 1e-12), (alg, eps, d, p, q_comp)
 
 
-def _root_probes(f, a, b, tol):
-    probes = []
-
-    def recorded(t):
-        probes.append(t)
-        return f(t)
-
-    specfun._root(recorded, 0.5 * (a + b), a, b, tol)
-    return probes
-
-
-def test_root_finds_an_interior_root():
-    tol = 1e-8
-    probes = _root_probes(lambda t: (math.exp(-t) - 0.5, -math.exp(-t)), 0.0, 3.0, tol)
-    assert abs(probes[-1] - math.log(2.0)) <= tol
-    # Newton's steps converge in a handful of probes; bisection alone
-    # would take log2(3/tol) = 28
-    assert len(probes) <= 8
-
-
-def test_root_starts_from_its_clamped_start():
-    # a start on the root ends after one probe; a start outside the bracket
-    # is clamped to tol inside it, like any other probe
-    tol = 1e-8
-    probes = []
-
-    def f(t):
-        probes.append(t)
-        return 0.3 - t, -1.0
-
-    specfun._root(f, 0.3, 0.0, 1.0, tol)
-    assert probes == [0.3]
-    for start, first in ((-5.0, tol), (7.0, 1.0 - tol)):
-        probes.clear()
-        specfun._root(f, start, 0.0, 1.0, tol)
-        assert probes[0] == first and abs(probes[-1] - 0.3) <= tol
-
-
-def test_root_probes_the_midpoint_of_a_bracket_narrower_than_2_tol():
-    # no probe lies tol inside a bracket narrower than 2 tol: the clamp
-    # collapses onto the midpoint, which is then the one probe, whatever the start
-    for start in (-5.0, 0.3, 7.0):
-        for tol in (0.75, 3.0):
-            probes = []
-
-            def f(t):
-                probes.append(t)
-                return 0.9 - t, -1.0
-
-            specfun._root(f, start, 0.0, 1.0, tol)
-            assert probes == [0.5], (start, tol)
-
-
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
 def test_tune_where_tol_exceeds_half_the_bracket(alg):
     # below eps = 2^-25 the bracket's tol, 2^-26 (hi - lo)/eps, is more than
@@ -433,77 +380,6 @@ def test_tune_where_tol_exceeds_half_the_bracket(alg):
         assert res.params.gamma == 1.0 - 2.0 * math.exp(-mid)
     else:
         assert res.params.g_std == mid
-
-
-def test_root_bisects_where_newton_steps_creep():
-    # a slope 100 times too steep makes each Newton step 1% of the way to
-    # the root; a step that fails to halve the one before it is replaced by
-    # a bisection, so the search ends within about bisection's 27 probes
-    # where the steps alone would creep on for over a thousand. It stops on
-    # a Newton step below tol, which the slope makes 100 times too short
-    tol = 1e-8
-    probes = _root_probes(lambda t: (0.3 - t, -100.0), 0.0, 1.0, tol)
-    assert abs(probes[-1] - 0.3) <= 100.0 * tol
-    assert len(probes) <= 64
-
-
-@pytest.mark.parametrize("root,end", [(2.0, 1.0), (-1.0, 0.0), (1.0 - 5e-9, 1.0), (5e-9, 0.0)])
-def test_root_walks_a_residual_of_one_sign_to_its_end(root, end):
-    # a root beyond an end of the bracket, or less than tol inside it,
-    # leaves the last probe within 2 tol of that end; a Newton step onto a
-    # root less than tol inside is clamped to tol inside
-    tol = 1e-8
-    probes = _root_probes(lambda t: (root - t, -1.0), 0.0, 1.0, tol)
-    assert abs(probes[-1] - end) <= 2.0 * tol
-    assert all(tol <= t <= 1.0 - tol for t in probes)
-
-
-def test_root_stops_on_a_newton_correction_that_rounds_onto_the_probe():
-    # a correction of 1e-17 at t = 1/2 is below ulp(t): t - r/dr rounds to
-    # t, and the search ends there rather than bisecting away from the root
-    probes = _root_probes(lambda t: (1e-17 - (t - 0.5), -1.0), 0.0, 1.0, 2.0**-26)
-    assert probes == [0.5]
-
-
-@pytest.mark.parametrize("f,root", [(lambda t: (2.0 - t, -1.0), None),
-                                    (lambda t: (0.9**3 - t**3, -3.0 * t * t), 0.9)],
-                         ids=["root-beyond-b", "root-inside"])
-def test_root_probes_the_upper_end_where_a_newton_step_passes_it(f, root):
-    # a Newton step past b, while no probe has bounded the root from above,
-    # probes b - tol in place of a midpoint: a root beyond b ends there after
-    # two probes, and one inside continues from the end by Newton steps
-    tol = 1e-8
-    probes = _root_probes(f, 0.0, 1.0, tol)
-    assert probes[:2] == [0.5, 1.0 - tol]
-    if root is None:
-        assert len(probes) == 2
-    else:
-        assert abs(probes[-1] - root) <= tol and len(probes) <= 6
-
-
-def test_root_ends_when_the_residual_returns_none():
-    # tune's residual returns None for a float threshold it probed just before
-    probes = []
-
-    def f(t):
-        probes.append(t)
-        return (0.3 - t, -1.0) if len(probes) == 1 else None
-
-    specfun._root(f, 0.5, 0.0, 1.0, 1e-8)
-    assert probes == [0.5, 0.3]
-
-
-@pytest.mark.parametrize("f", [lambda t: (0.3 - t, -1.0), lambda t: (50.0 - t, -1.0), lambda t: (-3.0 - t, -1.0),
-                               lambda t: (math.exp(-t) - 0.5, -math.exp(-t)), lambda t: (0.7 - t, 1.0),
-                               lambda t: (1.0, 0.0), lambda t: (0.0, -1.0),
-                               lambda t: (math.cos(9.0 * t), -9.0 * math.sin(9.0 * t))])
-def test_root_probes_at_least_tol_inside(f):
-    # the feasibility of tune's probes rests on this: no probe reaches
-    # within tol of either end of the bracket, whatever the residual,
-    # including an exact zero and a slope that is not negative
-    for a, b, tol in ((0.0, 1.0, 1e-8), (0.69, 37.4, 2.0**-26 * 36.7), (-2.0, 5.0, 1e-3)):
-        for t in _root_probes(f, a, b, tol):
-            assert a + tol <= t <= b - tol, (a, b, tol, t)
 
 
 def _floats_around(t, n):
@@ -574,7 +450,7 @@ def _threshold(alg, u):
 
 
 def _err_slope_factor(alg, d, t, m):
-    # c > 0 with d err/du = -c r for the residual r of tuner._residual: err =
+    # c > 0 with d err/du = -c r for the residual r of first_order_residual: err =
     # 1/m^2 - 1 with dm/ds = a m r/(1 - x) for PrivUnit, d err/dg = -r/K^2
     # with K = m sqrt(d) for PrivUnitG
     if alg == "privunit":
@@ -595,7 +471,7 @@ def test_residual_is_the_error_slope(eps, d, alg):
     def at(u):
         t = _threshold(alg, u)
         e, m = tuner._probe(alg, eps, d, t)[-2:]
-        return (e, m) + tuner._residual(alg, d, t, e, m)
+        return (e, m) + first_order_residual(alg, d, t, e, m)
 
     for frac in (0.1, 0.3, 0.6, 0.9):
         u = lo + frac * (hi - lo)
@@ -610,7 +486,7 @@ def test_residual_is_the_error_slope(eps, d, alg):
 @pytest.mark.parametrize("eps,d", [(0.1, 2), (1.0, 3), (8.0, 16), (32.0, 1024), (64.0, 10**6), (256.0, 50_000)])
 def test_search_residual_has_the_condition_sign_and_slope(eps, d, alg):
     # tune searches R = ln(p_comp*/p_comp), not the certificate r of
-    # tuner._residual: at the points of test_residual_is_the_error_slope, R
+    # first_order_residual: at the points of test_residual_is_the_error_slope, R
     # has r's sign, so both have one root, and R' matches central
     # differences of R to 1e-5 (3e-9 or better here)
     lo, hi, _ = tuner._bracket(alg, eps, d)
@@ -619,7 +495,7 @@ def test_search_residual_has_the_condition_sign_and_slope(eps, d, alg):
     def at(u):
         t = _threshold(alg, u)
         scalars = tuner._probe(alg, eps, d, t)[1:]
-        return tuner._residual(alg, d, t, *scalars[-2:])[0], tuner._search_residual(alg, d, t, *scalars)
+        return first_order_residual(alg, d, t, *scalars[-2:])[0], tuner._search_residual(alg, d, t, *scalars)
 
     for frac in (0.1, 0.3, 0.6, 0.9):
         u = lo + frac * (hi - lo)
@@ -635,7 +511,7 @@ def test_search_residual_has_the_condition_sign_and_slope(eps, d, alg):
 def test_tuned_threshold_meets_the_first_order_condition(eps, d, alg):
     # the dual of the paper's LP puts the optimal threshold at gamma = m.
     # At the stored threshold t the Newton distance |r/r'| to that root
-    # (tuner._residual) is at most 2 tol + res + tie, with tol tune's own
+    # (first_order_residual) is at most 2 tol + res + tie, with tol tune's own
     # tolerance:
     # - 2 tol, the stop rule: the search stops once a step is below tol, so
     #   its last probe lies within 2 tol of the root (a bisection step below
@@ -657,7 +533,7 @@ def test_tuned_threshold_meets_the_first_order_condition(eps, d, alg):
     pr = tuner.tune(eps, d, alg).params
     t = pr.gamma if alg == "privunit" else pr.g_std
     e, m = tuner._probe(alg, eps, d, t)[-2:]
-    r, dr = tuner._residual(alg, d, t, e, m)
+    r, dr = first_order_residual(alg, d, t, e, m)
     if t == tuner._GAMMA_EDGE:
         assert r >= 0.0
         return
