@@ -17,8 +17,9 @@ mixture mean into E[W_1 1{W_1 >= gamma}] * (p/(1-q) - (1-p)/q) with
 q = P(W_1 <= gamma). Everything is evaluated in log space; parameters
 carry exact complements (p_comp, q_comp) so that budgets near saturation
 (q -> 1) keep full precision. The threshold gamma is the one input that
-describes the mechanism: both builders evaluate q_comp, q and m at the
-stored gamma, so ``budget`` certifies what ``randomize`` draws.
+describes the mechanism: both builders take q_comp and the tail mean of
+the stored gamma from their caller, which evaluates them by the law's mass
+helper, so ``budget`` certifies what ``randomize`` draws.
 """
 
 from __future__ import annotations
@@ -146,26 +147,23 @@ def _threshold_fields(d: int, p: float, p_comp: float, gamma: float, q_comp: flo
                 log_level_hi=log_hi, log_level_lo=log_lo, budget=log_hi - log_lo)
 
 
-def _cap_mass(d: int, gamma: float, q_comp: float | None = None) -> tuple[float, float, float]:
+def _cap_mass(d: int, gamma: float) -> tuple[float, float, float]:
     """(gamma, q_comp, tail_mean) of the cap {T >= gamma}. With a = (d-1)/2
     the cap is {X <= x} for X ~ Beta(a, a) and x = (1 - gamma)/2, so
     q_comp = I_x(a, a), bit for bit ``sphere.marginal_cdf(-gamma, d)``, and
     tail_mean = E[T 1{T >= gamma}] = x^a (1-x)^a / (a B(a, a)) is the front
     factor of that same I_x, evaluated once for both, whose rounding then
-    cancels in m; x is 0 or >= 2^-54. A q_comp the caller gives is kept."""
+    cancels in m; x is 0 or >= 2^-54."""
     a = 0.5 * (d - 1)
     x = 0.5 * (1.0 - gamma)
     front = math.exp(specfun._ln_front(x, a)) if x > 0.0 else 0.0
-    if q_comp is None:
-        q_comp = specfun._reg_inc_beta_front(x, a, front)
-    return gamma, q_comp, front / a
+    return gamma, specfun._reg_inc_beta_front(x, a, front), front / a
 
 
-def _build(d: int, p: float, p_comp: float, gamma: float, q_comp: float | None = None) -> CapParams:
-    """PrivUnit parameters whose masses and m are those of the sampled
-    threshold gamma; q_comp, where given, is the caller's
-    ``sphere.marginal_cdf(-gamma, d)``, which is then not evaluated again."""
-    return CapParams(**_threshold_fields(d, p, p_comp, *_cap_mass(d, gamma, q_comp)))
+def _build(d: int, p: float, p_comp: float, gamma: float, q_comp: float, tail_mean: float) -> CapParams:
+    """PrivUnit parameters at the sampled threshold gamma, from the mass
+    q_comp and tail mean that the caller took from ``_cap_mass(d, gamma)``."""
+    return CapParams(**_threshold_fields(d, p, p_comp, gamma, q_comp, tail_mean))
 
 
 def cap_params(d: int, p: float, gamma: float) -> CapParams:
@@ -176,7 +174,7 @@ def cap_params(d: int, p: float, gamma: float) -> CapParams:
         raise ValueError(f"p must lie in [1/2, 1], got {p!r}")
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
-    return _build(d, p, 1.0 - p, gamma)
+    return _build(d, p, 1.0 - p, gamma, *_cap_mass(d, gamma)[1:])
 
 
 def analytic_err(params: ThresholdParams) -> ErrorBreakdown:

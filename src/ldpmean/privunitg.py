@@ -48,14 +48,12 @@ class GaussParams(ThresholdParams):
     alpha_sq: float
 
 
-def _gauss_mass(d: int, g_std: float, q_comp: float | None = None) -> tuple[float, float, float]:
+def _gauss_mass(d: int, g_std: float) -> tuple[float, float, float]:
     """(gamma, q_comp, tail_mean) of the threshold g_std in standard units:
-    gamma = sigma g_std, q_comp = P(T >= gamma) = Phi(-g_std) (a q_comp the
-    caller gives is kept) and tail_mean = E[T 1{T >= gamma}] = sigma phi(g_std)."""
+    gamma = sigma g_std, q_comp = P(T >= gamma) = Phi(-g_std) and
+    tail_mean = E[T 1{T >= gamma}] = sigma phi(g_std)."""
     sigma = 1.0 / math.sqrt(d)
-    if q_comp is None:
-        q_comp = specfun.std_normal_cdf(-g_std)
-    return sigma * g_std, q_comp, sigma * specfun.std_normal_pdf(g_std)
+    return sigma * g_std, specfun.std_normal_cdf(-g_std), sigma * specfun.std_normal_pdf(g_std)
 
 
 def _gauss_err(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, m: float) -> float:
@@ -68,12 +66,11 @@ def _gauss_err(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: 
     return (sigma * sigma + gamma * m + (d - 1.0) / d) / (m * m) - 1.0
 
 
-def _build_gauss(d: int, p: float, p_comp: float, g_std: float, q_comp: float | None = None) -> GaussParams:
-    """PrivUnitG parameters whose masses and m are those of the sampled
-    threshold g_std; q_comp, where given, is the caller's
-    ``specfun.std_normal_cdf(-g_std)``, which is then not evaluated again."""
+def _build_gauss(d: int, p: float, p_comp: float, g_std: float, q_comp: float, tail_mean: float) -> GaussParams:
+    """PrivUnitG parameters at the sampled threshold g_std, from the mass
+    q_comp and tail mean that the caller took from ``_gauss_mass(d, g_std)``."""
     sigma = 1.0 / math.sqrt(d)
-    base = _threshold_fields(d, p, p_comp, *_gauss_mass(d, g_std, q_comp))
+    base = _threshold_fields(d, p, p_comp, sigma * g_std, q_comp, tail_mean)
     return GaussParams(**base, sigma=sigma, g_std=g_std, alpha_sq=sigma * sigma + base["gamma"] * base["m"])
 
 
@@ -85,7 +82,8 @@ def gauss_params(d: int, p: float, q: float) -> GaussParams:
     if not (0.5 <= q < 1.0):
         raise ValueError(f"q must lie in [1/2, 1), got {q!r}")
     # quantile of the complement keeps precision when q is close to 1
-    return _build_gauss(d, p, 1.0 - p, 0.0 - specfun.inv_std_normal_cdf(1.0 - q))
+    g_std = 0.0 - specfun.inv_std_normal_cdf(1.0 - q)
+    return _build_gauss(d, p, 1.0 - p, g_std, *_gauss_mass(d, g_std)[1:])
 
 
 def analytic_err_g(params: ThresholdParams) -> ErrorBreakdown:

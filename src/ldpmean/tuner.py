@@ -39,10 +39,9 @@ __all__ = [
 ]
 
 _ALGS = ("privunit", "privunitg")
-_LN2 = math.log(2.0)
 # the smallest cap of a float gamma: gamma = 1 - 2^-53, x = (1 - gamma)/2 = 2^-54
 _GAMMA_EDGE = 1.0 - 2.0**-53
-_S_EDGE = 54.0 * _LN2
+_S_EDGE = 54.0 * specfun._LN2
 
 
 def _sigmoid(t: float) -> float:
@@ -103,10 +102,10 @@ class TunedResult:
 
 
 def _law(alg: str) -> tuple:
-    """(builder, mass, scalar error) of the law: the mass helper maps
-    (d, threshold[, q_comp]) to (gamma, q_comp, tail_mean), the error takes
-    (d, p, p_comp, q, q_comp, gamma, m). Looked up at each call, so a
-    wrapped or patched module function is the one called."""
+    """(builder, mass, scalar error) of the law: mass(d, t) is (gamma, q_comp,
+    tail_mean) at a threshold t, the builder takes (d, p, p_comp, t) and the
+    last two from its caller, the error (d, p, p_comp, q, q_comp, gamma, m).
+    Looked up at each call, so a wrapped or patched one is the one called."""
     if alg == "privunit":
         return privunit._build, privunit._cap_mass, privunit._cap_err
     return privunitg._build_gauss, privunitg._gauss_mass, privunitg._gauss_err
@@ -114,13 +113,12 @@ def _law(alg: str) -> tuple:
 
 def _params_at(split: BudgetSplit, d: int, alg: str):
     # the threshold whose upper mass is the budgeted q_comp; the builder
-    # evaluates the masses at that threshold, so the budget it certifies is
-    # that of the mechanism sampled (0.0 - t keeps gamma = +0.0 at q_comp = 1/2)
-    if alg == "privunit":
-        t = sphere.inv_marginal_cdf(split.q_comp, d)
-    else:
-        t = specfun.inv_std_normal_cdf(split.q_comp)
-    return _law(alg)[0](d, split.p, split.p_comp, 0.0 - t)
+    # takes the masses evaluated at that threshold, so the budget it certifies
+    # is that of the mechanism sampled (0.0 - t keeps gamma = +0.0 at q_comp = 1/2)
+    y = split.q_comp
+    t = 0.0 - (sphere.inv_marginal_cdf(y, d) if alg == "privunit" else specfun.inv_std_normal_cdf(y))
+    build, mass, _ = _law(alg)
+    return build(d, split.p, split.p_comp, t, *mass(d, t)[1:])
 
 
 def _err_at(split: BudgetSplit, d: int, alg: str):
@@ -177,10 +175,9 @@ def _bracket(alg: str, eps: float, d: int) -> tuple[float, float, float]:
     if alg == "privunitg":
         lo, hi = 0.0, -specfun.inv_std_normal_cdf(y)
     elif privunit._cap_mass(d, _GAMMA_EDGE)[1] >= y:
-        lo, hi = _LN2, _S_EDGE
+        lo, hi = specfun._LN2, _S_EDGE
     else:
-        a = 0.5 * (d - 1)
-        lo, hi = _LN2, -math.log(specfun.inv_reg_inc_beta(y, a))
+        lo, hi = specfun._LN2, -math.log(specfun.inv_reg_inc_beta(y, 0.5 * (d - 1)))
     return lo, hi, specfun._TOL * (hi - lo) / min(1.0, eps)
 
 
@@ -211,28 +208,30 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     probe is feasible: ``_root`` probes at least tol inside the bracket, so
     its mass is at least sigmoid(-eps) > 0, and p_comp <= 1/2 and
     q_comp < 1/2 pass ``_q_and_m``.
-    A probe evaluates scalars by the law's mass and error helpers, which the
-    builders and ``analytic_err`` wrap, so it builds no parameter object and
-    its error is the built parameters' bit for bit. A float gamma expresses
-    no x below 2^-54, so PrivUnit's error is a staircase where its cap is
-    that small (d up to about 44 at large eps): where the bracket end lies
-    beyond it, the bracket stops there, and a Newton step past that end
-    probes b - tol, which rounds onto the smallest cap; a probe that rounds
-    to the float threshold of the probe before it ends the search.
+    A probe evaluates scalars by the law's mass and error helpers, whose
+    results the builders take and ``analytic_err`` wraps, so it builds no
+    parameter object and its error is the built parameters' bit for bit.
+    A float gamma expresses no x below 2^-54, so PrivUnit's error is a
+    staircase where its cap is that small (d up to about 44 at large eps):
+    where the bracket end lies beyond it, the bracket stops there, and a
+    Newton step past that end probes b - tol, which rounds onto the
+    smallest cap; a probe that rounds to the float threshold of the probe
+    before it ends the search.
 
     The winner is the search's last probe or, where it ended on the stairs,
     the best probe seen: there the float error decides, not the root. It is
-    built once, with the excess of its budget (rounding) taken back from
-    eps0 at the same threshold so that budget <= eps exactly, one build per
-    step, and the split its stored parameters spend. Raises NumericsError
+    built once from its probe's mass, with the excess of its budget
+    (rounding) taken back from eps0 at the same threshold and mass so that
+    budget <= eps exactly, one build per step, and the split its stored
+    parameters spend. Raises NumericsError
     when its error is not positive or its budget stays above eps.
     """
     budget_split(eps, eps)  # validates eps
     d = sphere._check_dim(d)
     if alg not in _ALGS:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
-    # (err, eps0, threshold, mass) of the last probe, the winner, and of the best one seen
-    last = best = (math.inf, None, None, None)
+    # (err, eps0, threshold, q_comp, tail_mean) of the last probe, the winner, and the best one seen
+    last = best = (math.inf, None, None, None, None)
 
     def residual(u: float) -> tuple[float, float] | None:
         nonlocal last, best
@@ -243,25 +242,25 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
             last = best
             return None
         eps0, p, p_comp, q, q_comp, tail_mean, e, m = _probe(alg, eps, d, t)
-        last = (e, eps0, t, q_comp)
+        last = (e, eps0, t, q_comp, tail_mean)
         if e < best[0]:
             best = last
         return _search_residual(alg, d, t, p, p_comp, q, q_comp, tail_mean, e, m)
 
     lo, hi, tol = _bracket(alg, eps, d)
     specfun._root(residual, 0.5 * (lo + hi), lo, hi, tol)
-    err_star, eps0, t, q_comp = last
+    err_star, eps0, *at = last  # at: the winner's threshold and its mass
     # the winner's object is built once; where rounding puts its budget above
     # eps, the excess comes back from eps0 in doubling steps (2^-52 at least:
     # less cannot move p near 1/2), giving up before eps0 turns negative
     build = _law(alg)[0]
-    params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
+    params = build(d, _sigmoid(eps0), _sigmoid(-eps0), *at)
     step = max(params.budget - eps, 2.0**-52)
     while params.budget > eps:
         if step > eps0:
             raise NumericsError(f"budget {params.budget!r} stays above eps={eps}, d={d}")
         eps0 -= step
-        params = build(d, _sigmoid(eps0), _sigmoid(-eps0), t, q_comp)
+        params = build(d, _sigmoid(eps0), _sigmoid(-eps0), *at)
         err_star = privunit.analytic_err(params).err
         step *= 2.0
     split = BudgetSplit(eps=eps, eps0=eps0, eps1=math.log(params.q) - math.log(params.q_comp))

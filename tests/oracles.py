@@ -1,10 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately primitive: adaptive Simpson quadrature over
-log-space integrands, two closed forms (the truncated Gaussian moments, by
-the inverse Mills ratio, and the residual of the tuner's first-order
-condition at a probe's scalars), and nothing from the package's own kernels
-beyond math.lgamma. Slow and simple beats fast and shared-bug.
+log-space integrands, three closed forms (the truncated Gaussian moments, by
+the inverse Mills ratio, the residual of the tuner's first-order condition
+at a probe's scalars, and PrivUnitG's d -> infinity constant), and nothing
+from the package's own kernels beyond math.lgamma. Slow and simple beats fast and shared-bug.
 """
 
 from __future__ import annotations
@@ -155,34 +155,54 @@ def sphere_first_coord_moment_quad(d: int, gamma: float, power: int, above: bool
     return mom / mass
 
 
-def gauss_tuned_err_scan(eps: float, d: int, points: int = 2001) -> float:
-    """The least PrivUnitG error d/K^2 + g/K - 1 over saturated splits, with
-    K = phi(g)(p + q - 1)/(q q_comp) at the threshold g in standard units:
-    q_comp = Phi(-g) by math.erfc, eps1 = ln(q/q_comp) and
-    p = sigmoid(eps - eps1). A scan of `points` thresholds from 0 to the one
-    of mass sigmoid(-eps) (found by bisection), then golden-section
-    refinement around the best of them; returns the least error seen."""
+def _upper(g: float) -> float:
+    # Phi(-g), the standard normal mass above g
+    return 0.5 * math.erfc(g / _SQRT2)
 
-    def upper(g: float) -> float:
-        return 0.5 * math.erfc(g / _SQRT2)
 
-    def err(g: float) -> float:
-        q_comp, q = upper(g), upper(-g)
-        eps0 = max(0.0, eps - (math.log(q) - math.log(q_comp)))
-        # p + q - 1 = (p - 1/2) + (q - 1/2), with p - 1/2 = tanh(eps0/2)/2
-        k = math.exp(-0.5 * g * g) / _SQRT2PI * (0.5 * math.tanh(0.5 * eps0) + (0.5 - q_comp)) / (q * q_comp)
-        return d / (k * k) + g / k - 1.0
-
-    y = math.exp(-eps) / (1.0 + math.exp(-eps))
-    lo, hi = 0.0, 1.0
-    while upper(hi) >= y:
-        hi *= 2.0
-    for _ in range(200):  # upper(lo) >= y > upper(hi)
-        mid = 0.5 * (lo + hi)
-        if upper(mid) >= y:
+def _bisect(holds, lo: float, hi: float) -> float:
+    """The float where holds turns false, for holds(lo) true, holds(hi)
+    false and one change between: lo once lo and hi are adjacent floats."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if holds(mid):
             lo = mid
         else:
             hi = mid
+    return lo
+
+
+def _gauss_k(eps: float, g: float) -> float:
+    """K = m sqrt(d) = phi(g)(p/Phi(-g) - p_comp/Phi(g)) of PrivUnitG's
+    saturated split at the threshold g in standard units, free of d:
+    q_comp = Phi(-g) by math.erfc, eps1 = ln(q/q_comp), p = sigmoid(eps - eps1),
+    taken as phi(g)(p + q - 1)/(q q_comp)."""
+    q_comp, q = _upper(g), _upper(-g)
+    eps0 = max(0.0, eps - (math.log(q) - math.log(q_comp)))
+    # p + q - 1 = (p - 1/2) + (q - 1/2), with p - 1/2 = tanh(eps0/2)/2
+    return math.exp(-0.5 * g * g) / _SQRT2PI * (0.5 * math.tanh(0.5 * eps0) + (0.5 - q_comp)) / (q * q_comp)
+
+
+def _gauss_end(eps: float) -> float:
+    # the threshold of mass sigmoid(-eps), where eps1 = eps
+    y = math.exp(-eps) / (1.0 + math.exp(-eps))
+    hi = 1.0
+    while _upper(hi) >= y:
+        hi *= 2.0
+    return _bisect(lambda g: _upper(g) >= y, 0.0, hi)
+
+
+def gauss_tuned_err_scan(eps: float, d: int, points: int = 2001) -> float:
+    """The least PrivUnitG error d/K^2 + g/K - 1 over saturated splits, with
+    K of ``_gauss_k`` at the threshold g in standard units. A scan of
+    `points` thresholds from 0 to the one of mass sigmoid(-eps) (found by
+    bisection), then golden-section refinement around the best of them;
+    returns the least error seen."""
+
+    def err(g: float) -> float:
+        k = _gauss_k(eps, g)
+        return d / (k * k) + g / k - 1.0
+
+    lo = _gauss_end(eps)
     grid = [lo * i / (points - 1) for i in range(points)]
     values = [err(g) for g in grid]
     i = min(range(points), key=values.__getitem__)
@@ -204,6 +224,16 @@ def gauss_tuned_err_scan(eps: float, d: int, points: int = 2001) -> float:
         if b - a <= 1e-15 * max(lo, 1.0):
             break
     return best
+
+
+def c_inf(eps: float) -> float:
+    """The d -> infinity limit eps/g*^2 of PrivUnitG's scaled constant
+    eps*err/d. With err = d/K^2 + g/K - 1 and K of ``_gauss_k`` free of d,
+    eps*err/d tends to eps/K^2 at the best g; K' = K(K - g) puts the
+    maximum of K where K(g*) = g*, the one root of K(g) - g in (0, g_end),
+    g_end the threshold of mass sigmoid(-eps). Found by bisection from
+    math.erfc alone."""
+    return eps / _bisect(lambda g: _gauss_k(eps, g) >= g, 0.0, _gauss_end(eps)) ** 2
 
 
 def first_order_residual(alg: str, d: int, t: float, e: float, m: float) -> tuple[float, float]:

@@ -200,6 +200,20 @@ def test_empty_list_argument_exits_2(capsys, argv):
     assert "_list" not in captured.err
 
 
+def test_tune_below_the_envelope_exits_0_or_3(capsys):
+    # tiny budgets tune or fail as numeric errors, never as a traceback or
+    # a usage error: eps every decade from 1e-3 to the least double,
+    # with 2e-13 at d = 50000, where PrivUnit's budget stays above eps
+    codes = set()
+    for alg in ("privunit", "privunitg"):
+        for eps in [10.0**-k for k in range(3, 324)] + [2e-13, 5e-324]:
+            for d in (2, 3, 16, 1024, 50_000, 100_000, 1_000_000):
+                rc, out, err = run_cli(capsys, "tune", "--eps", repr(eps), "--d", str(d), "--alg", alg)
+                assert rc in (0, 3) and (rc == 0) == (err == ""), (alg, eps, d, rc, err)
+                codes.add(rc)
+    assert codes == {0, 3}
+
+
 def test_data_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n"))  # norm sqrt(2)
     rc, out, err = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")

@@ -250,7 +250,7 @@ def test_draw_above_conditional_mean_at_tuned_points(alg, d, eps, side):
     params = tuner.tune(eps, d, alg).params
     sigma = getattr(params, "sigma", None)
     threshold = params.gamma if sigma is None else params.g_std
-    tail_mean = tuner._law(alg)[1](d, threshold, params.q_comp)[2]
+    tail_mean = tuner._law(alg)[1](d, threshold)[2]
     t, mass = (params.gamma, params.q_comp) if side == "cap" else (-params.gamma, params.q)
     assert (mass < 0.25) == (side == "cap")
     draws = sphere._draw_above(t, mass, 2**20, d, sigma, RngStream(66, 2 * d + (side == "open")))

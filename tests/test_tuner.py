@@ -13,7 +13,7 @@ from ldpmean.privunit import CapParams
 from ldpmean.privunitg import GaussParams
 from ldpmean.sphere import RngStream
 
-from oracles import first_order_residual, gauss_tuned_err_scan
+from oracles import c_inf, first_order_residual, gauss_tuned_err_scan
 
 
 # --- budget splits ----------------------------------------------------------
@@ -106,6 +106,11 @@ def test_tune_matches_dense_grid(alg, eps, d, grid_n, rel):
 # the advertised envelope: 126 points with both algorithms
 _ENVELOPE_D = [2, 3, 16, 1024, 50_000, 100_000, 1_000_000]
 _ENVELOPE_EPS = [1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0, 512.0, 700.0]
+# the benchmark's envelope grid: 98 tunes
+_BENCH_GRID = [(alg, eps, d) for alg in ("privunit", "privunitg")
+               for eps in (1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0) for d in _ENVELOPE_D]
+# below the envelope: about one eps per decade, down to the least double
+_TINY_EPS = [10.0**-k for k in range(3, 324)] + [5e-324]
 
 
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
@@ -130,6 +135,26 @@ def test_tune_envelope_contract(eps, d, alg):
     assert res.split.p == res.params.p
     assert res.split.q == pytest.approx(res.params.q, rel=1e-12)
     assert res.split.eps0 + res.split.eps1 == pytest.approx(res.params.budget, rel=1e-12)
+
+
+@pytest.mark.parametrize("alg", ["privunit", "privunitg"])
+def test_tune_contract_below_the_envelope(alg):
+    # budget_split accepts any eps in (0, 700]: below 1e-3 every tune keeps
+    # the envelope's two outcomes, a finite positive error within budget or
+    # a typed numeric error. Below about 1e-16 both sigmoid levels round to
+    # 1/2, and the normalizer of p + q - 1 = 0 is rejected as degenerate
+    outcomes = set()
+    for eps in _TINY_EPS:
+        for d in _ENVELOPE_D:
+            try:
+                res = tuner.tune(eps, d, alg)
+            except (NumericsError, DegenerateParameterError) as exc:
+                outcomes.add(type(exc))
+                continue
+            assert math.isfinite(res.err_star) and res.err_star > 0.0, (eps, d)
+            assert res.params.budget <= eps, (eps, d)
+            outcomes.add(tuner.TunedResult)
+    assert tuner.TunedResult in outcomes and DegenerateParameterError in outcomes
 
 
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
@@ -250,16 +275,30 @@ def test_error_evaluations_per_tune(monkeypatch):
             calls[0] += 1
             return _f(*args)
         monkeypatch.setattr(mod, name, counted)
-    grid = [(alg, eps, d) for alg in ("privunit", "privunitg")
-            for eps in (1e-3, 0.1, 1.0, 8.0, 32.0, 64.0, 256.0)
-            for d in (2, 3, 16, 1024, 50_000, 100_000, 1_000_000)]
     counts = []
-    for alg, eps, d in grid:
+    for alg, eps, d in _BENCH_GRID:
         calls[0] = 0
         tuner.tune(eps, d, alg)
         counts.append(calls[0])
     assert max(counts) <= 6
     assert sum(counts) / len(counts) <= 4.0
+
+
+def test_mass_evaluations_per_tune(monkeypatch):
+    # a tune evaluates a mass once per probe, plus PrivUnit's bracket check
+    # of the smallest cap; the winner's build and every budget-trim step
+    # take the probe's mass, so they evaluate none
+    masses, probes = [0], [0]
+    for mod, name, calls in ((privunit, "_cap_mass", masses), (privunitg, "_gauss_mass", masses),
+                             (tuner, "_probe", probes)):
+        def counted(*args, _f=getattr(mod, name), _calls=calls):
+            _calls[0] += 1
+            return _f(*args)
+        monkeypatch.setattr(mod, name, counted)
+    for alg, eps, d in _BENCH_GRID:
+        masses[0] = probes[0] = 0
+        tuner.tune(eps, d, alg)
+        assert masses[0] == probes[0] + (alg == "privunit"), (alg, eps, d, masses[0], probes[0])
 
 
 def test_tune_builds_parameters_once(monkeypatch):
@@ -592,6 +631,33 @@ def test_repetition_validation():
         tuner.repetition_err(4.0, 0, 64)
     with pytest.raises(ValueError):
         tuner.repetition_err(4.0, 1.5, 64)
+
+
+@pytest.mark.parametrize("eps,c", [(1.0, 6.3300416081), (8.0, 1.0633000991), (32.0, 0.6362283399),
+                                   (256.0, 0.5207938465), (700.0, 0.5085450352)])
+def test_c_inf_oracle(eps, c):
+    # the d -> infinity constant eps/g*^2, from math.erfc alone
+    assert abs(c_inf(eps) - c) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [1.0, 8.0, 32.0, 256.0])
+def test_both_laws_approach_c_inf_from_below(eps):
+    # PrivUnit's constant lies below PrivUnitG's, and both below the limit
+    # c_inf. The bands test the rate's exponent, 2 against 1, not the
+    # measured ratios: per decade of d a gap of order 1/d^2 (PrivUnitG, as
+    # c_eps states) shrinks 100-fold and one of order 1/d (PrivUnit, the
+    # paper's 1 + o(1)) 10-fold, each band a factor of 2 either side. A gap
+    # under 100 ulps of c at the larger d is rounding, and its ratio is skipped
+    limit = c_inf(eps)
+    dims = (10**4, 10**5, 10**6)
+    c = {alg: [tuner.tune(eps, d, alg).c_const for d in dims] for alg in ("privunit", "privunitg")}
+    for c_pu, c_g in zip(c["privunit"], c["privunitg"]):
+        assert c_pu < c_g < limit
+    for alg, lo, hi in (("privunitg", 50.0, 200.0), ("privunit", 5.0, 20.0)):
+        gaps = [limit - x for x in c[alg]]
+        for big, small in zip(gaps, gaps[1:]):
+            if small >= 100.0 * math.ulp(limit):
+                assert lo <= big / small <= hi, (alg, big, small)
 
 
 # --- PrivUnitG's error through K = m sqrt(d) ---------------------------------
