@@ -33,8 +33,8 @@ def main():
     print("  nothing at large d, while its formulas stay closed-form.")
     print()
 
-    print("=== the scaled constant eps * err / d ===")
-    print("  err behaves like c * d / eps; c keeps falling as eps grows")
+    print("=== the scaled constant eps * err / d as d -> infinity ===")
+    print("  err behaves like c * d / eps at large d; c keeps falling as eps grows")
     print(f"  {'eps':>5}  {'c_const':>8}")
     for e in (2.0, 4.0, 8.0, 16.0, 32.0):
         print(f"  {e:5.1f}  {tuner.c_eps(e):8.4f}")

@@ -84,7 +84,7 @@ def cmd_ratio(args) -> list[str]:
 def cmd_c_curve(args) -> list[str]:
     lines = ["eps,c_const"]
     for eps in args.eps:
-        lines.append(_row(eps, tuner.c_eps(eps, args.d)))
+        lines.append(_row(eps, tuner.c_eps(eps)))
     return lines
 
 
@@ -190,9 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, alg=False)
     p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("c_curve", help="scaled error constant across budgets")
+    p = sub.add_parser("c_curve", help="d -> infinity scaled constant across budgets; tune: at one d")
     p.add_argument("--eps", type=_float_list, required=True, help="comma-separated budgets")
-    p.add_argument("--d", type=int, default=50000)
     add_common(p, alg=False)
     p.set_defaults(func=cmd_c_curve)
 

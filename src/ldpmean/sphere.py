@@ -350,6 +350,8 @@ def sample_cap(d: int, gamma: float, above: bool, rng: RngStream) -> np.ndarray:
     d = _check_dim(d)
     if not (-1.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie strictly in (-1, 1), got {gamma!r}")
+    if above not in (True, False):  # 0.5 or 2 would draw with the wrong side's mass
+        raise ValueError(f"above must be True or False, got {above!r}")
     # the drawn side's mass: P(W_1 >= gamma) = P(W_1 <= -gamma) by symmetry
     mass = marginal_cdf(-gamma if above else gamma, d)
     if mass < 1e-300:

@@ -15,8 +15,8 @@ interface (``_law``): a mass helper (gamma, q_comp, tail_mean) at a
 threshold, and a scalar error of (d, p, p_comp, q, q_comp, gamma, m).
 The error is smooth in the threshold with a single minimum, the
 condition's one root in the bracket. The scaled constant eps*err/d
-converges in d (c_eps) and keeps falling in eps: at d = 50000 it passes
-0.614 near eps 38.5 and reads 0.509 at 700.
+converges in d, to c_eps(eps), and that limit keeps falling in eps: it
+passes 0.614 near eps 38.5 and reads 0.509 at 700.
 """
 
 from __future__ import annotations
@@ -276,14 +276,12 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     )
 
 
-def c_eps(eps: float, d_limit: int = 50000) -> float:
-    """The scaled error constant eps*err/d of the Gaussian randomizer, taken
-    at d_limit. It lies below its large-d limit by a gap that shrinks like
-    1/d_limit^2: 1.6e-11 (eps 1) to 1.4e-7 (eps 700) relative at
-    d_limit = 50000, about 400 times less at 10^6. It falls as eps grows:
-    0.636 at eps 32, 0.625 at 35, 0.610 at 40, 0.548 at 100 and 0.509 at
-    700 (d_limit = 50000)."""
-    return tune(eps, d_limit, "privunitg").c_const
+def c_eps(eps: float) -> float:
+    """The d -> infinity limit of PrivUnitG's scaled constant eps*err/d,
+    read at d = 10^8, where the gap (it shrinks like 1/d^2) is below tune's
+    rounding: within 4e-13 relative of the erfc-only tests/oracles.c_inf for
+    eps in [1e-3, 700]. It falls with eps: 6.33 at 1, 0.636 at 32, 0.509 at 700."""
+    return tune(eps, 10**8, "privunitg").c_const
 
 
 def repetition_err(eps: float, k: int, d: int, alg: str = "privunitg") -> float:

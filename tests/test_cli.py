@@ -4,6 +4,7 @@ default seed, and the exit-code contract (0 ok, 2 usage, 3 numeric/data)."""
 import io
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -63,12 +64,31 @@ def test_ratio_command(capsys):
 
 
 def test_c_curve_command(capsys):
-    rc, out, _ = run_cli(capsys, "c_curve", "--eps", "4,8,16,", "--d", "2048")  # a trailing comma adds no item
+    rc, out, _ = run_cli(capsys, "c_curve", "--eps", "4,8,16,")  # a trailing comma adds no item
     assert rc == 0
     lines = out.splitlines()
     assert lines[0] == "eps,c_const" and len(lines) == 4
     cs = [float(line.split(",")[1]) for line in lines[1:]]
     assert cs == sorted(cs, reverse=True)  # scaled constant shrinks with eps
+
+
+def test_c_curve_rows_are_c_eps(capsys):
+    rc, out, _ = run_cli(capsys, "c_curve", "--eps", "1,38.5,700")
+    assert rc == 0
+    assert out.splitlines()[1:] == [f"{cli._fmt(e)},{cli._fmt(tuner.c_eps(e))}" for e in (1.0, 38.5, 700.0)]
+
+
+def test_readme_command_lines_parse():
+    # every example of README's command-line block parses, so a removed or
+    # renamed option cannot stay in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("ldpmean ")]
+    assert len(lines) == 6
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        args = cli.build_parser().parse_args(argv)
+        assert args.func.__name__ == f"cmd_{argv[0]}", line
 
 
 def test_simulate_command_and_seed(capsys):
@@ -158,9 +178,10 @@ def test_lp_verify_command(capsys):
 # --- exit codes ---------------------------------------------------------------
 
 def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
-    rc, out, err = run_cli(capsys, "tune", "--eps", "-3", "--d", "64")
-    assert rc == 2 and out == ""
-    assert "usage error" in err
+    for argv in (["tune", "--eps", "-3", "--d", "64"], ["c_curve", "--eps", "0"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert "usage error" in err
     # an input file that does not exist, an output file in a missing directory
     for argv, name in (
         (["randomize", "--eps", "4", "--d", "2", "--in", str(tmp_path / "absent.txt")], "absent.txt"),
@@ -186,16 +207,19 @@ def test_argparse_missing_argument_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["ratio", "--eps", "8", "--d", ","], ["ratio", "--eps", "8", "--d", ""], ["c_curve", "--eps", ""], ["c_curve", "--eps", ",,"],
-     ["ratio", "--eps", "8", "--d", "x"], ["ratio", "--eps", "8", "--d", "2,3.5"], ["c_curve", "--eps", "4,y"]],
+     ["ratio", "--eps", "8", "--d", "x"], ["ratio", "--eps", "8", "--d", "2,3.5"], ["c_curve", "--eps", "4,y"],
+     ["c_curve", "--eps", "4", "--d", "2048"]],
 )
 def test_empty_list_argument_exits_2(capsys, argv):
     # a required list option with no items is a usage error, not a header-only
-    # CSV; a bad item is named in argparse's own words for type=int or float
+    # CSV; a bad item is named in argparse's own words for type=int or float,
+    # and so is an option c_curve does not have (its constant is d-free)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    bad = {"x": "invalid int value: 'x'", "2,3.5": "invalid int value: '3.5'", "4,y": "invalid float value: 'y'"}
+    bad = {"x": "invalid int value: 'x'", "2,3.5": "invalid int value: '3.5'", "4,y": "invalid float value: 'y'",
+           "2048": "unrecognized arguments: --d 2048"}
     assert captured.out == "" and bad.get(argv[-1], "needs at least one value") in captured.err
     assert "_list" not in captured.err
 

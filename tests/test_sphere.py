@@ -154,6 +154,19 @@ def test_sample_cap_validation_and_underflow():
         sphere.sample_cap(8, -1.0, False, rng)
     with pytest.raises(NumericsError):
         sphere.sample_cap(64, 1.0 - 1e-15, True, rng)
+    for side in (np.True_, np.False_, 1, 0):  # equal to True or False: a side
+        u = sphere.sample_cap(16, 0.9, side, rng)
+        assert (u[0] >= 0.9) if side else (u[0] < 0.9)
+
+
+@pytest.mark.parametrize("above", [0.5, 2, -1, math.nan, None, "yes"])
+def test_sample_cap_rejects_a_side_other_than_true_or_false(above):
+    # a truthy 0.5 or 2 would draw the cap side with the complement's
+    # mass; the check comes before any draw, so the stream is untouched
+    rng = RngStream(5, 0)
+    with pytest.raises(ValueError, match="above must be True or False"):
+        sphere.sample_cap(16, 0.9, above, rng)
+    assert rng.normal(3).tolist() == RngStream(5, 0).normal(3).tolist()
 
 
 class _FirstNormal(RngStream):

@@ -49,6 +49,9 @@ def test_tune_validation():
         tuner.tune(4.0, 64, alg="gauss")
     with pytest.raises(ValueError):
         tuner.tune(701.0, 64)
+    for eps in (0.0, -1.0, 700.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tuner.c_eps(eps)
 
 
 @pytest.mark.parametrize("alg,cls", [("privunit", CapParams), ("privunitg", GaussParams)])
@@ -617,6 +620,21 @@ def test_c_eps_nonincreasing():
     assert values[-2] < 0.56 and values[-1] < 0.52
 
 
+def test_c_eps_contract_below_the_envelope():
+    # c_eps keeps tune's two outcomes below the envelope: a finite positive
+    # constant (13 of these eps) or a typed numeric error
+    outcomes = set()
+    for eps in _TINY_EPS:
+        try:
+            c = tuner.c_eps(eps)
+        except (NumericsError, DegenerateParameterError) as exc:
+            outcomes.add(type(exc))
+            continue
+        assert math.isfinite(c) and c > 0.0, eps
+        outcomes.add(float)
+    assert float in outcomes and DegenerateParameterError in outcomes
+
+
 def test_repetition_identity_at_k1():
     assert tuner.repetition_err(8.0, 1, 256) == tuner.tune(8.0, 256).err_star
 
@@ -638,6 +656,15 @@ def test_repetition_validation():
 def test_c_inf_oracle(eps, c):
     # the d -> infinity constant eps/g*^2, from math.erfc alone
     assert abs(c_inf(eps) - c) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.1, 0.5, 1.0, 8.0, 32.0, 256.0, 700.0])
+def test_c_eps_is_c_inf(eps):
+    # c_eps is the limit itself, not the constant at a finite d: at d = 10^8
+    # PrivUnitG's 1/d^2 gap is below rounding. The bound's floor is tune's
+    # float error and the oracle's bisection, which ends on adjacent floats
+    # of g*; the largest measured is 3.4e-13, at eps 1e-3
+    assert abs(tuner.c_eps(eps) / c_inf(eps) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("eps", [1.0, 8.0, 32.0, 256.0])
