@@ -5,6 +5,8 @@ their documented range); the classes here mark conditions a caller may want
 to handle separately.
 """
 
+__all__ = ["NumericsError", "DegenerateParameterError", "SupportError"]
+
 
 class NumericsError(ArithmeticError):
     """An iteration failed to converge or a tail mass saturated to zero."""

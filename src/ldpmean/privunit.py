@@ -270,7 +270,7 @@ def log_density(u, v, params: ThresholdParams) -> float:
     2 * np.spacing(gamma), as at tuned PrivUnit points where the cap is all
     but certain. This reads the mechanism in real arithmetic and claims
     nothing of the privacy of rounded reports."""
-    u = np.asarray(u, dtype=float)
+    u = sphere._real_array(u, "u")
     v = as_unit_vector(v)
     if u.shape != v.shape or v.size != params.d:
         raise ValueError(f"shape mismatch: u {u.shape} vs v {v.shape}, params dimension {params.d}")

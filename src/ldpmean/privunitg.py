@@ -6,10 +6,14 @@ keeps independent N(0, sigma^2) coordinates, and the sum is scaled by 1/m.
 This is the threshold construction shared with ``privunit``: parameters
 extend ``privunit.ThresholdParams`` and draws go through
 ``sphere._threshold_rows``, with T ~ N(0, sigma^2) as the law of alpha.
-The density is ``privunit.log_density``, which serves both laws, and the
-mass and error helpers ``_gauss_mass`` and ``_gauss_err`` take and return
-what PrivUnit's ``_cap_mass`` and ``_cap_err`` do, so the tuner probes
-both laws alike.
+The density, the draws and the error are ``privunit``'s ``log_density``,
+``randomize``, ``randomize_batch`` and ``analytic_err``, which serve both
+laws. ``randomize_g``, ``randomize_g_batch`` and ``analytic_err_g`` are
+the last three under Gaussian names; they are not public API and stay only
+because the benchmark's spans (``bench/spans.py``) resolve them by name.
+The mass and error helpers ``_gauss_mass`` and ``_gauss_err`` take and
+return what PrivUnit's ``_cap_mass`` and ``_cap_err`` do, so the tuner
+probes both laws alike.
 
 Same two-level density structure as the cap randomizer, so privacy is the
 same product condition on (p, q); here q = Phi(gamma/sigma) and the
@@ -28,13 +32,7 @@ from . import privunit, sphere, specfun
 from .privunit import ErrorBreakdown, ThresholdParams, _reports, _threshold_fields
 from .sphere import RngStream
 
-__all__ = [
-    "GaussParams",
-    "gauss_params",
-    "analytic_err_g",
-    "randomize_g",
-    "randomize_g_batch",
-]
+__all__ = ["GaussParams", "gauss_params"]
 
 @dataclass(frozen=True)
 class GaussParams(ThresholdParams):
@@ -87,22 +85,15 @@ def gauss_params(d: int, p: float, q: float) -> GaussParams:
 
 
 def analytic_err_g(params: ThresholdParams) -> ErrorBreakdown:
-    """The Gaussian name of ``privunit.analytic_err``, which reads the law
-    from ``params.sigma``: for GaussParams, the exact squared error of
-    ``_gauss_err`` with the second moment alpha_sq the parameters hold."""
+    """``privunit.analytic_err`` under a Gaussian name; see the module docstring."""
     return privunit.analytic_err(params)
 
 
 def randomize_g(v, params: GaussParams, rng: RngStream) -> np.ndarray:
-    """Reports alpha*v + sigma*(g - <g,v>v) with g standard normal, scaled
-    by 1/m, so E[report] = input v. v is an (n, d) matrix of unit rows (one
-    report per row) or one unit vector, which is the one-row matrix, drawn
-    from rng by the sampler's block rule (``sphere._threshold_rows``)."""
+    """``privunit.randomize`` under a Gaussian name; see the module docstring."""
     return _reports(v, params, rng)
 
 
 def randomize_g_batch(v, params: GaussParams, size: int, rng: RngStream) -> np.ndarray:
-    """Vectorized draws: (size, d) array of independent outputs for the one
-    input v, bit for bit the :func:`randomize_g` reports of the matrix of
-    size copies of v on the same stream, with the same row blocks."""
+    """``privunit.randomize_batch`` under a Gaussian name; see the module docstring."""
     return _reports(v, params, rng, size)

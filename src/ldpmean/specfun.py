@@ -17,8 +17,9 @@ run by the tuner and by the inverse incomplete beta, which refines one
 start (``_beta_start``) in ln x: at most 4 fraction evaluations per cap
 mass sigmoid(-eps) of the envelope. No sampler inverts a cdf: the samplers
 draw by rejection (``sphere._draw_above``). The private ``*_vec`` names
-apply the one-value inverses elementwise to an array and are kept for
-callers that look them up by name; numpy serves only them.
+apply the one-value inverses elementwise to an array; nothing in the
+package calls them, and they stay because the benchmark's spans
+(``bench/spans.py``) resolve them by name. numpy serves only them.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ exact rejection (``_draw_above``, which stays fast for caps of any mass),
 plus an isotropic part orthogonal to v, a Gaussian row with its component
 along v taken out, so no rotation is needed. The sampler takes an (n, d) matrix
 of unit inputs, one per row; n reports of one shared input are the rows of
-a broadcast view of it. ``rotate_from_e1`` is a standalone utility that no
-sampler uses.
+a broadcast view of it. ``rotate_from_e1`` has no caller in the package
+and is not public API; it stays because the benchmark's spans
+(``bench/spans.py``) resolve it by name.
 
 The package names its streams by id (see ``RngStream``): stream 0 for CLI
 ``randomize`` and stream t + 1 for trial t of ``estimator.run_trials``.
@@ -41,12 +42,10 @@ from .errors import NumericsError
 __all__ = [
     "RngStream",
     "as_unit_vector",
-    "as_unit_rows",
     "sample_uniform_sphere",
     "marginal_cdf",
     "inv_marginal_cdf",
     "sample_cap",
-    "rotate_from_e1",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -119,9 +118,17 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """x as a float array; a complex x raises ValueError, as the cast would
+    drop its imaginary part. It reads an array's dtype, not its values."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got a complex array")
+    return np.asarray(x, dtype=float)
+
+
 def as_unit_vector(v) -> np.ndarray:
     """Validate and return v as a 1-D float array with norm within 1e-9 of 1."""
-    v = np.asarray(v, dtype=float)
+    v = _real_array(v, "unit vectors")
     if v.ndim != 1:
         raise ValueError(f"unit vectors must be 1-D, got shape {v.shape}")
     return as_unit_rows(v)[0]
@@ -130,8 +137,8 @@ def as_unit_vector(v) -> np.ndarray:
 def as_unit_rows(v) -> np.ndarray:
     """Validate and return v as an (n, d) float array, n >= 1 and d >= 2,
     whose rows have norms within 1e-9 of 1; a 1-D v is the one-row matrix.
-    A NaN or infinite entry fails the norm check."""
-    rows = np.asarray(v, dtype=float)
+    A NaN or infinite entry fails the norm check; a complex v is refused."""
+    rows = _real_array(v, "unit vectors")
     if rows.ndim == 1:
         rows = rows[None, :]
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 2:
@@ -371,7 +378,7 @@ def rotate_from_e1(v, u):
     otherwise reflect through w = e_1 - v directly. Either way |w|^2 >= 2,
     so the map stays accurate arbitrarily close to both poles. O(d) per
     vector, no stored matrix; isotropy of tangential inputs is preserved
-    because T is orthogonal.
+    because T is orthogonal. Not public API (see the module docstring).
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)

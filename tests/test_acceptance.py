@@ -6,6 +6,7 @@ stated tolerances and wall-clock budgets."""
 import ast
 import importlib
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -13,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldpmean import capstruct_lp, cli, estimator, privunit, privunitg, sphere, tuner
+import ldpmean
+from ldpmean import capstruct_lp, cli, errors, estimator, privunit, privunitg, sphere, tuner
 from ldpmean.sphere import RngStream, sample_uniform_sphere
 from ldpmean.specfun import (
     inv_std_normal_cdf,
@@ -224,6 +226,21 @@ def test_integer_arguments_reject_nan_inf_and_fractions(call):
         call()
 
 
+_Z8 = _E1 + 0.5j * np.eye(8)[1]
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: privunit.randomize(_Z8, _CAP8, RngStream(0)), id="randomize"),
+    pytest.param(lambda: privunit.randomize_batch(_Z8, _GAUSS8, 3, RngStream(0)), id="randomize_batch"),
+    pytest.param(lambda: estimator.estimate_mean(np.stack([_Z8, _E1]), _CAP8, RngStream(0)), id="estimate_mean"),
+])
+def test_complex_inputs_raise_value_error(call):
+    # a float cast would drop the imaginary part and serve the real part,
+    # e_1 here, with only a ComplexWarning
+    with pytest.raises(ValueError, match="must be real"):
+        call()
+
+
 def test_batch_size_accepts_integral_floats():
     # an integral size of any type is the integer it names, as for every
     # other integer argument
@@ -284,3 +301,29 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(modname)
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{modname}.__all__ names {name!r}, which is not defined"
+    # each public name is declared once, in its module's __all__: the
+    # package's list is their union plus __version__, with no name in two
+    # modules (specfun and cli stay module-level APIs)
+    declared = ["__version__"]
+    for mod in (capstruct_lp, errors, estimator, privunit, privunitg, sphere, tuner):
+        declared += mod.__all__
+    assert len(set(declared)) == len(declared), "a name is in two modules' __all__"
+    assert sorted(ldpmean.__all__) == sorted(declared)
+
+
+def test_documented_module_references_resolve():
+    # every <module>.<name> that the package's source or the README names,
+    # for one of the package's modules, is an attribute of that module, so a
+    # docstring cannot keep naming a deleted or renamed function. Paths such
+    # as tests/oracles.c_inf and file names such as privunit.py are skipped
+    src = Path(privunit.__file__).parent
+    modules = sorted(path.stem for path in src.glob("*.py") if path.stem != "__init__")
+    ref = re.compile(r"(?<![\w/])(" + "|".join(modules) + r")\.([A-Za-z_]\w*)")
+    found = 0
+    for path in sorted(src.glob("*.py")) + [Path(__file__).resolve().parent.parent / "README.md"]:
+        for m in ref.finditer(path.read_text()):
+            if m.group(2) != "py":
+                found += 1
+                mod = importlib.import_module(f"ldpmean.{m.group(1)}")
+                assert hasattr(mod, m.group(2)), f"{path.name} names {m.group(0)}, which is not defined"
+    assert found, "the pattern matched no reference"

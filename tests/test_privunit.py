@@ -473,6 +473,12 @@ def test_log_density_levels_and_support():
         privunit.log_density(v, v, params)  # norm 1, support radius 1/m
     with pytest.raises(ValueError):
         privunit.log_density(np.zeros(6), v, params)
+    # a complex point or input is refused, not cast to its real part
+    z = v.astype(complex)
+    z[1] = 0.5j
+    for u, w in ((z / params.m, v), (v / params.m, z)):
+        with pytest.raises(ValueError, match="must be real"):
+            privunit.log_density(u, w, params)
 
 
 def test_log_density_boundary_is_inside_cap():

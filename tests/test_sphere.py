@@ -59,6 +59,10 @@ def test_as_unit_vector_accepts_and_rejects():
     for bad in ([math.nan, 0.0], [math.nan, math.nan], [math.inf, 0.0], [1.0, -math.inf]):
         with pytest.raises(ValueError):
             as_unit_vector(bad)
+    # a complex vector is refused, not cast to its real part [0.6, 0.8]
+    for bad in ([0.6 + 0.5j, 0.8], np.array([0.6, 0.8], dtype=complex)):
+        with pytest.raises(ValueError, match="must be real"):
+            as_unit_vector(bad)
 
 
 def test_as_unit_rows_accepts_and_rejects():
@@ -68,6 +72,9 @@ def test_as_unit_rows_accepts_and_rejects():
     for bad in ([[1.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [math.nan, 0.0]], [[math.inf, 0.0]],
                 np.zeros((0, 3)), [[1.0]], np.ones((1, 1, 2))):
         with pytest.raises(ValueError):
+            sphere.as_unit_rows(bad)
+    for bad in ([[0.6 + 0.5j, 0.8]], [0.6 + 0.5j, 0.8], np.eye(2, dtype=np.complex64)):
+        with pytest.raises(ValueError, match="must be real"):
             sphere.as_unit_rows(bad)
 
 

@@ -687,6 +687,25 @@ def test_both_laws_approach_c_inf_from_below(eps):
                 assert lo <= big / small <= hi, (alg, big, small)
 
 
+@pytest.mark.parametrize("eps, d", [(1.0, 10), (1.0, 100), (8.0, 100), (8.0, 1000), (32.0, 1000),
+                                    (32.0, 10**4), (256.0, 10**4), (256.0, 10**5)])
+def test_privunitg_gap_to_c_inf_is_eps_over_4d_squared(eps, d):
+    # c_G(eps, d) is the minimum over g of f + h/d, with f = eps/K^2 and
+    # h = eps (g/K - 1), from err = d/K^2 + g/K - 1. At g*, where K = g*,
+    # K' = K(K - g) gives K' = 0, K'' = -g* and K''' = -g*^2, so h = 0,
+    # h' = eps/g*, h'' = eps, f'' = 2 eps/g*^2 and f''' = 2 eps/g*. The
+    # minimizer is g* + delta/d + O(d^-2) with delta = -h'/f'' = -g*/2, and
+    # the minimum is c_inf - h'^2/(2 f'' d^2)
+    # + (f''' delta^3/6 + h'' delta^2/2)/d^3 + O(d^-4), that is
+    #   c_inf - c_G = (eps/(4 d^2)) (1 - g*^2/(3 d) + O(d^-2)), g*^2 = eps/c_inf.
+    # The band is three times the derived next term g*^2/(3 d); it runs from
+    # 1.6e-3 to 7.5e-2 here. The ratio's float error, 4 d^2 dc/eps, is at
+    # most a few 1e-6, at (256, 10^5)
+    limit = c_inf(eps)
+    ratio = 4.0 * d * d * (limit - tuner.tune(eps, d, "privunitg").c_const) / eps
+    assert abs(ratio - 1.0) <= (eps / limit) / d
+
+
 # --- PrivUnitG's error through K = m sqrt(d) ---------------------------------
 
 def _k_form(d, g, m):
