@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sphere
 from .errors import NumericsError
 
 __all__ = ["LpInstance", "LpSolution", "lp_instance", "solve_greedy", "verify_cap_structure"]
@@ -120,10 +121,11 @@ def verify_cap_structure(solution: LpSolution) -> bool:
     positive levels inside the e^{eps} box, unit mass, reflection
     symmetry, at most one transitional pair between the levels, high
     level on a single contiguous band around angle 0, and the exchange
-    test (no low arc outranks a high arc in mean x-coordinate)."""
+    test (no low arc outranks a high arc in mean x-coordinate). Complex
+    levels raise ValueError: the cast would drop their imaginary parts."""
     inst = solution.instance
     K, w = inst.K, inst.arc_measure
-    levels = np.asarray(solution.levels, dtype=float)
+    levels = sphere._real_array(solution.levels, "levels")
     base = solution.base_p
     if levels.shape != (K,) or not np.all(np.isfinite(levels)) or base <= 0.0:
         return False

@@ -18,8 +18,9 @@ q = P(W_1 <= gamma). Everything is evaluated in log space; parameters
 carry exact complements (p_comp, q_comp) so that budgets near saturation
 (q -> 1) keep full precision. The threshold gamma is the one input that
 describes the mechanism: both builders take q_comp and the tail mean of
-the stored gamma from their caller, which evaluates them by the law's mass
-helper, so ``budget`` certifies what ``randomize`` draws.
+the stored gamma from their caller, which evaluates them by the law's
+``_mass`` (a piece of ``tuner._law``), so ``budget`` certifies what
+``randomize`` draws.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def _threshold_fields(d: int, p: float, p_comp: float, gamma: float, q_comp: flo
                 log_level_hi=log_hi, log_level_lo=log_lo, budget=log_hi - log_lo)
 
 
-def _cap_mass(d: int, gamma: float) -> tuple[float, float, float]:
+def _mass(d: int, gamma: float) -> tuple[float, float, float]:
     """(gamma, q_comp, tail_mean) of the cap {T >= gamma}. With a = (d-1)/2
     the cap is {X <= x} for X ~ Beta(a, a) and x = (1 - gamma)/2, so
     q_comp = I_x(a, a), bit for bit ``sphere.marginal_cdf(-gamma, d)``, and
@@ -162,7 +163,7 @@ def _cap_mass(d: int, gamma: float) -> tuple[float, float, float]:
 
 def _build(d: int, p: float, p_comp: float, gamma: float, q_comp: float, tail_mean: float) -> CapParams:
     """PrivUnit parameters at the sampled threshold gamma, from the mass
-    q_comp and tail mean that the caller took from ``_cap_mass(d, gamma)``."""
+    q_comp and tail mean that the caller took from ``_mass(d, gamma)``."""
     return CapParams(**_threshold_fields(d, p, p_comp, gamma, q_comp, tail_mean))
 
 
@@ -174,26 +175,26 @@ def cap_params(d: int, p: float, gamma: float) -> CapParams:
         raise ValueError(f"p must lie in [1/2, 1], got {p!r}")
     if not (0.0 <= gamma < 1.0):
         raise ValueError(f"gamma must lie in [0, 1), got {gamma!r}")
-    return _build(d, p, 1.0 - p, gamma, *_cap_mass(d, gamma)[1:])
+    return _build(d, p, 1.0 - p, gamma, *_mass(d, gamma)[1:])
 
 
 def analytic_err(params: ThresholdParams) -> ErrorBreakdown:
     """Exact squared error of the law that ``params.sigma`` names. PrivUnit's
     is 1/m^2 - 1 (the output lies on the radius-1/m sphere), evaluated by
-    ``_cap_err`` without cancellation, with alpha_sq recorded
+    ``_err`` without cancellation, with alpha_sq recorded
     informationally via the closed form
     E[W_1^2 under the mixture] = (1 + gamma (d-1) m) / d. PrivUnitG's is
-    ``privunitg._gauss_err``, looked up at each call so that a wrapped or
+    ``privunitg._err``, looked up at each call so that a wrapped or
     patched helper is the one called, with the alpha_sq the parameters hold."""
     d, m = params.d, params.m
     args = (d, params.p, params.p_comp, params.q, params.q_comp, params.gamma, m)
     if params.sigma is None:
-        return ErrorBreakdown(m=m, alpha_sq=(1.0 + params.gamma * (d - 1) * m) / d, err=_cap_err(*args), d=d)
+        return ErrorBreakdown(m=m, alpha_sq=(1.0 + params.gamma * (d - 1) * m) / d, err=_err(*args), d=d)
     from . import privunitg  # deferred: privunitg imports this module
-    return ErrorBreakdown(m=m, alpha_sq=params.alpha_sq, err=privunitg._gauss_err(*args), d=d)
+    return ErrorBreakdown(m=m, alpha_sq=params.alpha_sq, err=privunitg._err(*args), d=d)
 
 
-def _cap_err(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, m: float) -> float:
+def _err(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: float, m: float) -> float:
     """PrivUnit's squared error 1/m^2 - 1 as (1 - m)(1 + m)/m^2 with
     1 - m = p r + p_comp (1 + tau/q), a sum of positive terms, so a small
     err keeps its relative precision.
@@ -215,6 +216,43 @@ def _cap_err(d: int, p: float, p_comp: float, q: float, q_comp: float, gamma: fl
         r = 2.0 * a * x / (a + 1.0) * specfun._beta_cf(x, a + 1.0, a) * cap_mean
     one_minus_m = p * r + p_comp * (1.0 + tau / q)
     return one_minus_m * (1.0 + m) / (m * m)
+
+
+# the smallest cap of a float gamma: gamma = 1 - 2^-53, x = (1 - gamma)/2 = 2^-54
+_GAMMA_EDGE = 1.0 - 2.0**-53
+_S_EDGE = 54.0 * specfun._LN2
+
+
+def _quantile(y: float, d: int) -> float:
+    return 0.0 - sphere.inv_marginal_cdf(y, d)  # 0.0 - t keeps gamma = +0.0 at y = 1/2
+
+
+def _threshold(s: float) -> float:
+    return 1.0 - 2.0 * math.exp(-s)  # the search runs in s = -ln x, x = (1 - gamma)/2
+
+
+def _bracket(y: float, d: int) -> tuple[float, float]:
+    """From s = ln 2 (gamma = 0) to the cap of mass y or, with no cdf
+    inverted, to the smallest float cap where that lies past it: a float
+    gamma expresses no x below 2^-54, so the error is a staircase where the
+    cap is that small (d up to about 44 at large eps)."""
+    if _mass(d, _GAMMA_EDGE)[1] >= y:
+        return specfun._LN2, _S_EDGE
+    return specfun._LN2, -math.log(specfun.inv_reg_inc_beta(y, 0.5 * (d - 1)))
+
+
+def _residual(d: int, t: float, p: float, p_comp: float, q: float, q_comp: float,
+              tail_mean: float, e: float, m: float) -> tuple[float, float]:
+    """R and R' in s, with m* = gamma: mu - gamma = (m - gamma) + mu p_comp/q
+    with m - gamma = 2x - e m^2/(1 + m), which does not cancel as
+    gamma -> 1; F = a tau/(1 - x) = 2x f(gamma) is the slope of q, mu' =
+    F (mu - gamma)/Q and (ln p_comp)' = p F/(q Q)."""
+    a, x = 0.5 * (d - 1), 0.5 * (1.0 - t)
+    mu = tail_mean / q_comp
+    excess = 2.0 * x - e * m * m / (1.0 + m) + mu * p_comp / q  # mu - gamma
+    f = a * tail_mean / (1.0 - x)
+    r = math.log(q * excess / mu) - math.log(p_comp)
+    return r, p_comp * f / (q * q_comp) - 2.0 * x / excess - f * excess / (q_comp * mu)
 
 
 def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None) -> np.ndarray:

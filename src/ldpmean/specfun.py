@@ -7,7 +7,7 @@ beta is evaluated in log space so that shapes of order 10^5 (half of a
 large sphere dimension) neither overflow nor lose the tiny cap masses that
 show up at large privacy budgets. Near x = 1/2 the fraction needs on the
 order of sqrt(a + b) terms, so its iteration budget, 200 + 4 sqrt(a + b),
-comes from the shapes; it keeps two, as ``privunit._cap_err`` takes it at
+comes from the shapes; it keeps two, as ``privunit._err`` takes it at
 (a + 1, a).
 
 Each algorithm is written once. The normal quantile is

@@ -30,3 +30,20 @@ def test_every_span_resolves_in_ldpmean():
         assert callable(getattr(mod, attr, None)), f"{modname}.{attr}"
     for meth, *_ in spans.METHOD_SPANS:
         assert callable(vars(RngStream).get(meth)), f"RngStream.{meth}"
+
+
+def test_spans_count_the_builds_that_tune_makes_through_the_law_modules():
+    # the tuner looks each law's pieces up at their use, so the spans, which
+    # move every module binding of a wrapped builder, count its builds; a
+    # record of the builders captured at import would count none
+    import ldpmean.capstruct_lp, ldpmean.cli, ldpmean.estimator  # noqa: F401 (install wraps a span of each)
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install(ldpmean)
+    try:
+        for alg in ("privunit", "privunitg"):
+            ldpmean.tuner.tune(8.0, 1024, alg)
+    finally:
+        tracer.uninstall()
+    assert [tracer.calls[k] for k in ("privunit.build", "privunitg.build", "tuner.tune")] == [1, 1, 2]
+    assert spans.installed_wrappers(ldpmean) == []

@@ -211,3 +211,11 @@ def test_verify_rejects_many_intermediate_levels():
         instance=inst,
     )
     assert not verify_cap_structure(uniform)
+
+
+def test_verify_rejects_complex_levels():
+    # a cast to float would certify the real part and drop the imaginary one
+    sol = solve_greedy(lp_instance(36, 2.0))
+    assert verify_cap_structure(sol)
+    with pytest.raises(ValueError, match="levels must be real"):
+        verify_cap_structure(dataclasses.replace(sol, levels=sol.levels + 1e-3j))

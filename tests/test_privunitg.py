@@ -39,9 +39,9 @@ def test_analytic_err_reads_the_law_from_the_parameters(alg, eps, d):
     pr = res.params
     args = (d, pr.p, pr.p_comp, pr.q, pr.q_comp, pr.gamma, pr.m)
     if alg == "privunit":
-        own = ErrorBreakdown(m=pr.m, alpha_sq=(1.0 + pr.gamma * (d - 1) * pr.m) / d, err=privunit._cap_err(*args), d=d)
+        own = ErrorBreakdown(m=pr.m, alpha_sq=(1.0 + pr.gamma * (d - 1) * pr.m) / d, err=privunit._err(*args), d=d)
     else:
-        own = ErrorBreakdown(m=pr.m, alpha_sq=pr.alpha_sq, err=privunitg._gauss_err(*args), d=d)
+        own = ErrorBreakdown(m=pr.m, alpha_sq=pr.alpha_sq, err=privunitg._err(*args), d=d)
     assert privunit.analytic_err(pr) == privunitg.analytic_err_g(pr) == own
     assert own.err == res.err_star
 

@@ -270,7 +270,7 @@ def test_draw_above_conditional_mean_at_tuned_points(alg, d, eps, side):
     params = tuner.tune(eps, d, alg).params
     sigma = getattr(params, "sigma", None)
     threshold = params.gamma if sigma is None else params.g_std
-    tail_mean = tuner._law(alg)[1](d, threshold)[2]
+    tail_mean = tuner._law(alg)._mass(d, threshold)[2]
     t, mass = (params.gamma, params.q_comp) if side == "cap" else (-params.gamma, params.q)
     assert (mass < 0.25) == (side == "cap")
     draws = sphere._draw_above(t, mass, 2**20, d, sigma, RngStream(66, 2 * d + (side == "open")))
@@ -287,7 +287,7 @@ def test_draw_above_power_law_conditional_mean(d, chunks):
     # see an acceptance exponent 1.1 - a in place of 1 - a, and this one does
     a = 0.5 * (d - 1)
     t = 1.0 - 2.0 * specfun.inv_reg_inc_beta(0.24, a)
-    _, mass, tail_mean = tuner._law("privunit")[1](d, t)
+    _, mass, tail_mean = tuner._law("privunit")._mass(d, t)
     assert mass < 0.25
     rng = RngStream(67, d)  # d = 2 needs 2^22 draws, made 2^20 at a time
     draws = np.concatenate([sphere._draw_above(t, mass, 2**20, d, None, rng) for _ in range(chunks)])

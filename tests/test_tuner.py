@@ -2,7 +2,9 @@
 splits, match a dense-grid oracle, dominate interior (non-saturated)
 budgets, and produce the monotone scaled constant."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +54,34 @@ def test_tune_validation():
     for eps in (0.0, -1.0, 700.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             tuner.c_eps(eps)
+
+
+def test_tuner_names_no_law():
+    # every per-law decision lives in the law modules, whose pieces tuner._law
+    # states: the tuner compares alg only to validate it, binds no module-level
+    # name of a law other than _LAWS and _ALGS (no law constant, no name taken
+    # from a law module), names privunitg only in _LAWS, and reads from
+    # privunit only what serves both laws
+    tree = ast.parse(Path(tuner.__file__).read_text())
+    compares = [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Compare)
+                and any(isinstance(x, ast.Name) and x.id == "alg" for x in ast.walk(n))]
+    assert compares in (["alg not in _ALGS"], ["alg not in _LAWS"]), compares
+    law_names = {n for n in (*vars(privunit), *vars(privunitg)) if not n.startswith("__")}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom):
+            assert stmt.module not in ("privunit", "privunitg"), ast.unparse(stmt)
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = {t.id for t in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])}
+            if targets <= {"_LAWS", "_ALGS"}:
+                continue
+            assert not targets & law_names, ast.unparse(stmt)
+            assert not {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)} & {"privunit", "privunitg"}
+    laws_stmt = next(s for s in tree.body if isinstance(s, ast.Assign) and s.targets[0].id == "_LAWS")
+    named_g = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "privunitg"]
+    assert named_g and all(n in set(ast.walk(laws_stmt)) for n in named_g)
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "privunit"}
+    assert read == {"ThresholdParams", "_q_and_m", "analytic_err"}, read
 
 
 @pytest.mark.parametrize("alg,cls", [("privunit", CapParams), ("privunitg", GaussParams)])
@@ -260,7 +290,7 @@ def test_one_quantile_inversion_per_tune(monkeypatch):
                 calls[0] = 0
                 tuner.tune(eps, d, alg)
                 inverted = calls[0]
-                stop = tuner._bracket(alg, eps, d)[1] == tuner._S_EDGE
+                stop = tuner._bracket(tuner._law(alg), eps, d)[1] == privunit._S_EDGE
                 assert inverted == 1 - stop, (alg, eps, d)
                 stops += stop
     assert stops == 11, stops
@@ -273,11 +303,11 @@ def test_error_evaluations_per_tune(monkeypatch):
     # errors, which analytic_err and analytic_err_g wrap, so every
     # evaluation is counted here
     calls = [0]
-    for mod, name in ((privunit, "_cap_err"), (privunitg, "_gauss_err")):
-        def counted(*args, _f=getattr(mod, name)):
+    for mod in (privunit, privunitg):
+        def counted(*args, _f=mod._err):
             calls[0] += 1
             return _f(*args)
-        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(mod, "_err", counted)
     counts = []
     for alg, eps, d in _BENCH_GRID:
         calls[0] = 0
@@ -292,7 +322,7 @@ def test_mass_evaluations_per_tune(monkeypatch):
     # of the smallest cap; the winner's build and every budget-trim step
     # take the probe's mass, so they evaluate none
     masses, probes = [0], [0]
-    for mod, name, calls in ((privunit, "_cap_mass", masses), (privunitg, "_gauss_mass", masses),
+    for mod, name, calls in ((privunit, "_mass", masses), (privunitg, "_mass", masses),
                              (tuner, "_probe", probes)):
         def counted(*args, _f=getattr(mod, name), _calls=calls):
             _calls[0] += 1
@@ -309,11 +339,11 @@ def test_tune_builds_parameters_once(monkeypatch):
     # then once per step of its budget trim, each at the winner's threshold
     # with a smaller eps0, and every build but the last is over budget
     built = []
-    for mod, name in ((privunit, "_build"), (privunitg, "_build_gauss")):
-        def counted(*args, _f=getattr(mod, name)):
+    for mod in (privunit, privunitg):
+        def counted(*args, _f=mod._build):
             built.append(_f(*args))
             return built[-1]
-        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(mod, "_build", counted)
     counts = []
     for alg in ("privunit", "privunitg"):
         for eps in _ENVELOPE_EPS:
@@ -334,11 +364,11 @@ def test_budget_trim_builds_at_most_twice(monkeypatch):
     # cannot move p = sigmoid(eps0) near 1/2, so smaller steps rebuild the
     # same levels; over the envelope every tune builds at most twice
     builds = [0]
-    for mod, name in ((privunit, "_build"), (privunitg, "_build_gauss")):
-        def counted(*args, _f=getattr(mod, name)):
+    for mod in (privunit, privunitg):
+        def counted(*args, _f=mod._build):
             builds[0] += 1
             return _f(*args)
-        monkeypatch.setattr(mod, name, counted)
+        monkeypatch.setattr(mod, "_build", counted)
     for alg in ("privunit", "privunitg"):
         for eps in _ENVELOPE_EPS:
             for d in _ENVELOPE_D:
@@ -357,14 +387,14 @@ def test_probe_scalars_match_the_built_parameters(eps, d, alg):
     if alg == "privunit":
         # the cap helper's mass is marginal_cdf's, at x = 1/2 and the edge cap
         for gamma in (0.0, 1.0 - 2.0**-53):
-            assert privunit._cap_mass(d, gamma)[1] == sphere.marginal_cdf(-gamma, d)
+            assert privunit._mass(d, gamma)[1] == sphere.marginal_cdf(-gamma, d)
     res = tuner.tune(eps, d, alg)
     pr = res.params
     if alg == "privunit":
-        mass, err, error, t = privunit._cap_mass, privunit._cap_err, privunit.analytic_err, pr.gamma
-        assert privunit._cap_mass(d, pr.gamma)[1] == sphere.marginal_cdf(-pr.gamma, d)
+        mass, err, error, t = privunit._mass, privunit._err, privunit.analytic_err, pr.gamma
+        assert privunit._mass(d, pr.gamma)[1] == sphere.marginal_cdf(-pr.gamma, d)
     else:
-        mass, err, error, t = privunitg._gauss_mass, privunitg._gauss_err, privunitg.analytic_err_g, pr.g_std
+        mass, err, error, t = privunitg._mass, privunitg._err, privunitg.analytic_err_g, pr.g_std
     assert res.err_star == error(pr).err
     # both laws' helpers share one interface: the mass at the built
     # threshold and the scalar error are the parameters' bit for bit
@@ -391,11 +421,11 @@ def test_every_probe_is_feasible(monkeypatch):
     # over the envelope is at a threshold of mass at least sigmoid(-eps)
     # and a p above 1/2: no probe needs the eps0 >= 0 clamp
     seen = []
-    for mod, name in ((privunit, "_cap_err"), (privunitg, "_gauss_err")):
-        def recorded(d, p, p_comp, q, q_comp, gamma, m, _f=getattr(mod, name)):
+    for mod in (privunit, privunitg):
+        def recorded(d, p, p_comp, q, q_comp, gamma, m, _f=mod._err):
             seen.append((p, q_comp))
             return _f(d, p, p_comp, q, q_comp, gamma, m)
-        monkeypatch.setattr(mod, name, recorded)
+        monkeypatch.setattr(mod, "_err", recorded)
     for alg in ("privunit", "privunitg"):
         for eps in _ENVELOPE_EPS:
             y = math.exp(-eps) / (1.0 + math.exp(-eps))
@@ -412,7 +442,7 @@ def test_tune_where_tol_exceeds_half_the_bracket(alg):
     # below eps = 2^-25 the bracket's tol, 2^-26 (hi - lo)/eps, is more than
     # half of it: the one probe is its midpoint, a feasible split
     eps, d = 1e-9, 16
-    lo, hi, tol = tuner._bracket(alg, eps, d)
+    lo, hi, tol = tuner._bracket(tuner._law(alg), eps, d)
     assert tol > 0.5 * (hi - lo)
     res = tuner.tune(eps, d, alg)
     assert 0.0 <= res.split.eps1 <= eps and 0.0 <= res.split.eps0 <= eps
@@ -445,7 +475,7 @@ def test_tune_settles_on_the_lowest_nearby_stair(eps, d):
     # no higher than a probe's at any float gamma within 64 ulps of its own
     res = tuner.tune(eps, d, "privunit")
     near = [g for g in _floats_around(res.params.gamma, 64) if g < 1.0]
-    assert res.err_star <= min(tuner._probe("privunit", eps, d, g)[-2] for g in near)
+    assert res.err_star <= min(tuner._probe(privunit, eps, d, g)[-2] for g in near)
 
 
 @pytest.mark.parametrize("eps,d", _STAIRS + [(64.0, 3), (256.0, 16)])
@@ -455,11 +485,11 @@ def test_tune_probes_no_float_gamma_twice_in_a_row(monkeypatch, eps, d):
     # evaluate the same floats again, so the search ends within 6 probes
     seen = []
 
-    def recorded(alg, d, t, *scalars, _f=tuner._search_residual):
+    def recorded(d, t, *scalars, _f=privunit._residual):
         seen.append(t)
-        return _f(alg, d, t, *scalars)
+        return _f(d, t, *scalars)
 
-    monkeypatch.setattr(tuner, "_search_residual", recorded)
+    monkeypatch.setattr(privunit, "_residual", recorded)
     tuner.tune(eps, d, "privunit")
     assert all(s != t for s, t in zip(seen, seen[1:])) and len(seen) <= 6
 
@@ -470,9 +500,9 @@ def test_tune_evaluates_the_smallest_cap_at_most_once(monkeypatch):
     # b - tol, which rounds onto it, so no tune evaluates it twice
     probed = []
 
-    def recorded(alg, eps, d, t, _f=tuner._probe):
+    def recorded(law, eps, d, t, _f=tuner._probe):
         probed.append(t)
-        return _f(alg, eps, d, t)
+        return _f(law, eps, d, t)
 
     monkeypatch.setattr(tuner, "_probe", recorded)
     points = [(alg, eps, d) for alg in ("privunit", "privunitg") for eps in _ENVELOPE_EPS for d in _ENVELOPE_D]
@@ -481,14 +511,9 @@ def test_tune_evaluates_the_smallest_cap_at_most_once(monkeypatch):
     for alg, eps, d in points:
         probed.clear()
         tuner.tune(eps, d, alg)
-        edge.append(probed.count(tuner._GAMMA_EDGE))
+        edge.append(probed.count(privunit._GAMMA_EDGE))
         assert edge[-1] <= 1, (alg, eps, d)
     assert 1 in edge
-
-
-def _threshold(alg, u):
-    # the builder's threshold at the search variable u
-    return 1.0 - 2.0 * math.exp(-u) if alg == "privunit" else u
 
 
 def _err_slope_factor(alg, d, t, m):
@@ -507,19 +532,20 @@ def test_residual_is_the_error_slope(eps, d, alg):
     # residual's: central differences with a step h of 1e-5 of the bracket
     # truncate at about h^2 relative, 1e-10, and 1e-5 leaves room for the
     # error's rounding over 2h (they agree to 4e-7 or better here)
-    lo, hi, _ = tuner._bracket(alg, eps, d)
+    law = tuner._law(alg)
+    lo, hi, _ = tuner._bracket(law, eps, d)
     h = 1e-5 * (hi - lo)
 
     def at(u):
-        t = _threshold(alg, u)
-        e, m = tuner._probe(alg, eps, d, t)[-2:]
+        t = law._threshold(u)
+        e, m = tuner._probe(law, eps, d, t)[-2:]
         return (e, m) + first_order_residual(alg, d, t, e, m)
 
     for frac in (0.1, 0.3, 0.6, 0.9):
         u = lo + frac * (hi - lo)
         e, m, r, dr = at(u)
         (e_up, _, r_up, _), (e_down, _, r_down, _) = at(u + h), at(u - h)
-        c = _err_slope_factor(alg, d, _threshold(alg, u), m)
+        c = _err_slope_factor(alg, d, law._threshold(u), m)
         assert (e_up - e_down) / (2.0 * h) == pytest.approx(-c * r, rel=1e-5), frac
         assert (r_up - r_down) / (2.0 * h) == pytest.approx(dr, rel=1e-5), frac
 
@@ -531,13 +557,14 @@ def test_search_residual_has_the_condition_sign_and_slope(eps, d, alg):
     # first_order_residual: at the points of test_residual_is_the_error_slope, R
     # has r's sign, so both have one root, and R' matches central
     # differences of R to 1e-5 (3e-9 or better here)
-    lo, hi, _ = tuner._bracket(alg, eps, d)
+    law = tuner._law(alg)
+    lo, hi, _ = tuner._bracket(law, eps, d)
     h = 1e-5 * (hi - lo)
 
     def at(u):
-        t = _threshold(alg, u)
-        scalars = tuner._probe(alg, eps, d, t)[1:]
-        return first_order_residual(alg, d, t, *scalars[-2:])[0], tuner._search_residual(alg, d, t, *scalars)
+        t = law._threshold(u)
+        scalars = tuner._probe(law, eps, d, t)[1:]
+        return first_order_residual(alg, d, t, *scalars[-2:])[0], law._residual(d, t, *scalars)
 
     for frac in (0.1, 0.3, 0.6, 0.9):
         u = lo + frac * (hi - lo)
@@ -574,25 +601,26 @@ def test_tuned_threshold_meets_the_first_order_condition(eps, d, alg):
     # lies beyond it: r >= 0 there.
     pr = tuner.tune(eps, d, alg).params
     t = pr.gamma if alg == "privunit" else pr.g_std
-    e, m = tuner._probe(alg, eps, d, t)[-2:]
+    law = tuner._law(alg)
+    e, m = tuner._probe(law, eps, d, t)[-2:]
     r, dr = first_order_residual(alg, d, t, e, m)
-    if t == tuner._GAMMA_EDGE:
+    if t == privunit._GAMMA_EDGE:
         assert r >= 0.0
         return
-    tol = tuner._bracket(alg, eps, d)[2]
+    tol = tuner._bracket(law, eps, d)[2]
     if alg == "privunit":
         res = math.ulp(t) / (1.0 - t)
         near = [u for u in _floats_around(t, 64) if u < 1.0]
     else:
         res = math.ulp(t)
         near = _floats_around(t, 64)
-    errs = [tuner._probe(alg, eps, d, u)[-2] for u in near]
+    errs = [tuner._probe(law, eps, d, u)[-2] for u in near]
     tie = math.sqrt(2.0 * (max(errs) - min(errs)) / (-_err_slope_factor(alg, d, t, m) * dr))
     assert abs(r / dr) <= 2.0 * tol + res + tie, (abs(r / dr) / tol, res / tol, tie / tol)
 
 
 def test_tune_raises_when_the_best_error_is_not_positive(monkeypatch):
-    monkeypatch.setattr(privunitg, "_gauss_err", lambda *args: 0.0)
+    monkeypatch.setattr(privunitg, "_err", lambda *args: 0.0)
     with pytest.raises(NumericsError, match="not positive"):
         tuner.tune(1.0, 16, "privunitg")
 
@@ -719,7 +747,7 @@ def test_gauss_err_is_d_over_k_squared_plus_g_over_k(eps, d):
     # with K = m sqrt(d) and g = g_std, (sigma^2 + gamma m + (d-1)/d)/m^2 - 1
     # is d/K^2 + g/K - 1: the d -> infinity constant is eps/max K^2
     pr = tuner.tune(eps, d, "privunitg").params
-    err = privunitg._gauss_err(d, pr.p, pr.p_comp, pr.q, pr.q_comp, pr.gamma, pr.m)
+    err = privunitg._err(d, pr.p, pr.p_comp, pr.q, pr.q_comp, pr.gamma, pr.m)
     assert err == pytest.approx(_k_form(d, pr.g_std, pr.m), rel=1e-12, abs=0.0)
 
 
