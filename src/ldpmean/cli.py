@@ -109,12 +109,16 @@ def _read_vectors(infile: str | None, d: int) -> tuple[np.ndarray, list[int]]:
     numpy's text reader parses the usual input in one pass; where it raises
     or finds other than d columns, the per-line loop reads the tokens it
     refuses (1_0, full-width digits) or names the first bad line. The input
-    text dies on return, before the output's text is built."""
-    if infile and infile != "-":
-        with open(infile) as fh:
-            raw = fh.read()
-    else:
-        raw = sys.stdin.read()
+    text dies on return, before the output's text is built. Bytes that do
+    not decode are a data error that names their position."""
+    try:
+        if infile and infile != "-":
+            with open(infile) as fh:
+                raw = fh.read()
+        else:
+            raw = sys.stdin.read()
+    except UnicodeDecodeError as exc:  # a ValueError, which main reads as a usage error
+        raise SupportError(f"input does not decode: {exc}") from None
     lines, line_nos = [], []
     for ln, line in enumerate(raw.splitlines(), start=1):
         if line.strip():
@@ -227,7 +231,7 @@ def main(argv=None) -> int:
     except (DegenerateParameterError, ArithmeticError, SupportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # OSError: an --in or --out path that cannot be opened
+    except (ValueError, OSError, MemoryError) as exc:  # a path that cannot be opened, a size past memory
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     return 0

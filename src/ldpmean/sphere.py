@@ -18,13 +18,8 @@ and is not public API; it stays because the benchmark's spans
 
 The package names its streams by id (see ``RngStream``): stream 0 for CLI
 ``randomize`` and stream t + 1 for trial t of ``estimator.run_trials``.
-Inside one call, streams derive by block jump only: ``_row_blocks`` splits
-every multi-row draw, the sampler's and the protocol's, into fixed blocks
-of max(1, 2**17 // d) rows. A call of one block draws on the caller's
-stream. A longer call draws block b on the caller's stream jumped b + 1
-times, each block on its own thread, up to one thread per core (the
-protocol caps its threads lower); its reports depend on the seed and this
-block rule, never on the number of threads.
+Every multi-row draw, the sampler's and the protocol's, runs in the row
+blocks of ``_row_blocks``, whose docstring states the block rule.
 """
 
 from __future__ import annotations
@@ -67,13 +62,8 @@ class RngStream:
     pairs reproduce identical draw sequences and distinct stream ids give
     statistically independent streams. The package names stream 0 (CLI
     ``randomize``) and stream t + 1 (trial t of ``estimator.run_trials``);
-    a caller names any other id in [0, 2**64) directly.
-
-    Streams derive by block jump only: a call of nb > 1 row blocks
-    (``_row_blocks``) draws block b on this stream's Philox counter jumped
-    b + 1 times (``Philox.jumped``, 2**128 draws per jump), then moves this
-    stream nb + 1 jumps ahead, so its later draws overlap no block. Jumps
-    keep the key, so they never reach another stream.
+    a caller names any other id in [0, 2**64) directly. Inside one call,
+    streams derive only by the block jumps of ``_row_blocks``.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
@@ -84,18 +74,6 @@ class RngStream:
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._gen = np.random.Generator(np.random.Philox(key=(self.stream_id << 64) | self.seed))
-
-    def _block_streams(self, nb: int) -> list["RngStream"]:
-        """The streams of nb row blocks, block b on this stream jumped b + 1
-        times; this stream then moves nb + 1 jumps ahead."""
-        bits = self._gen.bit_generator
-        blocks = []
-        for b in range(nb):
-            block = copy.copy(self)
-            block._gen = np.random.Generator(bits.jumped(b + 1))
-            blocks.append(block)
-        bits.advance((nb + 1) << 128)
-        return blocks
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1)."""
@@ -276,19 +254,29 @@ def _row_blocks(n: int, d: int, fn, rng: RngStream, threads: float = math.inf) -
     """fn(rows, stream) for each row block of an n-row call at dimension d,
     rows the block's slice, and the results in block order.
 
-    Blocks hold max(1, 2**17 // d) rows. One block runs on rng. More blocks
-    run on a pool of up to one thread per core, and at most threads, block
-    b on rng jumped b + 1 times (``RngStream._block_streams``), so the
-    results depend on the seed and this rule only, never on the number of
-    threads.
+    The block rule: blocks hold max(1, 2**17 // d) rows. One block runs on
+    rng. nb > 1 blocks run on a pool of up to one thread per core, and at
+    most threads, block b on rng's Philox counter jumped b + 1 times
+    (2**128 draws per jump). Before any block runs, rng moves nb + 1 jumps
+    ahead, so its later draws overlap no block, even after a block raises.
+    Jumps keep the key, so they never reach another stream, and the results
+    depend on the seed and this rule only, never on the number of threads.
+    The block streams are built here, on the calling thread: built on the
+    block threads, each contends for the GIL with the other blocks' work.
     """
     rows = max(1, _BLOCK_VALUES // d)
     if n <= rows:
         return [fn(slice(0, n), rng)]
-    starts = range(0, n, rows)
-    streams = rng._block_streams(len(starts))
-    with ThreadPoolExecutor(min(_cores(), len(starts), threads)) as pool:  # map re-raises a block's error
-        return list(pool.map(lambda start, stream: fn(slice(start, start + rows), stream), starts, streams))
+    nb = -(-n // rows)
+    bits = rng._gen.bit_generator
+    streams = []
+    for b in range(nb):
+        stream = copy.copy(rng)
+        stream._gen = np.random.Generator(bits.jumped(b + 1))
+        streams.append(stream)
+    bits.advance((nb + 1) << 128)
+    with ThreadPoolExecutor(min(_cores(), nb, threads)) as pool:  # map re-raises a block's error
+        return list(pool.map(lambda b, stream: fn(slice(b * rows, (b + 1) * rows), stream), range(nb), streams))
 
 
 def _threshold_rows(v, rng, p, q, q_comp, gamma, m, sigma=None) -> np.ndarray:

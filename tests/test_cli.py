@@ -190,6 +190,15 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == ""
         assert "usage error" in err and name in err
+    # sizes past any address space (0.7 and 4.4 EiB) but under numpy's size
+    # limit fail to allocate at once, touching no memory, and so does a
+    # size past numpy's limit
+    for argv in (["simulate", "--eps", "4", "--d", "64", "--n", "2", "--trials", "100000000000000000"],
+                 ["simulate", "--eps", "4", "--d", "64", "--n", "10000000000000000", "--trials", "1"],
+                 ["lp_verify", "--eps", "4", "--k", "100000000000000000000"]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert err.startswith("usage error") and err.count("\n") == 1, (argv, err)
     # randomize checks its arguments before it reads the input, whatever the input is
     for argv in (["--eps", "0", "--d", "2"], ["--eps", "4", "--d", "1"]):
         for text in ("1.0\n", "", "0.6 0.8\n"):
@@ -238,11 +247,21 @@ def test_tune_below_the_envelope_exits_0_or_3(capsys):
     assert codes == {0, 3}
 
 
-def test_data_error_exit_code(capsys, monkeypatch):
+def test_data_error_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n"))  # norm sqrt(2)
     rc, out, err = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")
     assert rc == 3 and out == ""
     assert "error" in err
+
+    # input that does not decode, from a file or from stdin, is a data
+    # error that names the byte's position
+    raw = b"0.6 0.8\n\xff\xfe 0.1\n"
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(raw)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    for argv in (["--in", str(path)], []):
+        rc, out, err = run_cli(capsys, "randomize", "--eps", "4", "--d", "2", *argv)
+        assert rc == 3 and out == "" and err.startswith("error:") and "position 8" in err, (argv, err)
 
     monkeypatch.setattr("sys.stdin", io.StringIO("not a number\n"))
     rc, _, _ = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")

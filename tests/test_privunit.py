@@ -292,16 +292,16 @@ def test_multi_block_draws_follow_the_block_rule(d, monkeypatch):
 def test_consecutive_multi_block_calls_share_no_block_stream(monkeypatch):
     # the counters where the block streams of two multi-block calls start,
     # and where the call stream stands after them, lie at least one jump
-    # (2**128 counter steps) apart, so no two of them share a draw
+    # (2**128 counter steps) apart, so no two of them share a draw; each
+    # block's stream is read where the block starts to draw
     starts = []
-    block_streams = RngStream._block_streams
+    threshold_block = sphere._threshold_block
 
-    def record(rng, nb):
-        blocks = block_streams(rng, nb)
-        starts.extend(_counter(b) for b in blocks)
-        return blocks
+    def record(v, rng, *args):
+        starts.append(_counter(rng))
+        return threshold_block(v, rng, *args)
 
-    monkeypatch.setattr(RngStream, "_block_streams", record)
+    monkeypatch.setattr(sphere, "_threshold_block", record)
     d = 1024
     v = sample_uniform_sphere(d, RngStream(8, d))
     params = privunitg.gauss_params(d, 0.9, 0.8)
@@ -319,15 +319,18 @@ def test_consecutive_multi_block_calls_share_no_block_stream(monkeypatch):
 
 def test_block_errors_reach_the_caller_typed(monkeypatch):
     # one rejection round leaves lanes of a mass-1/2 side unaccepted inside
-    # the block threads; the caller sees the sampler's own NumericsError
+    # the block threads; the caller sees the sampler's own NumericsError,
+    # and its stream stands nb + 1 = 4 jumps ahead, past all 3 blocks
     monkeypatch.setattr(sphere, "_MAX_ROUNDS", 1)
     d = 1024
     v = sample_uniform_sphere(d, RngStream(8, d))
     for params, batch in ((privunit.cap_params(d, 0.9, 0.0), privunit.randomize_batch),
                           (privunitg.gauss_params(d, 0.9, 0.5), privunitg.randomize_g_batch)):
+        rng = RngStream(2, 2)
         with pytest.raises(NumericsError) as exc:
-            batch(v, params, 300, RngStream(2, 2))
+            batch(v, params, 300, rng)
         assert type(exc.value) is NumericsError
+        np.testing.assert_array_equal(rng.uniform(8), _jumped(2, 2, 4).uniform(8))
 
 
 def test_batch_draws_hold_one_copy_of_the_output(monkeypatch):
