@@ -61,16 +61,13 @@ def lp_instance(K: int, eps: float) -> LpInstance:
     if math.exp(-0.5 * eps) == 1.0:  # then exp(0.5 * eps) == 1.0 too
         raise ValueError(f"eps={eps!r} is too small: the two density levels round to one double")
     K = int(K)
-    j = np.arange(K)
-    midpoints = (2.0 * j + 1.0) * math.pi / K
-    # average of cos(theta) over an arc of width 2*pi/K centered there
+    # average of cos(theta) over an arc of width 2*pi/K centered at each midpoint
     damp = math.sin(math.pi / K) / (math.pi / K)
-    return LpInstance(
-        K=K,
-        eps=float(eps),
-        arc_measure=2.0 * math.pi / K,
-        arc_mean_x=np.cos(midpoints) * damp,
-    )
+    try:
+        arc_mean_x = np.cos((2.0 * np.arange(K) + 1.0) * math.pi / K) * damp
+    except (ValueError, MemoryError):  # past numpy's size limit or the address space
+        raise ValueError(f"K={K} is too large: its arc arrays cannot be allocated") from None
+    return LpInstance(K=K, eps=float(eps), arc_measure=2.0 * math.pi / K, arc_mean_x=arc_mean_x)
 
 
 def solve_greedy(instance: LpInstance) -> LpSolution:

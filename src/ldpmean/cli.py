@@ -115,8 +115,9 @@ def _read_vectors(infile: str | None, d: int) -> tuple[np.ndarray, list[int]]:
         if infile and infile != "-":
             with open(infile) as fh:
                 raw = fh.read()
-        else:
-            raw = sys.stdin.read()
+        else:  # the bytes where they exist: a real stdin may decode with surrogateescape
+            buf = getattr(sys.stdin, "buffer", None)
+            raw = sys.stdin.read() if buf is None else buf.read().decode(sys.stdin.encoding)
     except UnicodeDecodeError as exc:  # a ValueError, which main reads as a usage error
         raise SupportError(f"input does not decode: {exc}") from None
     lines, line_nos = [], []

@@ -48,10 +48,10 @@ def estimate_mean(vectors, params: privunit.ThresholdParams, rng: RngStream) -> 
     under params, a ``CapParams`` or ``GaussParams``, with one block sum per
     row block added in block order (see the module docstring); unbiased for
     the true mean."""
-    mat = sphere.as_unit_rows(vectors)
+    mat = privunit._check_width(sphere.as_unit_rows(vectors), params)  # before any block draws
 
     def block_sum(rows, stream):
-        # the rows are validated once, above, not again per block
+        # the rows are validated as unit rows once, above, not again per block
         return privunit._row_reports(mat[rows], params, stream).sum(axis=0)
 
     return sum(sphere._row_blocks(*mat.shape, block_sum, rng, _THREADS)) / mat.shape[0]

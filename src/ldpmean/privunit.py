@@ -9,7 +9,9 @@ extend :class:`ThresholdParams` and draws go through
 coordinate W_1 of a uniform point of S^{d-1} and the orthogonal part
 uniform with norm sqrt(1 - alpha^2), so every report lies on the
 radius-1/m sphere. ``randomize``, ``randomize_batch``, ``log_density`` and
-``analytic_err`` serve both laws: they read the law from the parameters.
+``analytic_err`` serve both laws: they read the law from the parameters,
+and ``privunitg``'s Gaussian names for the draws and the error are one-call
+delegations to them.
 
 The normalizer combines the two reciprocal cap masses with a minus sign on
 the complement term: unbiasedness forces it, since E[W_1] = 0 splits the
@@ -255,28 +257,20 @@ def _residual(d: int, t: float, p: float, p_comp: float, q: float, q_comp: float
     return r, p_comp * f / (q * q_comp) - 2.0 * x / excess - f * excess / (q_comp * mu)
 
 
-def _reports(v, params: ThresholdParams, rng: RngStream, size: int | None = None) -> np.ndarray:
-    """Threshold reports of the law that ``params.sigma`` names, drawn from
-    rng by the sampler's block rule (``sphere._threshold_rows``): given
-    size, size reports of the unit vector v, the rows of its broadcast view;
-    else one per unit row of an (n, d) matrix v, or one 1-D report of a unit
-    vector v, the one-row matrix."""
-    if size is None:
-        rows = as_unit_rows(v)
-    else:
-        vec = as_unit_vector(v)
-        size = sphere._check_int(size, "size", 1)
-        rows = np.broadcast_to(vec, (size, vec.size))
-    out = _row_reports(rows, params, rng)
-    return out[0] if size is None and np.ndim(v) == 1 else out
-
-
 def _row_reports(rows, params: ThresholdParams, rng: RngStream) -> np.ndarray:
-    """The reports of ``_reports`` for an (n, d) matrix of rows already
-    validated as unit rows."""
+    """One report of the law that ``params.sigma`` names per row of an (n, d)
+    matrix of rows already validated as unit rows, by the sampler's block
+    rule (``sphere._threshold_rows``): the one path to the sampler from
+    ``randomize``, ``randomize_batch``, ``estimator`` and the CLI."""
+    return sphere._threshold_rows(_check_width(rows, params), rng, params.p, params.q, params.q_comp,
+                                  params.gamma, params.m, params.sigma)
+
+
+def _check_width(rows, params: ThresholdParams):
+    """rows, unless their width is not params.d (ValueError)."""
     if rows.shape[1] != params.d:
         raise ValueError(f"input dimension {rows.shape[1]} != params dimension {params.d}")
-    return sphere._threshold_rows(rows, rng, params.p, params.q, params.q_comp, params.gamma, params.m, params.sigma)
+    return rows
 
 
 def randomize(v, params: CapParams, rng: RngStream) -> np.ndarray:
@@ -285,7 +279,8 @@ def randomize(v, params: CapParams, rng: RngStream) -> np.ndarray:
     E[report] = input. v is an (n, d) matrix of unit rows (one report per
     row) or one unit vector, which is the one-row matrix, drawn from rng
     by the sampler's block rule (``sphere._threshold_rows``)."""
-    return _reports(v, params, rng)
+    out = _row_reports(as_unit_rows(v), params, rng)
+    return out[0] if np.ndim(v) == 1 else out
 
 
 def randomize_batch(v, params: CapParams, size: int, rng: RngStream) -> np.ndarray:
@@ -293,7 +288,9 @@ def randomize_batch(v, params: CapParams, size: int, rng: RngStream) -> np.ndarr
     for the one input v, bit for bit the :func:`randomize` reports of the
     matrix of size copies of v on the same stream, with the same row
     blocks."""
-    return _reports(v, params, rng, size)
+    vec = as_unit_vector(v)
+    size = sphere._check_int(size, "size", 1)
+    return _row_reports(np.broadcast_to(vec, (size, vec.size)), params, rng)
 
 
 def log_density(u, v, params: ThresholdParams) -> float:

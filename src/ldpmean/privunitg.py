@@ -9,10 +9,11 @@ extend ``privunit.ThresholdParams`` and draws go through
 The density, the draws and the error are ``privunit``'s ``log_density``,
 ``randomize``, ``randomize_batch`` and ``analytic_err``, which serve both
 laws. ``randomize_g``, ``randomize_g_batch`` and ``analytic_err_g`` are
-the last three under Gaussian names; they are not public API and stay only
-because the benchmark's spans (``bench/spans.py``) resolve them by name,
-as they do ``_build_gauss``. The private pieces ``_mass`` to ``_residual``
-are this law's side of the interface that ``tuner._law`` states.
+one-call delegations to the last three under Gaussian names; they are not
+public API and stay only because the benchmark's spans (``bench/spans.py``)
+resolve them by name, as they do ``_build_gauss``. The private pieces
+``_mass`` to ``_residual`` are this law's side of the interface that
+``tuner._law`` states.
 
 Same two-level density structure as the cap randomizer, so privacy is the
 same product condition on (p, q); here q = Phi(gamma/sigma) and the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import privunit, sphere, specfun
-from .privunit import ErrorBreakdown, ThresholdParams, _reports, _threshold_fields
+from .privunit import ErrorBreakdown, ThresholdParams, _threshold_fields
 from .sphere import RngStream
 
 __all__ = ["GaussParams", "gauss_params"]
@@ -123,9 +124,9 @@ def analytic_err_g(params: ThresholdParams) -> ErrorBreakdown:
 
 def randomize_g(v, params: GaussParams, rng: RngStream) -> np.ndarray:
     """``privunit.randomize`` under a Gaussian name; see the module docstring."""
-    return _reports(v, params, rng)
+    return privunit.randomize(v, params, rng)
 
 
 def randomize_g_batch(v, params: GaussParams, size: int, rng: RngStream) -> np.ndarray:
     """``privunit.randomize_batch`` under a Gaussian name; see the module docstring."""
-    return _reports(v, params, rng, size)
+    return privunit.randomize_batch(v, params, size, rng)

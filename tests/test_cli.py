@@ -192,19 +192,36 @@ def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
         assert "usage error" in err and name in err
     # sizes past any address space (0.7 and 4.4 EiB) but under numpy's size
     # limit fail to allocate at once, touching no memory, and so does a
-    # size past numpy's limit
-    for argv in (["simulate", "--eps", "4", "--d", "64", "--n", "2", "--trials", "100000000000000000"],
-                 ["simulate", "--eps", "4", "--d", "64", "--n", "10000000000000000", "--trials", "1"],
-                 ["lp_verify", "--eps", "4", "--k", "100000000000000000000"]):
+    # size past numpy's limit, which lp_verify names with its K
+    for argv, named in (
+        (["simulate", "--eps", "4", "--d", "64", "--n", "2", "--trials", "100000000000000000"], ""),
+        (["simulate", "--eps", "4", "--d", "64", "--n", "10000000000000000", "--trials", "1"], ""),
+        (["lp_verify", "--eps", "4", "--k", "100000000000000000000"], "K=100000000000000000000 is too large"),
+    ):
         rc, out, err = run_cli(capsys, *argv)
         assert rc == 2 and out == "", argv
-        assert err.startswith("usage error") and err.count("\n") == 1, (argv, err)
+        assert err.startswith("usage error") and err.count("\n") == 1 and named in err, (argv, err)
     # randomize checks its arguments before it reads the input, whatever the input is
     for argv in (["--eps", "0", "--d", "2"], ["--eps", "4", "--d", "1"]):
         for text in ("1.0\n", "", "0.6 0.8\n"):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             rc, out, err = run_cli(capsys, "randomize", *argv)
             assert rc == 2 and out == "" and "usage error" in err, (argv, text)
+
+
+def test_undecodable_stdin_names_its_position_under_the_c_locale():
+    # under LC_ALL=C Python opens stdin with errors="surrogateescape", so
+    # its text would carry the bad bytes as lone surrogates; the bytes are
+    # decoded strictly instead, and the data error names their position as
+    # it does for --in
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run([sys.executable, "-m", "ldpmean.cli", "randomize", "--eps", "4", "--d", "2"],
+                          input=b"0.6 0.8\n\xff\xfe 0.1\n", capture_output=True, env=env, timeout=120)
+    err = done.stderr.decode("ascii", "replace")
+    assert done.returncode == 3 and done.stdout == b"", err
+    assert err.startswith("error:") and "position 8" in err and err.count("\n") == 1, err
 
 
 def test_argparse_missing_argument_exits_2(capsys):

@@ -59,6 +59,22 @@ def test_estimate_mean_rejects_bad_input():
         estimator.estimate_mean([np.ones(4) / 2.0, np.ones(3) / math.sqrt(3.0)], params, RngStream(0))
 
 
+@pytest.mark.parametrize("make_params", _LAWS)
+def test_estimate_mean_checks_the_dimension_before_it_draws(make_params):
+    # 20000 rows at d = 8 are two row blocks; parameters of d = 16 are
+    # refused before the blocks' streams are built, so the caller's stream
+    # does not move
+    d, n = 8, 20000
+    assert n > sphere._BLOCK_VALUES // d
+    g = RngStream(2).normal((n, d))
+    vs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    rng = RngStream(4)
+    counter = rng._gen.bit_generator.state["state"]["counter"].copy()
+    with pytest.raises(ValueError, match="input dimension 8 != params dimension 16"):
+        estimator.estimate_mean(vs, make_params(16), rng)
+    np.testing.assert_array_equal(rng._gen.bit_generator.state["state"]["counter"], counter)
+
+
 def test_run_trials_deterministic():
     a = estimator.run_trials(n=2, d=8, eps=4.0, alg="privunitg", trials=5, seed=42)
     b = estimator.run_trials(n=2, d=8, eps=4.0, alg="privunitg", trials=5, seed=42)

@@ -135,6 +135,20 @@ def test_randomize_g_determinism_and_decomposition():
         assert abs(float(np.dot(perp, v))) <= 1e-12
 
 
+def test_gaussian_names_delegate_to_privunit(monkeypatch):
+    # randomize_g, randomize_g_batch and analytic_err_g are each one call of
+    # the privunit function they name, with their own arguments
+    params, v, rng = privunitg.gauss_params(4, 0.9, 0.8), np.array([1.0, 0.0, 0.0, 0.0]), RngStream(0)
+    for twin, name, args in ((privunitg.randomize_g, "randomize", (v, params, rng)),
+                             (privunitg.randomize_g_batch, "randomize_batch", (v, params, 3, rng)),
+                             (privunitg.analytic_err_g, "analytic_err", (params,))):
+        calls = []
+        monkeypatch.setattr(privunit, name, lambda *got, name=name: calls.append(got) or name)
+        assert twin(*args) == name
+        assert len(calls) == 1 and len(calls[0]) == len(args), name
+        assert all(a is b for a, b in zip(calls[0], args)), name
+
+
 def test_randomize_g_rejects_dimension_mismatch():
     params = privunitg.gauss_params(8, 0.9, 0.8)
     with pytest.raises(ValueError):
