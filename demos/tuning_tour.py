@@ -8,7 +8,7 @@ Run:  python3 demos/tuning_tour.py
 
 import math
 
-from ldpmean import tuner
+from ldpmean import privunit, tuner
 
 
 def main():
@@ -17,7 +17,7 @@ def main():
     eps = 8.0
     for eps1 in (0.0, 2.0, 4.0, 6.0):
         s = tuner.budget_split(eps, eps1)
-        err, _ = tuner._err_at(s, 1024, "privunitg")
+        err = privunit.analytic_err(tuner._params_at(s, 1024, "privunitg")).err
         print(f"  eps1={eps1:4.1f}  p={s.p:.6f}  q={s.q:.6f}  err={err:10.4f}")
     best = tuner.tune(eps, 1024, "privunitg")
     print(f"  tuned: eps1={best.split.eps1:.6f}  err={best.err_star:.4f}")
@@ -27,7 +27,7 @@ def main():
     print(f"  {'d':>6}  {'err (gauss)':>12}  {'err (cap)':>12}  {'ratio':>7}")
     for d in (64, 256, 1024, 4096):
         res_g = tuner.tune(eps, d, "privunitg")
-        err_pu, _ = tuner._err_at(res_g.split, d, "privunit")
+        err_pu = privunit.analytic_err(tuner._params_at(res_g.split, d, "privunit")).err
         print(f"  {d:6d}  {res_g.err_star:12.3f}  {err_pu:12.3f}  {res_g.err_star / err_pu:7.4f}")
     print("  The Gaussian variant costs a few percent at small d and almost")
     print("  nothing at large d, while its formulas stay closed-form.")

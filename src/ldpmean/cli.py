@@ -74,7 +74,7 @@ def cmd_ratio(args) -> list[str]:
         tuned = tuner.tune(args.eps, d, "privunitg")
         err_pug = tuned.err_star
         try:
-            err_pu, _ = tuner._err_at(tuned.split, d, "privunit")
+            err_pu = privunit.analytic_err(tuner._params_at(tuned.split, d, "privunit")).err
         except DegenerateParameterError:  # the split's cap is below the smallest a float gamma expresses
             err_pu = float("inf")
         lines.append(_row(float(d), err_pu, err_pug, err_pug / err_pu))

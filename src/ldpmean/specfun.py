@@ -6,9 +6,9 @@ All public functions are scalar and pure. The continued-fraction incomplete
 beta is evaluated in log space so that shapes of order 10^5 (half of a
 large sphere dimension) neither overflow nor lose the tiny cap masses that
 show up at large privacy budgets. Near x = 1/2 the fraction needs on the
-order of sqrt(a + b) terms, so its iteration budget, 200 + 4 sqrt(a + b),
-comes from the shapes; it keeps two, as ``privunit._err`` takes it at
-(a + 1, a).
+order of sqrt(a + b) terms, so its iteration budget (``_cf_budget``)
+comes from the shapes, up to a ceiling; it keeps two, as ``privunit._err``
+takes it at (a + 1, a).
 
 Each algorithm is written once. The normal quantile is
 ``statistics.NormalDist.inv_cdf`` (Wichura's AS241), accurate to double
@@ -60,7 +60,10 @@ _STD_NORMAL = statistics.NormalDist()
 
 
 def _cf_budget(a: float, b: float) -> int:
-    return 200 + int(4.0 * math.sqrt(a + b))
+    """200 + 4 sqrt(a + b) steps, a + b (at most d) capped at 10^8, the
+    largest d the package serves (``c_eps`` tunes there): past it the
+    fraction can stop converging in floats, as at d = 10^160 (4e80 steps)."""
+    return 200 + int(4.0 * math.sqrt(a + b if a + b < 1e8 else 1e8))
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:
@@ -143,23 +146,18 @@ def reg_inc_beta(x: float, a: float) -> float:
     _check_shape(a)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    return _reg_inc_beta_front(x, a, math.exp(_ln_front(x, a)))
+    return _reg_inc_beta_front(x, a, math.exp(_ln_front(x, a)) if 0.0 < x < 1.0 else 0.0)
 
 
 def _reg_inc_beta_front(x: float, a: float, front: float) -> float:
-    """I_x(a, a) for 0 <= x < 1, given its front factor
-    front = exp(_ln_front(x, a)), 0 at x = 0: the fraction below 1/2, where
-    it converges, the complement 1 - I_{1-x}(a, a) above, and 1/2 exactly
-    at 1/2. Callers that need the front factor evaluate it once for both."""
-    if x < 0.5:
-        return front * _beta_cf(x, a, a) / a
-    if x > 0.5:
-        return 1.0 - front * _beta_cf(1.0 - x, a, a) / a
-    return 0.5
+    """I_x(a, a) for 0 <= x <= 1 from its front factor exp(_ln_front(x, a))
+    (0 at x = 0 and 1; callers that need it evaluate it once for both): 1/2
+    at 1/2, 0 or 1 where the front factor is 0, else the fraction below 1/2,
+    where it converges, and the complement 1 - I_{1-x}(a, a) above."""
+    if x == 0.5:
+        return 0.5
+    tail = front * _beta_cf(x if x < 0.5 else 1.0 - x, a, a) / a if front > 0.0 else 0.0
+    return tail if x < 0.5 else 1.0 - tail
 
 
 def _beta_start(y: float, a: float) -> float:

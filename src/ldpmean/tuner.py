@@ -9,12 +9,13 @@ the threshold. The dual of the paper's LP fixes the optimum there:
 gamma = m, the threshold equals the normalizer. :func:`tune` finds the
 root of that condition by the package's one safeguarded Newton search,
 ``specfun._root``, on its log form, which is linear in eps0 where the
-condition is exponential, in about 4 error evaluations. The search names
-no law: each law module binds the pieces it runs, as ``_law`` states.
-The error is smooth in the threshold with a single minimum, the
-condition's one root in the bracket. The scaled constant eps*err/d
-converges in d, to c_eps(eps), and that limit keeps falling in eps: it
-passes 0.614 near eps 38.5 and reads 0.509 at 700.
+condition is exponential, in about 4 error evaluations; a probe leaves a
+bound on its budget's rounding unspent, so the winner is built once within
+eps. The search names no law: each law module binds the pieces it runs,
+as ``_law`` states. The error is smooth in the threshold with a single
+minimum, the condition's one root in the bracket. The scaled constant
+eps*err/d converges in d, to c_eps(eps), and that limit keeps falling in
+eps: it passes 0.614 near eps 38.5 and reads 0.509 at 700.
 """
 
 from __future__ import annotations
@@ -128,11 +129,6 @@ def _params_at(split: BudgetSplit, d: int, alg: str):
     return law._build(d, split.p, split.p_comp, t, *law._mass(d, t)[1:])
 
 
-def _err_at(split: BudgetSplit, d: int, alg: str):
-    params = _params_at(split, d, alg)
-    return privunit.analytic_err(params).err, params
-
-
 def _bracket(law: ModuleType, eps: float, d: int) -> tuple[float, float, float]:
     """(lo, hi, tol) of tune's search: the law's bracket to the threshold of
     mass sigmoid(-eps), where eps1 = eps; tol is ``specfun._TOL`` of the
@@ -141,13 +137,29 @@ def _bracket(law: ModuleType, eps: float, d: int) -> tuple[float, float, float]:
     return lo, hi, specfun._TOL * (hi - lo) / min(1.0, eps)
 
 
+def _margin(eps: float) -> float:
+    """delta, the part of eps a probe leaves unspent: a bound on the float
+    rounding of the budget (ln p - ln q_comp) - (ln p_comp - ln q) at its
+    p, p_comp, q and q_comp. With u = 2^-53 for each operation's relative
+    error (glibc's exp and log are within 0.52 ulp), t = eps0 and
+    l(x) = ln(1 + e^x): ln q and ln q_comp are the same floats in eps1 and
+    the budget, so they cancel; eps1, eps - delta and eps0 round by
+    u (eps1 + eps + t); p = 1/s and p_comp = e/s share e = exp(-t) and
+    s = 1 + e, so ln(p/p_comp) is t to 3u; ln p, ln p_comp, the two levels
+    and their difference round by u (l(-t) + l(t) + l(eps1) - l(-t) + l(t)
+    - l(-eps1) + eps). As l(x) - l(-x) = x and t + eps1 <= eps, the sum is
+    at most u (3 + 2 ln 2 + 5 eps), rounded up over libm's 4 % and the
+    second-order terms: 2.25 ulp(eps + 1) at small eps."""
+    return 2.0**-53 * (4.5 + 5.5 * eps)
+
+
 def _probe(law: ModuleType, eps: float, d: int, t: float) -> tuple:
     """(eps0, p, p_comp, q, q_comp, tail_mean, err, m) of tune's probe at the
-    law's threshold t: eps0 spends what the mass of t leaves of eps, and
-    the rest are the scalars its parameters would hold."""
+    law's threshold t: eps0 spends what the mass of t leaves of eps less
+    ``_margin(eps)``, and the rest are the scalars its parameters hold."""
     gamma, q_comp, tail_mean = law._mass(d, t)
-    # >= 0 despite float-gamma rounding at PrivUnit's far end (p = 1/2 cannot win)
-    eps0 = max(0.0, eps - (math.log(1.0 - q_comp) - math.log(q_comp)))
+    # >= 0 where the mass leaves less than the margin (p = 1/2 cannot win)
+    eps0 = max(0.0, (eps - _margin(eps)) - (math.log(1.0 - q_comp) - math.log(q_comp)))
     p, p_comp = _sigmoid(eps0), _sigmoid(-eps0)
     q, m = privunit._q_and_m(p, p_comp, q_comp, tail_mean)
     return eps0, p, p_comp, q, q_comp, tail_mean, law._err(d, p, p_comp, q, q_comp, gamma, m), m
@@ -160,25 +172,21 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     first-order condition, gamma = m, in its log form R, over the law's
     search variable in the bracket of ``_bracket``, by the law's pieces
     (``_law``). A probe (``_probe``) evaluates its threshold's mass q_comp
-    once, takes eps1 = ln(q/q_comp) from it and sets eps0 = eps - eps1, so
-    it spends the whole budget and needs no quantile inversion. Every
-    probe is feasible: ``_root`` probes at least tol inside the bracket, so
-    its mass is at least sigmoid(-eps) > 0, and p_comp <= 1/2 and
-    q_comp < 1/2 pass ``_q_and_m``. A probe evaluates scalars only, whose
-    results the builders take and ``analytic_err`` wraps, so it builds no
-    parameter object and its error is the built parameters' bit for bit.
-    Where PrivUnit's bracket stops at the smallest float cap
-    (``privunit._bracket``), a Newton step past that end probes b - tol,
-    which rounds onto that cap; a probe that rounds to the float threshold
-    of the probe before it ends the search.
+    once, spends eps1 = ln(q/q_comp) on it and the rest of eps less the
+    margin ``_margin(eps)`` on eps0, so it needs no quantile inversion.
+    Every probe is feasible: ``_root`` probes at least tol inside the
+    bracket, so its mass is at least sigmoid(-eps) > 0, and p_comp <= 1/2
+    and q_comp < 1/2 pass ``_q_and_m``. Where PrivUnit's bracket stops at
+    the smallest float cap (``privunit._bracket``), a Newton step past that
+    end probes b - tol, which rounds onto that cap; a probe that rounds to
+    the float threshold of the probe before it ends the search.
 
     The winner is the search's last probe or, where it ended on the stairs,
     the best probe seen: there the float error decides, not the root. It is
-    built once from its probe's mass, with the excess of its budget
-    (rounding) taken back from eps0 at the same threshold and mass so that
-    budget <= eps exactly, one build per step, and the split its stored
-    parameters spend. Raises NumericsError
-    when its error is not positive or its budget stays above eps.
+    built once, from its probe's eps0 and mass, so err_star is that probe's
+    error bit for bit, the margin keeps its budget at most eps, and the
+    split is the one its parameters spend. Raises NumericsError when its
+    error is not positive or its budget is above eps all the same.
     """
     budget_split(eps, eps)  # validates eps
     d = sphere._check_dim(d)
@@ -205,18 +213,9 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     lo, hi, tol = _bracket(law, eps, d)
     specfun._root(residual, 0.5 * (lo + hi), lo, hi, tol)
     err_star, eps0, *at = last  # at: the winner's threshold and its mass
-    # the winner's object is built once; where rounding puts its budget above
-    # eps, the excess comes back from eps0 in doubling steps (2^-52 at least:
-    # less cannot move p near 1/2), giving up before eps0 turns negative
     params = law._build(d, _sigmoid(eps0), _sigmoid(-eps0), *at)
-    step = max(params.budget - eps, 2.0**-52)
-    while params.budget > eps:
-        if step > eps0:
-            raise NumericsError(f"budget {params.budget!r} stays above eps={eps}, d={d}")
-        eps0 -= step
-        params = law._build(d, _sigmoid(eps0), _sigmoid(-eps0), *at)
-        err_star = privunit.analytic_err(params).err
-        step *= 2.0
+    if params.budget > eps:
+        raise NumericsError(f"budget {params.budget!r} stays above eps={eps}, d={d}, past its rounding margin")
     split = BudgetSplit(eps=eps, eps0=eps0, eps1=math.log(params.q) - math.log(params.q_comp))
     if not err_star > 0.0:
         # the true error is positive; it can only underflow

@@ -462,3 +462,15 @@ def test_module_entry_point_exits_with_main_code():
     assert usage.returncode == 2 and "usage error" in usage.stderr
     numeric = run("lp_verify", "--eps", "1500")
     assert numeric.returncode == 3 and numeric.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("eps,d", [("64", 10**30), ("1", 10**160)], ids=["d=10^30", "d=10^160"])
+def test_tune_at_a_huge_dimension_exits_3(eps, d):
+    # a numeric failure, not a usage error: at d = 10^30 the log of a
+    # cancelled mu - gamma read as one (exit 2), and at d = 10^160 the
+    # continued fraction hung. In a subprocess, so that a hang fails here
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ldpmean.cli", "tune", "--eps", eps, "--d", str(d),
+                           "--alg", "privunit"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 3 and done.stderr.startswith("error:"), done.stderr

@@ -18,6 +18,11 @@ from ldpmean.sphere import RngStream
 from oracles import c_inf, first_order_residual, gauss_tuned_err_scan
 
 
+def _split_err(split, d, alg):
+    # the analytic error of the parameters built at a given split
+    return privunit.analytic_err(tuner._params_at(split, d, alg)).err
+
+
 # --- budget splits ----------------------------------------------------------
 
 def test_budget_split_levels_and_complements():
@@ -81,7 +86,7 @@ def test_tuner_names_no_law():
     assert named_g and all(n in set(ast.walk(laws_stmt)) for n in named_g)
     read = {n.attr for n in ast.walk(tree)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "privunit"}
-    assert read == {"ThresholdParams", "_q_and_m", "analytic_err"}, read
+    assert read == {"ThresholdParams", "_q_and_m"}, read
 
 
 @pytest.mark.parametrize("alg,cls", [("privunit", CapParams), ("privunitg", GaussParams)])
@@ -106,7 +111,7 @@ def test_tune_beats_naive_splits(alg):
     eps, d = 8.0, 256
     res = tuner.tune(eps, d, alg)
     for eps1 in (0.0, eps / 4.0, eps / 2.0):
-        err, _ = tuner._err_at(tuner.budget_split(eps, eps1), d, alg)
+        err = _split_err(tuner.budget_split(eps, eps1), d, alg)
         assert res.err_star <= err + 1e-15
 
 
@@ -127,7 +132,7 @@ def test_tune_matches_dense_grid(alg, eps, d, grid_n, rel):
     best = math.inf
     for i in range(grid_n):
         try:
-            err, _ = tuner._err_at(tuner.budget_split(eps, eps * i / (grid_n - 1)), d, alg)
+            err = _split_err(tuner.budget_split(eps, eps * i / (grid_n - 1)), d, alg)
         except Exception:
             continue
         best = min(best, err)
@@ -299,7 +304,7 @@ def test_one_quantile_inversion_per_tune(monkeypatch):
 def test_error_evaluations_per_tune(monkeypatch):
     # the benchmark's envelope grid: Newton's steps on the log form of the
     # condition need at most 6 error evaluations per tune and 4 on
-    # average, the budget trim's included; the probes evaluate the scalar
+    # average; the probes evaluate the scalar
     # errors, which analytic_err and analytic_err_g wrap, so every
     # evaluation is counted here
     calls = [0]
@@ -319,8 +324,8 @@ def test_error_evaluations_per_tune(monkeypatch):
 
 def test_mass_evaluations_per_tune(monkeypatch):
     # a tune evaluates a mass once per probe, plus PrivUnit's bracket check
-    # of the smallest cap; the winner's build and every budget-trim step
-    # take the probe's mass, so they evaluate none
+    # of the smallest cap; the winner's build takes its probe's mass, so it
+    # evaluates none
     masses, probes = [0], [0]
     for mod, name, calls in ((privunit, "_mass", masses), (privunitg, "_mass", masses),
                              (tuner, "_probe", probes)):
@@ -335,46 +340,44 @@ def test_mass_evaluations_per_tune(monkeypatch):
 
 
 def test_tune_builds_parameters_once(monkeypatch):
-    # the probes build no parameter object: a tune builds the winner's once,
-    # then once per step of its budget trim, each at the winner's threshold
-    # with a smaller eps0, and every build but the last is over budget
+    # the probes build no parameter object, and each leaves unspent the
+    # margin that bounds its budget's rounding: a tune builds the winner's
+    # parameters once, at the winning probe's eps0, within budget
     built = []
     for mod in (privunit, privunitg):
         def counted(*args, _f=mod._build):
             built.append(_f(*args))
             return built[-1]
         monkeypatch.setattr(mod, "_build", counted)
-    counts = []
     for alg in ("privunit", "privunitg"):
         for eps in _ENVELOPE_EPS:
             for d in _ENVELOPE_D:
                 built.clear()
                 res = tuner.tune(eps, d, alg)
-                assert built and built[-1] is res.params, (alg, eps, d)
-                assert all(b.budget > eps for b in built[:-1]), (alg, eps, d)
-                assert len({(b.gamma, b.q_comp) for b in built}) == 1, (alg, eps, d)
-                assert all(b.p >= c.p for b, c in zip(built, built[1:])), (alg, eps, d)
-                counts.append(len(built))
-    # most tunes need no trim step at all
-    assert counts.count(1) > len(counts) // 2
+                assert len(built) == 1 and built[0] is res.params, (alg, eps, d, len(built))
+                assert res.params.p == res.split.p and res.params.budget <= eps, (alg, eps, d)
 
 
-def test_budget_trim_builds_at_most_twice(monkeypatch):
-    # the trim's first step is at least 2^-52: an excess of about 1e-18
-    # cannot move p = sigmoid(eps0) near 1/2, so smaller steps rebuild the
-    # same levels; over the envelope every tune builds at most twice
-    builds = [0]
-    for mod in (privunit, privunitg):
-        def counted(*args, _f=mod._build):
-            builds[0] += 1
-            return _f(*args)
-        monkeypatch.setattr(mod, "_build", counted)
-    for alg in ("privunit", "privunitg"):
-        for eps in _ENVELOPE_EPS:
-            for d in _ENVELOPE_D:
-                builds[0] = 0
-                tuner.tune(eps, d, alg)
-                assert builds[0] <= 2, (alg, eps, d, builds[0])
+def test_margin_bounds_the_built_budget():
+    # a probe spends eps less tuner._margin(eps), a bound on the float
+    # rounding of the budget its parameters evaluate: at random thresholds
+    # inside the bracket the built budget is at most eps, and it is
+    # eps - delta to within that rounding. Probes that the clamp holds at
+    # eps0 = 0 (p = 1/2) cannot win, so they are not counted
+    rng = np.random.default_rng(39)
+    built = []  # (alg, eps, d, t, budget)
+    while len(built) < 2000:
+        alg = ("privunit", "privunitg")[rng.integers(2)]
+        eps = float(np.exp(rng.uniform(math.log(1e-12), math.log(700.0))))
+        d = int(np.exp(rng.uniform(math.log(2.0), math.log(1e6))))
+        law = tuner._law(alg)
+        lo, hi, _ = tuner._bracket(law, eps, d)
+        t = law._threshold(rng.uniform(lo, hi))
+        eps0, p, p_comp, _, q_comp, tail_mean, _, _ = tuner._probe(law, eps, d, t)
+        if eps0 > 0.0:
+            built.append((alg, eps, d, t, law._build(d, p, p_comp, t, q_comp, tail_mean).budget))
+    assert [b for b in built if b[-1] > b[1]] == []
+    assert [b for b in built if b[1] - b[-1] > 2.0 * tuner._margin(b[1])] == []
 
 
 @pytest.mark.parametrize("alg", ["privunit", "privunitg"])
@@ -383,7 +386,6 @@ def test_budget_trim_builds_at_most_twice(monkeypatch):
 def test_probe_scalars_match_the_built_parameters(eps, d, alg):
     # a probe evaluates the scalars its parameter object would hold, so the
     # winning probe's error is the built winner's analytic error bit for bit
-    # (a trimmed winner's error comes from the trimmed object)
     if alg == "privunit":
         # the cap helper's mass is marginal_cdf's, at x = 1/2 and the edge cap
         for gamma in (0.0, 1.0 - 2.0**-53):
@@ -400,8 +402,6 @@ def test_probe_scalars_match_the_built_parameters(eps, d, alg):
     # threshold and the scalar error are the parameters' bit for bit
     assert mass(d, t)[:2] == (pr.gamma, pr.q_comp)
     assert err(d, pr.p, pr.p_comp, pr.q, pr.q_comp, pr.gamma, pr.m) == error(pr).err
-    e, params = tuner._err_at(res.split, d, alg)
-    assert e == error(tuner._params_at(res.split, d, alg)).err == error(params).err
 
 
 def test_interior_budgets_never_win():
@@ -412,7 +412,7 @@ def test_interior_budgets_never_win():
         frac_total = 0.45 + 0.5 * (i / 19.0)  # total spend in [0.45, 0.95] eps
         frac_split = (7 * i % 20) / 19.0
         total = frac_total * eps
-        err, _ = tuner._err_at(tuner.budget_split(total, frac_split * total), d, "privunitg")
+        err = _split_err(tuner.budget_split(total, frac_split * total), d, "privunitg")
         assert err >= res.err_star - 1e-9 * res.err_star
 
 
@@ -626,8 +626,8 @@ def test_tune_raises_when_the_best_error_is_not_positive(monkeypatch):
 
 
 def test_tune_raises_when_the_budget_stays_above_eps(monkeypatch):
-    # a high density level 100 nats too high puts every build over budget,
-    # by more than eps0 can give back
+    # a high density level 100 nats too high puts the build over budget, by
+    # far more than the margin that the probes leave
     def inflated(*args, _f=privunit._two_log_levels):
         hi, lo = _f(*args)
         return hi + 100.0, lo
