@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere
-from .errors import NumericsError
 
 __all__ = ["LpInstance", "LpSolution", "lp_instance", "solve_greedy", "verify_cap_structure"]
 
@@ -54,10 +53,10 @@ class LpSolution:
 
 
 def lp_instance(K: int, eps: float) -> LpInstance:
+    """The instance of K arcs (even, >= 8) at a budget eps in (0, 700]."""
     if not (8 <= K < math.inf) or int(K) != K or K % 2:
         raise ValueError(f"K must be an even integer >= 8, got {K!r}")
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    sphere._check_eps(eps)
     if math.exp(-0.5 * eps) == 1.0:  # then exp(0.5 * eps) == 1.0 too
         raise ValueError(f"eps={eps!r} is too small: the two density levels round to one double")
     K = int(K)
@@ -73,14 +72,12 @@ def lp_instance(K: int, eps: float) -> LpInstance:
 def solve_greedy(instance: LpInstance) -> LpSolution:
     """Enumerate symmetric box vertices by the count k of high-level arc
     pairs, take base_p from the unit-mass constraint, and return the k
-    whose density maximizes the mean x-coordinate."""
-    K, eps, w = instance.K, instance.eps, instance.arc_measure
+    whose density maximizes the mean x-coordinate. eps is checked again,
+    as an instance can be built by hand: within (0, 700] no level or gain
+    overflows."""
+    K, eps, w = instance.K, sphere._check_eps(instance.eps), instance.arc_measure
     xbar = instance.arc_mean_x
-    overflow = f"the circle objective overflows at eps={eps}, K={K}"
-    try:
-        hi_f = math.exp(0.5 * eps)
-    except OverflowError:  # past eps of about 1419.6
-        raise NumericsError(overflow) from None
+    hi_f = math.exp(0.5 * eps)
     lo_f = math.exp(-0.5 * eps)
     half = K // 2
 
@@ -89,14 +86,8 @@ def solve_greedy(instance: LpInstance) -> LpSolution:
     # the high-pair partial sum; argmax keeps the first of equal maxima
     n_hi = 2 * np.arange(half + 1)
     cum = np.concatenate(([0.0], np.cumsum(xbar[:half])))
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = 1.0 / (w * (n_hi * hi_f + (K - n_hi) * lo_f))
-        gain = w * base * (hi_f - lo_f) * (2.0 * cum)
-    # past eps of about 711 the uniform vertex's w * base * hi_f overflows
-    # and inf * 0 is NaN, where argmax would pick it (from about 1408 the
-    # high pairs' n_hi * hi_f overflows too, and their base is 0)
-    if not np.all(np.isfinite(gain)):
-        raise NumericsError(overflow)
+    base = 1.0 / (w * (n_hi * hi_f + (K - n_hi) * lo_f))
+    gain = w * base * (hi_f - lo_f) * (2.0 * cum)
     best_k = int(np.argmax(gain))
     base_p = float(base[best_k])
     j = np.arange(K)

@@ -3,8 +3,9 @@ single-shot randomizer for scripting.
 
 Exit codes: 0 success, 2 usage error (bad arguments, an input or output
 path that cannot be opened), 3 numeric or data-validation error.
-All numeric output uses 12 significant digits with a C-locale decimal
-point, so repeated runs are byte-identical.
+All real output uses 12 significant digits with a C-locale decimal
+point, so repeated runs are byte-identical; simulate prints n, trials and
+the seed as integers, so a run reproduces from its own output.
 """
 
 from __future__ import annotations
@@ -92,14 +93,8 @@ def cmd_simulate(args) -> list[str]:
     rep = estimator.run_trials(args.n, args.d, args.eps, args.alg, args.trials, args.seed)
     return [
         "n,trials,empirical_mse,analytic_err_per_user,standard_error,seed",
-        _row(
-            float(rep.n),
-            float(rep.trials),
-            rep.empirical_mse,
-            rep.analytic_err_per_user,
-            rep.standard_error,
-            float(rep.seed),
-        ),
+        _row(str(rep.n), str(rep.trials), rep.empirical_mse, rep.analytic_err_per_user, rep.standard_error,
+             str(rep.seed)),
     ]
 
 

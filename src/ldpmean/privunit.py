@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sphere, specfun
-from .errors import DegenerateParameterError, NumericsError, SupportError
+from .errors import DegenerateParameterError, SupportError
 from .sphere import RngStream, as_unit_rows, as_unit_vector
 
 __all__ = [
@@ -252,8 +252,6 @@ def _residual(d: int, t: float, p: float, p_comp: float, q: float, q_comp: float
     a, x = 0.5 * (d - 1), 0.5 * (1.0 - t)
     mu = tail_mean / q_comp
     excess = 2.0 * x - e * m * m / (1.0 + m) + mu * p_comp / q  # mu - gamma
-    if not excess > 0.0:  # cancelled in floats, as at d >= 10^28 and large eps
-        raise NumericsError(f"cap mean {mu!r} is not above gamma={t!r} at d={d}")
     f = a * tail_mean / (1.0 - x)
     r = math.log(q * excess / mu) - math.log(p_comp)
     return r, p_comp * f / (q * q_comp) - 2.0 * x / excess - f * excess / (q_comp * mu)

@@ -7,8 +7,9 @@ beta is evaluated in log space so that shapes of order 10^5 (half of a
 large sphere dimension) neither overflow nor lose the tiny cap masses that
 show up at large privacy budgets. Near x = 1/2 the fraction needs on the
 order of sqrt(a + b) terms, so its iteration budget (``_cf_budget``)
-comes from the shapes, up to a ceiling; it keeps two, as ``privunit._err``
-takes it at (a + 1, a).
+comes from the shapes; it keeps two, as ``privunit._err`` takes it at
+(a + 1, a). The package's dimensions end at 10^8 (``_D_MAX``), so the
+public functions take shapes a = (d - 1)/2 up to (10^8 - 1)/2.
 
 Each algorithm is written once. The normal quantile is
 ``statistics.NormalDist.inv_cdf`` (Wichura's AS241), accurate to double
@@ -57,13 +58,14 @@ _S_MAX = -math.log(sys.float_info.min)
 _TOL = 2.0**-26
 # the one normal quantile of the package, also A&S 26.5.22's
 _STD_NORMAL = statistics.NormalDist()
+# the largest dimension d the package serves, the one ``c_eps`` tunes at;
+# ``_check_shape`` and ``sphere._check_dim`` refuse any larger
+_D_MAX = 10**8
 
 
 def _cf_budget(a: float, b: float) -> int:
-    """200 + 4 sqrt(a + b) steps, a + b (at most d) capped at 10^8, the
-    largest d the package serves (``c_eps`` tunes there): past it the
-    fraction can stop converging in floats, as at d = 10^160 (4e80 steps)."""
-    return 200 + int(4.0 * math.sqrt(a + b if a + b < 1e8 else 1e8))
+    """200 + 4 sqrt(a + b) steps; a + b is at most d <= ``_D_MAX``."""
+    return 200 + int(4.0 * math.sqrt(a + b))
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:
@@ -136,13 +138,13 @@ def _ln_front(x: float, a: float) -> float:
 
 
 def _check_shape(a: float) -> None:
-    if not 0.0 < a < math.inf:
-        raise ValueError(f"the shape parameter must be positive and finite, got a={a}")
+    if not 0.0 < a <= 0.5 * (_D_MAX - 1):
+        raise ValueError(f"the shape parameter must lie in (0, (10^8 - 1)/2], got a={a}")
 
 
 def reg_inc_beta(x: float, a: float) -> float:
     """Regularized incomplete beta I_x(a, a), the cdf of the symmetric
-    Beta(a, a) law, for x in [0, 1] and finite a > 0."""
+    Beta(a, a) law, for x in [0, 1] and 0 < a <= (10^8 - 1)/2."""
     _check_shape(a)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")

@@ -138,7 +138,20 @@ def _check_int(x, name: str, lo: int) -> int:
 
 
 def _check_dim(d: int) -> int:
-    return _check_int(d, "dimension", 2)
+    """d as an int if it is an integer in [2, 10^8] (``specfun._D_MAX``), else ValueError."""
+    d = _check_int(d, "dimension", 2)
+    if d > specfun._D_MAX:
+        raise ValueError(f"dimension must be at most 10^8, got {d}")
+    return d
+
+
+def _check_eps(eps: float) -> float:
+    """eps if it lies in (0, 700], else ValueError: past about 708 nats
+    sigmoid(-eps) is subnormal, and the exact complements the privacy
+    accounting rests on lose their precision."""
+    if not (0.0 < eps <= 700.0):
+        raise ValueError(f"eps must lie in (0, 700], got {eps!r}")
+    return eps
 
 
 def sample_uniform_sphere(d: int, rng: RngStream) -> np.ndarray:

@@ -69,10 +69,7 @@ class BudgetSplit:
 
 
 def budget_split(eps: float, eps1: float) -> BudgetSplit:
-    # past about 708 nats sigmoid(-eps) is subnormal, and the exact
-    # complements the privacy accounting rests on lose their precision
-    if not (0.0 < eps <= 700.0):
-        raise ValueError(f"eps must lie in (0, 700], got {eps!r}")
+    sphere._check_eps(eps)
     if not (0.0 <= eps1 <= eps):
         raise ValueError(f"eps1 must lie in [0, eps], got {eps1!r}")
     return BudgetSplit(eps=eps, eps0=eps - eps1, eps1=eps1)
@@ -185,10 +182,11 @@ def tune(eps: float, d: int, alg: str = "privunitg") -> TunedResult:
     the best probe seen: there the float error decides, not the root. It is
     built once, from its probe's eps0 and mass, so err_star is that probe's
     error bit for bit, the margin keeps its budget at most eps, and the
-    split is the one its parameters spend. Raises NumericsError when its
-    error is not positive or its budget is above eps all the same.
+    split is the one its parameters spend. Raises ValueError unless eps
+    lies in (0, 700] and d in [2, 10^8], and NumericsError when its error
+    is not positive or its budget is above eps all the same.
     """
-    budget_split(eps, eps)  # validates eps
+    sphere._check_eps(eps)
     d = sphere._check_dim(d)
     if alg not in _ALGS:
         raise ValueError(f"alg must be one of {_ALGS}, got {alg!r}")
@@ -235,5 +233,6 @@ def repetition_err(eps: float, k: int, d: int, alg: str = "privunitg") -> float:
     """Error of averaging k independent runs at budget eps/k each (total
     budget eps by composition): tune(eps/k, d).err_star / k. Never beats
     tune(eps, d) directly, which is the repetition-optimality comparison."""
+    sphere._check_eps(eps)
     k = sphere._check_int(k, "k", 1)
     return tune(eps / k, d, alg).err_star / k

@@ -4,6 +4,7 @@ use fixed seeds and 4-standard-error bands; analytic checks carry their
 stated tolerances and wall-clock budgets."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import re
@@ -18,6 +19,7 @@ import ldpmean
 from ldpmean import capstruct_lp, cli, errors, estimator, privunit, privunitg, sphere, tuner
 from ldpmean.sphere import RngStream, sample_uniform_sphere
 from ldpmean.specfun import (
+    inv_reg_inc_beta,
     inv_std_normal_cdf,
     reg_inc_beta,
     std_normal_cdf,
@@ -193,6 +195,7 @@ def test_repetition_never_beats_direct_tuning():
 _E1 = np.eye(8)[0]
 _CAP8 = privunit.cap_params(8, 0.9, 0.3)
 _GAUSS8 = privunitg.gauss_params(8, 0.9, 0.8)
+_D_PAST = 10**8 + 1
 
 
 @pytest.mark.parametrize("call", [
@@ -218,10 +221,28 @@ _GAUSS8 = privunitg.gauss_params(8, 0.9, 0.8)
     pytest.param(lambda: privunitg.randomize_g_batch(_E1, _GAUSS8, 2.5, RngStream(0)), id="randomize_g_batch-size-fraction"),
     pytest.param(lambda: privunitg.randomize_g_batch(_E1, _GAUSS8, math.inf, RngStream(0)), id="randomize_g_batch-size-inf"),
     pytest.param(lambda: privunitg.randomize_g_batch(_E1, _GAUSS8, math.nan, RngStream(0)), id="randomize_g_batch-size-nan"),
+    # past the domain, d = 10^8 + 1 (shape a = 5e7) and eps = 700.5
+    pytest.param(lambda: tuner.tune(4.0, _D_PAST, "privunit"), id="tune-d-past-1e8"),
+    pytest.param(lambda: tuner.tune(4.0, 10**160, "privunit"), id="tune-d-1e160"),
+    pytest.param(lambda: tuner.tune(700.5, 64), id="tune-eps-past-700"),
+    pytest.param(lambda: tuner.repetition_err(1400.0, 2, 64), id="repetition_err-eps-past-700"),
+    pytest.param(lambda: privunit.cap_params(_D_PAST, 0.9, 0.3), id="cap_params-d-past-1e8"),
+    pytest.param(lambda: privunitg.gauss_params(_D_PAST, 0.9, 0.8), id="gauss_params-d-past-1e8"),
+    pytest.param(lambda: sphere.marginal_cdf(0.1, _D_PAST), id="marginal_cdf-d-past-1e8"),
+    pytest.param(lambda: sphere.inv_marginal_cdf(0.3, _D_PAST), id="inv_marginal_cdf-d-past-1e8"),
+    pytest.param(lambda: sample_uniform_sphere(_D_PAST, RngStream(0)), id="sample_uniform_sphere-d-past-1e8"),
+    pytest.param(lambda: sphere.sample_cap(_D_PAST, 0.3, True, RngStream(0)), id="sample_cap-d-past-1e8"),
+    pytest.param(lambda: reg_inc_beta(0.3, 5e7), id="reg_inc_beta-a-past-1e8"),
+    pytest.param(lambda: inv_reg_inc_beta(0.3, 5e7), id="inv_reg_inc_beta-a-past-1e8"),
+    pytest.param(lambda: capstruct_lp.lp_instance(36, 700.5), id="lp_instance-eps-past-700"),
+    pytest.param(lambda: capstruct_lp.solve_greedy(dataclasses.replace(capstruct_lp.lp_instance(36, 4.0), eps=700.5)),
+                 id="solve_greedy-eps-past-700"),
 ])
 def test_integer_arguments_reject_nan_inf_and_fractions(call):
     # the range is checked before int(), so inf raises ValueError (a usage
-    # error), never OverflowError, which the CLI would map to exit code 3
+    # error), never OverflowError, which the CLI would map to exit code 3;
+    # a d or eps past the domain is a usage error too, raised before any
+    # numerics run
     with pytest.raises(ValueError):
         call()
 

@@ -1,7 +1,8 @@
 """Every benchmark record at the root of the repository, ``BENCH_<n>.json``,
 parses, names the commits it compares by their full hashes and holds at
 least ten alternating pairs of ``bench/run.py`` result lines per workload,
-from which its summary medians, quartiles and wins recompute exactly.
+from which its summary medians, quartiles and wins recompute exactly; every
+line of the change reads correct with no failed operation.
 
 A shallow checkout has no history, so this checks the format of a record,
 not that its commits exist.
@@ -61,6 +62,9 @@ def test_bench_record_format(path):
                     line = p[side]
                     assert isinstance(line["correct"], bool) and 0 <= line["failed"] <= line["attempted"]
                     assert all(isinstance(line["metrics"][m]["value"], (int, float)) for m in METRICS)
+                # a change fails no more operations than its parent; a base may
+                # fail some, as the envelope of the first benchmarked commit did
+                assert p["change"]["correct"] is True and p["change"]["failed"] == 0, (workload, p["seed"])
             summary = comp["summary"][workload]
             for m in METRICS:
                 values = {side: [p[side]["metrics"][m]["value"] for p in pairs] for side in SIDES}

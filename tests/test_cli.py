@@ -98,6 +98,11 @@ def test_simulate_command_and_seed(capsys):
     assert out_seeded.splitlines()[0] == "n,trials,empirical_mse,analytic_err_per_user,standard_error,seed"
     rc, out_default, _ = run_cli(capsys, *args)
     assert rc == 0 and out_default != out_seeded  # default seed is 0
+    # n, trials and the seed print as integers, so a run reproduces from its
+    # own output at any 64-bit seed, not only at those below 10^12
+    for seed in ("7", "18446744073709551615"):
+        fields = run_cli(capsys, *args, "--seed", seed)[1].splitlines()[1].split(",")
+        assert (fields[0], fields[1], fields[-1]) == ("2", "4", seed)
 
 
 def test_out_writes_file(capsys, tmp_path):
@@ -178,9 +183,13 @@ def test_lp_verify_command(capsys):
 # --- exit codes ---------------------------------------------------------------
 
 def test_usage_error_exit_code(capsys, tmp_path, monkeypatch):
-    for argv in (["tune", "--eps", "-3", "--d", "64"], ["c_curve", "--eps", "0"]):
+    # arguments outside the domain, eps in (0, 700] and d in [2, 10^8], are
+    # refused before any numerics run
+    for argv in (["tune", "--eps", "-3", "--d", "64"], ["c_curve", "--eps", "0"],
+                 ["tune", "--eps", "64", "--d", "100000001", "--alg", "privunit"],
+                 ["lp_verify", "--eps", "1500"], ["lp_verify", "--eps", "800", "--k", "36"]):
         rc, out, err = run_cli(capsys, *argv)
-        assert rc == 2 and out == ""
+        assert rc == 2 and out == "", argv
         assert "usage error" in err
     # an input file that does not exist, an output file in a missing directory
     for argv, name in (
@@ -303,13 +312,6 @@ def test_data_error_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     rc, _, _ = run_cli(capsys, "randomize", "--eps", "4", "--d", "2")
     assert rc == 3
-
-    # an overflow inside the solver is a numeric failure, not a traceback
-    rc, out, err = run_cli(capsys, "lp_verify", "--eps", "1500")
-    assert rc == 3 and out == "" and "overflows" in err
-    # and so is an objective that overflows to inf * 0 = NaN
-    rc, out, err = run_cli(capsys, "lp_verify", "--eps", "800", "--k", "36")
-    assert rc == 3 and out == "" and "overflows" in err
 
 
 def test_simulate_exits_3_when_a_block_thread_fails(capsys, monkeypatch):
@@ -460,17 +462,18 @@ def test_module_entry_point_exits_with_main_code():
     assert ok.stdout.splitlines()[0] == "eps0,eps1,p,q,gamma,m,err,c_const"
     usage = run("tune", "--eps", "-1", "--d", "64")
     assert usage.returncode == 2 and "usage error" in usage.stderr
-    numeric = run("lp_verify", "--eps", "1500")
+    numeric = run("tune", "--eps", "1e-300", "--d", "64")
     assert numeric.returncode == 3 and numeric.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("eps,d", [("64", 10**30), ("1", 10**160)], ids=["d=10^30", "d=10^160"])
-def test_tune_at_a_huge_dimension_exits_3(eps, d):
-    # a numeric failure, not a usage error: at d = 10^30 the log of a
-    # cancelled mu - gamma read as one (exit 2), and at d = 10^160 the
-    # continued fraction hung. In a subprocess, so that a hang fails here
+def test_tune_at_a_huge_dimension_is_a_usage_error(eps, d):
+    # d past 10^8 is refused before any numerics run: at d = 10^30 the log of a
+    # cancelled mu - gamma once read as one, and at d = 10^160 the continued
+    # fraction hung. In a subprocess, so that a hang fails here
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "ldpmean.cli", "tune", "--eps", eps, "--d", str(d),
                            "--alg", "privunit"], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 3 and done.stderr.startswith("error:"), done.stderr
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    assert done.stderr.startswith("usage error:") and "at most 10^8" in done.stderr
